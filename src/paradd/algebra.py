@@ -2,16 +2,15 @@
 
 Two digit strings represent the same number exactly when their difference,
 read as a Laurent polynomial in the base, is divisible by the defining
-polynomial (after clearing the radix shift).  Everything here is integer /
-Fraction arithmetic; the only approximate entry point is
-:func:`eval_approx`, which returns certified interval enclosures.
+polynomial (after clearing the radix shift).  Everything here is integer
+arithmetic; the only approximate entry point is :func:`eval_approx`, which
+returns certified interval enclosures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .core import BaseSpec, DigitString, NEGATIVE_ROOT, ROOT
@@ -111,11 +110,11 @@ def reduce_mod_base(p: LaurentPoly, base: BaseSpec) -> LaurentPoly:
 
 
 def _poly_remainder(coeffs, divisor):
-    """Primitive integer remainder of coeffs / divisor (both msd-first).
+    """Integer remainder of coeffs / divisor (both msd-first).
 
-    Long division over Fraction, then denominators cleared and content
-    divided out, sign fixed positive-leading.  For monic divisors this
-    degenerates to exact integer synthetic division.
+    Every defining polynomial is monic or linear.  Monic divisors give
+    the exact remainder by synthetic division; a linear non-monic one
+    gives a primitive integer multiple of its constant remainder.
     """
     if len(divisor) == 2 and divisor[0] != 1:
         # Linear non-monic b*X + c with root -c/b: the remainder is a
@@ -126,31 +125,16 @@ def _poly_remainder(coeffs, divisor):
         for j, x in enumerate(coeffs):
             acc = acc * (-c) + x * b ** j
         return _make_primitive([acc])
-    if divisor[0] == 1:
-        # monic synthetic division: exact integer remainder, kept as-is
-        rem = list(coeffs)
-        d = len(divisor) - 1
-        for i in range(len(rem) - d):
-            lead = rem[i]
-            if lead:
-                for j in range(1, d + 1):
-                    rem[i + j] -= lead * divisor[j]
-                rem[i] = 0
-        return rem[-d:] if d <= len(rem) else rem
-    # generic fallback over Fraction
-    rem = [Fraction(x) for x in coeffs]
-    dlen = len(divisor)
-    i = 0
-    while len(rem) - i >= dlen:
-        lead = rem[i] / divisor[0]
+    # monic synthetic division: exact integer remainder, kept as-is
+    rem = list(coeffs)
+    d = len(divisor) - 1
+    for i in range(len(rem) - d):
+        lead = rem[i]
         if lead:
-            for j in range(dlen):
+            for j in range(1, d + 1):
                 rem[i + j] -= lead * divisor[j]
-        i += 1
-    tail = rem[i:]
-    denom = math.lcm(*(f.denominator for f in tail)) if tail else 1
-    ints = [int(f * denom) for f in tail]
-    return _make_primitive(ints)
+            rem[i] = 0
+    return rem[-d:] if d <= len(rem) else rem
 
 
 def _make_primitive(coeffs):

@@ -27,10 +27,7 @@ from multiprocessing import get_context
 from typing import Optional
 
 from .adder import MAP, TOP_PASS, AdderPipeline
-from .core import (
-    BaseSpec, INTEGER, NEGATIVE_INTEGER, NumerationSystem, RATIONAL_NEG,
-    RATIONAL_POS,
-)
+from .core import BaseSpec, NumerationSystem
 from .errors import UnsupportedBaseError, WorkerCountError
 
 _PRIMES_BITS = 62
@@ -201,18 +198,11 @@ def ripple_digit_sum(z, base: BaseSpec):
     Returns an msd-first digit list with lsd exponent 0 (grown at the top
     as needed).
     """
-    kind = base.kind
-    if kind == INTEGER:
-        a, b, neg = base.param("b"), 1, False
-    elif kind == NEGATIVE_INTEGER:
-        a, b, neg = base.param("b"), 1, True
-    elif kind == RATIONAL_POS:
-        a, b, neg = base.param("a"), base.param("b"), False
-    elif kind == RATIONAL_NEG:
-        a, b, neg = base.param("a"), base.param("b"), True
-    else:
+    ratio = base.integer_ratio
+    if ratio is None:
         raise UnsupportedBaseError(
             f"no sequential ripple adder for base {base.describe()}")
+    a, b, neg = ratio
     out = []
     carry = 0
     for v in reversed(z):  # lsd first

@@ -24,7 +24,7 @@ from .core import (
 from .errors import (
     AlphabetLacksNegativesError, AlphabetTooSmallError,
     DigitOutOfAlphabetError, DigitStringSyntaxError, NegativeInputError,
-    NotApplicableError, NotInWindowError, NumerationError,
+    NotApplicableError, NotInWindowError, NumberSyntaxError, NumerationError,
     UnsupportedAlphabetError, UnsupportedBaseError,
 )
 from .expansions import (
@@ -93,6 +93,14 @@ def parse_alphabet(text: str) -> Alphabet:
             f"alphabet must look like m..M, got {text!r}")
 
 
+def parse_number(text: str) -> Fraction:
+    """A rational written as an integer, a decimal or p/q."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise NumberSyntaxError(f"cannot parse number {text!r}") from None
+
+
 def _read_digit_string(arg: str) -> DigitString:
     if arg == "-":
         arg = sys.stdin.read()
@@ -122,14 +130,15 @@ def cmd_expand(args) -> int:
     if kind == "euclid":
         ds = euclid_expansion(int(args.euclid), base)
     elif kind == "greedy":
-        res = greedy_expansion(Fraction(args.greedy), base, args.max_digits)
+        res = greedy_expansion(parse_number(args.greedy), base,
+                               args.max_digits)
         ds, exact = res.string, res.exact
     elif kind == "window":
         m, _, x = args.window.partition(",")
-        res = tm_expansion(Fraction(x), int(m), base, args.max_digits)
+        res = tm_expansion(parse_number(x), int(m), base, args.max_digits)
         ds, exact = res.string, res.exact
     else:
-        res = symmetric_expansion(Fraction(args.symmetric), base,
+        res = symmetric_expansion(parse_number(args.symmetric), base,
                                   args.max_digits)
         ds, exact = res.string, res.exact
     payload = {"base": base.to_json(), "digits": ds.to_json(),

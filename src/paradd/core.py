@@ -127,10 +127,25 @@ class BaseSpec:
             return Fraction(self.param("a"), self.param("b"))
         if k == RATIONAL_NEG:
             return Fraction(-self.param("a"), self.param("b"))
-        if k == ROOT and self.param("k") == 1:
-            return Fraction(self.param("b"))
+        if k == ROOT:
+            b, deg = self.param("b"), self.param("k")
+            n = _integer_root_floor(b, deg)
+            return Fraction(n) if n ** deg == b else None
         if k == NEGATIVE_ROOT and self.param("k") == 1:
             return Fraction(-self.param("b"))
+        return None
+
+    @property
+    def integer_ratio(self) -> Optional[tuple]:
+        """(a, b, neg) with beta = -a/b when neg, else a/b.
+
+        Only the integer and rational kinds have one; others give None.
+        """
+        k = self.kind
+        if k in (INTEGER, NEGATIVE_INTEGER):
+            return self.param("b"), 1, k == NEGATIVE_INTEGER
+        if k in (RATIONAL_POS, RATIONAL_NEG):
+            return self.param("a"), self.param("b"), k == RATIONAL_NEG
         return None
 
     @property
@@ -144,31 +159,6 @@ class BaseSpec:
             return (0, self.param("b"))
         return None
 
-    def isolating_interval(self) -> tuple:
-        """Exact rational (lo, hi) with lo <= beta <= hi, for real bases.
-
-        Rational bases give a point interval.  Quadratic and root bases
-        give consecutive integers around the root; refine by bisection
-        against :attr:`defining_poly` as needed.
-        """
-        frac = self.beta_fraction
-        if frac is not None:
-            return (frac, frac)
-        if self.kind == PISOT_MINUS:
-            a = self.param("a")
-            return (Fraction(a - 1), Fraction(a))
-        if self.kind == PISOT_PLUS:
-            a = self.param("a")
-            return (Fraction(a), Fraction(a + 1))
-        if self.kind == ROOT:
-            b, deg = self.param("b"), self.param("k")
-            n = _integer_root_floor(b, deg)
-            if n ** deg == b:
-                return (Fraction(n), Fraction(n))
-            return (Fraction(n), Fraction(n + 1))
-        raise UnsupportedBaseError(
-            f"base of kind {self.kind!r} is not real", kind=self.kind)
-
     def ceil_beta(self) -> int:
         """Exact ceiling of beta for real bases with beta > 1."""
         frac = self.beta_fraction
@@ -178,10 +168,8 @@ class BaseSpec:
             return self.param("a")
         if self.kind == PISOT_PLUS:
             return self.param("a") + 1
-        if self.kind == ROOT:
-            b, deg = self.param("b"), self.param("k")
-            n = _integer_root_floor(b, deg)
-            return n if n ** deg == b else n + 1
+        if self.kind == ROOT:  # perfect powers took the beta_fraction branch
+            return _integer_root_floor(self.param("b"), self.param("k")) + 1
         raise UnsupportedBaseError(
             f"base of kind {self.kind!r} has no real ceiling", kind=self.kind)
 
@@ -217,12 +205,17 @@ def _integer_root_floor(b: int, k: int) -> int:
     """Largest n with n**k <= b (exact integer arithmetic)."""
     if k == 1:
         return b
-    n = round(b ** (1.0 / k))
-    while n ** k > b:
-        n -= 1
-    while (n + 1) ** k <= b:
-        n += 1
-    return n
+    if k == 2:
+        return math.isqrt(b)
+    if b.bit_length() <= k:  # b < 2**k
+        return 1
+    # Integer Newton from above: the iterates fall until they reach the root.
+    n = 1 << -(-b.bit_length() // k)
+    while True:
+        m = ((k - 1) * n + b // n ** (k - 1)) // k
+        if m >= n:
+            return n
+        n = m
 
 
 # -- base factories ---------------------------------------------------

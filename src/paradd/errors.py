@@ -43,6 +43,10 @@ class DigitStringSyntaxError(NumerationError):
         self.offset = offset
 
 
+class NumberSyntaxError(NumerationError):
+    code = "invalid-number"
+
+
 class UnsupportedBaseError(NumerationError):
     code = "unsupported-base"
 

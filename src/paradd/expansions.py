@@ -1,30 +1,21 @@
-"""Digit expansions producing finite representations.
+"""Digit expansions: Euclidean, greedy, windowed, symmetric.
 
-All four expansion procedures work with an exactly represented remainder
-(a rational, or ``c0 + c1*beta`` with rational coefficients when beta is a
-real quadratic irrational), so digit choices are decided without any
-floating point.  Floors of quadratic-field elements are found by
-bisecting the base's isolating interval with exact sign tests against the
-defining polynomial.
+All four expansion procedures work with an exactly represented remainder,
+so digit choices are decided without any floating point.  Every real
+base here is rational or quadratic, beta = (A + sqrt(D))/2 with
+beta**2 = A*beta + B and D = A**2 + 4*B not a square, and a remainder is
+kept as (u + v*sqrt(D))/n with integers u, v, n.  Its sign and floor then
+follow in O(1) from integer squares and :func:`math.isqrt`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    BaseSpec, DigitString, INTEGER, NEGATIVE_INTEGER, RATIONAL_NEG,
-    RATIONAL_POS, normalize,
-)
-from .errors import (
-    NegativeInputError,
-    NotInWindowError,
-    PrecisionExhaustedError,
-    UnsupportedBaseError,
-)
-
-_BISECTION_CAP = 20000
+from .core import BaseSpec, DigitString, normalize
+from .errors import NegativeInputError, NotInWindowError, UnsupportedBaseError
 
 
 @dataclass(frozen=True)
@@ -43,163 +34,155 @@ class Expansion:
 
 
 class _FieldElement:
-    """Exact element c0 + c1*beta of Q(beta), beta real of degree <= 2."""
+    """Exact element (u + v*sqrt(D))/n of Q(beta), with n > 0.
 
-    __slots__ = ("c0", "c1", "base", "_quad")
+    D is 0 for rational bases, whose elements all have v = 0.  Only common
+    factors of 2 are divided out: a full gcd takes time quadratic in the
+    size of the numbers, and for a large input it dominates everything.
+    """
 
-    def __init__(self, c0, c1, base: BaseSpec, quad):
-        self.c0 = Fraction(c0)
-        self.c1 = Fraction(c1)
-        self.base = base
-        self._quad = quad  # (A, B) with beta^2 = A*beta + B, or None
+    __slots__ = ("u", "v", "n", "D")
+
+    def __init__(self, u: int, v: int, n: int, D: int):
+        low = u | v | n  # shares the trailing zero bits of u, v and n
+        k = (low & -low).bit_length() - 1
+        if n < 0:
+            u, v, n = -u, -v, -n
+        self.u, self.v, self.n, self.D = u >> k, v >> k, n >> k, D
 
     @classmethod
-    def rational(cls, x, base):
-        return cls(x, 0, base, base.quadratic_coeffs)
-
-    @classmethod
-    def beta(cls, base):
+    def beta(cls, base: BaseSpec) -> "_FieldElement":
         frac = base.beta_fraction
         if frac is not None:
-            return cls(frac, 0, base, base.quadratic_coeffs)
+            return cls(frac.numerator, 0, frac.denominator, 0)
         quad = base.quadratic_coeffs
         if quad is None:
             raise UnsupportedBaseError(
                 "expansions need a rational or real quadratic base, got "
                 f"kind {base.kind!r} of degree {base.degree}",
                 kind=base.kind)
-        return cls(0, 1, base, quad)
+        A, B = quad
+        return cls(A, 1, 2, A * A + 4 * B)
+
+    def const(self, x) -> "_FieldElement":
+        """The rational x as an element of this element's field."""
+        if isinstance(x, _FieldElement):
+            return x
+        x = Fraction(x)
+        return _FieldElement(x.numerator, 0, x.denominator, self.D)
 
     @property
     def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0
+        return self.u == 0 and self.v == 0
 
     def __add__(self, other):
-        if isinstance(other, _FieldElement):
-            return _FieldElement(self.c0 + other.c0, self.c1 + other.c1,
-                                 self.base, self._quad)
-        return _FieldElement(self.c0 + Fraction(other), self.c1,
-                             self.base, self._quad)
+        o = self.const(other)
+        return _FieldElement(self.u * o.n + o.u * self.n,
+                             self.v * o.n + o.v * self.n, self.n * o.n, self.D)
 
     def __sub__(self, other):
-        if isinstance(other, _FieldElement):
-            return _FieldElement(self.c0 - other.c0, self.c1 - other.c1,
-                                 self.base, self._quad)
-        return _FieldElement(self.c0 - Fraction(other), self.c1,
-                             self.base, self._quad)
+        o = self.const(other)
+        return self + _FieldElement(-o.u, -o.v, o.n, self.D)
 
     def __mul__(self, other):
-        if not isinstance(other, _FieldElement):
-            f = Fraction(other)
-            return _FieldElement(self.c0 * f, self.c1 * f, self.base, self._quad)
-        if self.c1 and other.c1 and self._quad is None:
-            raise UnsupportedBaseError("degree > 2 product")
-        a0, a1, b0, b1 = self.c0, self.c1, other.c0, other.c1
-        cross = a1 * b1
-        if cross:
-            A, B = self._quad
-            return _FieldElement(a0 * b0 + cross * B,
-                                 a0 * b1 + a1 * b0 + cross * A,
-                                 self.base, self._quad)
-        return _FieldElement(a0 * b0, a0 * b1 + a1 * b0, self.base, self._quad)
+        o = self.const(other)
+        return _FieldElement(self.u * o.u + self.v * o.v * self.D,
+                             self.u * o.v + self.v * o.u, self.n * o.n, self.D)
 
     def inverse(self):
-        """1 / (c0 + c1*beta) via the field conjugate."""
-        if self.c1 == 0:
-            if self.c0 == 0:
-                raise ZeroDivisionError("inverse of zero field element")
-            return _FieldElement(1 / self.c0, 0, self.base, self._quad)
-        A, B = self._quad
-        # conj(beta) = A - beta; norm = (c0 + c1 b)(c0 + c1 (A - b))
-        norm = self.c0 * self.c0 + self.c0 * self.c1 * A - self.c1 * self.c1 * B
-        return _FieldElement((self.c0 + self.c1 * A) / norm,
-                             -self.c1 / norm, self.base, self._quad)
+        """n / (u + v*sqrt(D)) = n*(u - v*sqrt(D)) / (u**2 - v**2*D)."""
+        norm = self.u * self.u - self.v * self.v * self.D
+        if norm == 0:
+            raise ZeroDivisionError("inverse of zero field element")
+        return _FieldElement(self.n * self.u, -self.n * self.v, norm, self.D)
+
+    def __pow__(self, k: int):
+        """Square-and-multiply; a negative k raises the inverse."""
+        x = self if k >= 0 else self.inverse()
+        k = abs(k)
+        out = self.const(1)
+        while k:
+            if k & 1:
+                out = out * x
+            k >>= 1
+            if k:
+                x = x * x
+        return out
 
     # -- exact order structure -----------------------------------------
 
-    def floor(self) -> int:
-        if self.c1 == 0:
-            return self.c0.numerator // self.c0.denominator
-        lo, hi = self.base.isolating_interval()
-        poly = self.base.defining_poly
-        for _ in range(_BISECTION_CAP):
-            vlo = self.c0 + self.c1 * lo
-            vhi = self.c0 + self.c1 * hi
-            if vlo > vhi:
-                vlo, vhi = vhi, vlo
-            flo = vlo.numerator // vlo.denominator
-            fhi = vhi.numerator // vhi.denominator
-            if flo == fhi:
-                return flo
-            mid = (lo + hi) / 2
-            if _sign_at(poly, mid) * _sign_at(poly, lo) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        raise PrecisionExhaustedError(
-            "floor bisection did not converge", c0=str(self.c0), c1=str(self.c1))
-
     def sign(self) -> int:
-        if self.c1 == 0:
-            return (self.c0 > 0) - (self.c0 < 0)
-        lo, hi = self.base.isolating_interval()
-        poly = self.base.defining_poly
-        for _ in range(_BISECTION_CAP):
-            vlo = self.c0 + self.c1 * lo
-            vhi = self.c0 + self.c1 * hi
-            if vlo > vhi:
-                vlo, vhi = vhi, vlo
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            mid = (lo + hi) / 2
-            if _sign_at(poly, mid) * _sign_at(poly, lo) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        raise PrecisionExhaustedError(
-            "sign bisection did not converge", c0=str(self.c0), c1=str(self.c1))
+        su = (self.u > 0) - (self.u < 0)
+        sv = (self.v > 0) - (self.v < 0)
+        if su * sv >= 0:
+            return su or sv
+        # opposite signs: the term with the larger square wins
+        d = self.u * self.u - self.v * self.v * self.D
+        return su * ((d > 0) - (d < 0))
 
-    def __lt__(self, other):
-        return (self - other).sign() < 0
+    def floor(self) -> int:
+        # floor((u + t)/n) = floor((u + floor(t))/n) for integers u, n > 0
+        s = self.v * self.v * self.D
+        r = math.isqrt(s)  # floor(|v|*sqrt(D))
+        if self.v < 0:
+            r = -r - (r * r != s)
+        return (self.u + r) // self.n
 
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
+    def log_abs(self) -> float:
+        """ln|self| for nonzero self at any magnitude; an estimate only.
 
-
-def _sign_at(poly, x: Fraction) -> int:
-    acc = Fraction(0)
-    for c in poly:
-        acc = acc * x + c
-    return (acc > 0) - (acc < 0)
+        64 guard bits make the rounding of isqrt negligible.
+        """
+        u, v = self.u << 64, self.v << 64
+        s = v * v * self.D
+        w = math.isqrt(s)
+        if u * v >= 0:
+            top = math.log(abs(u) + w)
+        else:  # |u + v*sqrt(D)| = |u**2 - v**2*D| / (|u| + |v|*sqrt(D))
+            top = math.log(abs(u * u - s)) - math.log(abs(u) + w)
+        return top - math.log(self.n) - 64 * math.log(2)
 
 
-def _as_field(x, base) -> _FieldElement:
-    beta = _FieldElement.beta(base)  # validates the base kind
-    return _FieldElement.rational(Fraction(x), base), beta
+def _descale(x: _FieldElement, beta: _FieldElement, lower, upper):
+    """(x * beta**-ell, ell) with the scaled x in [lower, upper).
 
+    ell is 0 when x already lies in the window.  Otherwise it is the
+    smallest ell that puts x there: positive to scale a large x down,
+    negative to scale up a small x for a window that excludes 0.  An x
+    whose sign the window cannot reach is refused at once.
+    """
+    if (x - lower).sign() >= 0 and (x - upper).sign() < 0:
+        return x, 0
+    s = x.sign()
+    edge = upper if s > 0 else lower
+    if s * edge.sign() <= 0:
+        raise NotInWindowError(
+            "input cannot be scaled into the digit window: its sign never "
+            "meets the window")
 
-def _descale(x: _FieldElement, beta: _FieldElement, lower, upper,
-             max_scale: int = 512):
-    """Smallest ell >= 0 with x * beta**-ell in [lower, upper); scaled x."""
+    def inside(y):  # y on the zero side of the window's far edge
+        d = (y - edge).sign()
+        return d < 0 if s > 0 else d >= 0
+
+    # The float estimate only picks a candidate; exact steps finish it.
+    ell = math.ceil((x.log_abs() - edge.log_abs()) / beta.log_abs())
+    y = x * beta ** -ell
     inv = beta.inverse()
-    y = x
-    for ell in range(max_scale):
-        if y >= lower and y < upper:
-            return y, ell
-        y = y * inv
-    raise NotInWindowError(
-        "input cannot be scaled into the digit window", max_scale=max_scale)
+    while not inside(y):
+        y, ell = y * inv, ell + 1
+    while inside(y * beta):
+        y, ell = y * beta, ell - 1
+    return y, ell
 
 
-def _expand(x, base: BaseSpec, max_digits: int, lower, digit_of) -> Expansion:
+def _expand(x, beta: _FieldElement, max_digits: int, lower,
+            digit_of) -> Expansion:
     """Shared driver: scale into [lower, lower+1), then peel digits.
 
     ``digit_of(z)`` picks the digit for the rescaled remainder z (already
     multiplied by beta); the new remainder is z - digit.
     """
-    x, beta = _as_field(x, base)
+    x = beta.const(x)
     if x.is_zero:
         return Expansion(DigitString.zero(), True)
     y, ell = _descale(x, beta, lower, lower + 1)
@@ -228,15 +211,15 @@ def greedy_expansion(x, base: BaseSpec, max_digits: int = 64) -> Expansion:
     x = Fraction(x)
     if x < 0:
         raise NegativeInputError("greedy expansion requires x >= 0")
-    zero = _FieldElement.rational(0, base)
-    return _expand(x, base, max_digits, zero, lambda z: z.floor())
+    beta = _FieldElement.beta(base)
+    return _expand(x, beta, max_digits, beta.const(0), lambda z: z.floor())
 
 
 def tm_expansion(x, m: int, base: BaseSpec, max_digits: int = 64) -> Expansion:
     """Expansion over the shifted alphabet {m .. m + ceil(beta) - 1}.
 
     The remainder window is [m/(beta-1), m/(beta-1) + 1); the input is
-    scaled down by powers of beta until it fits, and each digit is
+    scaled by the power of beta that puts it there, and each digit is
     floor(beta*z - m/(beta-1)).  With m = 0 this is exactly the greedy
     expansion.
     """
@@ -256,7 +239,7 @@ def tm_expansion(x, m: int, base: BaseSpec, max_digits: int = 64) -> Expansion:
         assert d in alphabet, (d, m, width)
         return d
 
-    return _expand(x, base, max_digits, lower, digit_of)
+    return _expand(x, beta, max_digits, lower, digit_of)
 
 
 def symmetric_expansion(x, base: BaseSpec, max_digits: int = 64) -> Expansion:
@@ -269,8 +252,8 @@ def symmetric_expansion(x, base: BaseSpec, max_digits: int = 64) -> Expansion:
         raise UnsupportedBaseError(
             f"symmetric expansion needs a real base > 1, got {base.describe()}")
     half = Fraction(1, 2)
-    lower = _FieldElement.rational(-half, base)
-    return _expand(x, base, max_digits, lower,
+    beta = _FieldElement.beta(base)
+    return _expand(x, beta, max_digits, beta.const(-half),
                    lambda z: (z + half).floor())
 
 
@@ -282,19 +265,12 @@ def euclid_expansion(n: int, base: BaseSpec) -> DigitString:
     n >= 0; negative bases accept any integer.  Always exact, digits in
     {0..a-1}, least significant digit at exponent 0.
     """
-    kind = base.kind
-    if kind == INTEGER:
-        a, b, neg = base.param("b"), 1, False
-    elif kind == NEGATIVE_INTEGER:
-        a, b, neg = base.param("b"), 1, True
-    elif kind == RATIONAL_POS:
-        a, b, neg = base.param("a"), base.param("b"), False
-    elif kind == RATIONAL_NEG:
-        a, b, neg = base.param("a"), base.param("b"), True
-    else:
+    ratio = base.integer_ratio
+    if ratio is None:
         raise UnsupportedBaseError(
             f"integer expansion needs an integer or rational base, got "
             f"{base.describe()}")
+    a, b, neg = ratio
     n = int(n)
     if n < 0 and not neg:
         raise NegativeInputError(

@@ -46,6 +46,19 @@ class TestExpand:
                            "--greedy", "25")
         assert code == 0 and "2 5 ." in out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--greedy", "1/0"), ("--window", "0,1/0"), ("--symmetric", "1/0")])
+    def test_zero_denominator_is_bad_input(self, capsys, flag, value):
+        code, _, err = run(capsys, "expand", "--base", "10", "--json",
+                           flag, value)
+        assert code == 2
+        assert json.loads(err)["error"] == "invalid-number"
+
+    def test_huge_square_root_base(self, capsys):
+        code, out, _ = run(capsys, "expand", "--base",
+                           f"root:{10 ** 400 + 1},2,+", "--greedy", "5")
+        assert code == 0 and out.strip() == "5 ."
+
 
 class TestConvert:
     def test_worked_conversion(self, capsys):
@@ -89,6 +102,14 @@ class TestBounds:
     def test_text_mode(self, capsys):
         code, out, _ = run(capsys, "bounds", "--base", "pisot+:3")
         assert code == 0 and "5" in out
+
+    def test_huge_cube_root_base(self, capsys):
+        b = 10 ** 400 + 1
+        code, out, _ = run(capsys, "bounds", "--base", f"root:{b},3,+",
+                           "--json")
+        assert code == 0
+        ceiling = json.loads(out)["ceiling_bound"]
+        assert (ceiling - 1) ** 3 < b < ceiling ** 3
 
 
 class TestVerify:

@@ -22,6 +22,7 @@ from paradd.core import (
     rational_base,
     root_base,
 )
+from paradd.core import _integer_root_floor
 from paradd.errors import (
     AlphabetError,
     DigitStringSyntaxError,
@@ -60,6 +61,18 @@ class TestBaseFactories:
         assert rational_base(3, 2).ceil_beta() == 2
         assert not negative_integer_base(2).is_real_gt1
         assert not negative_root_base(4, 4).is_real
+
+    def test_perfect_power_roots_are_rational(self):
+        assert root_base(4, 2).beta_fraction == 2
+        assert root_base(27, 3).beta_fraction == 3
+        assert root_base(7, 1).beta_fraction == 7
+        assert root_base(8, 2).beta_fraction is None
+        assert root_base(8, 2).ceil_beta() == 3
+
+    @given(st.integers(2, 10 ** 500), st.integers(1, 2000))
+    def test_integer_root_floor_is_exact(self, b, k):
+        n = _integer_root_floor(b, k)
+        assert n ** k <= b < (n + 1) ** k
 
     def test_json_round_trip(self):
         for base in (negative_integer_base(3), pisot_plus_base(4),
