@@ -1,15 +1,17 @@
-"""Exact arithmetic in Z[X, X^-1] modulo the base's defining polynomial.
+"""Exact arithmetic in Z[X, X^-1] modulo the base's minimal polynomial.
 
 Two digit strings represent the same number exactly when their difference,
-read as a Laurent polynomial in the base, is divisible by the defining
-polynomial (after clearing the radix shift).  Everything here is integer
-arithmetic; the only approximate entry point is :func:`eval_approx`, which
-returns certified interval enclosures.
+read as a Laurent polynomial in the base, is divisible by the minimal
+polynomial of beta (after clearing the radix shift); divisibility by a
+polynomial that merely vanishes at beta would be sufficient but not
+necessary.  Everything here is integer arithmetic; the only approximate
+entry point is :func:`eval_approx`, which returns certified interval
+enclosures.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,15 +46,19 @@ class LaurentPoly:
 
 def laurent(coeffs, lsd_exponent: int = 0) -> LaurentPoly:
     """Normalized Laurent polynomial from msd-first coefficients."""
-    coeffs = [int(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-        lsd_exponent += 1
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    if not coeffs:
+    return _trimmed(list(map(int, coeffs)), lsd_exponent)
+
+
+def _trimmed(coeffs: list, lsd_exponent: int) -> LaurentPoly:
+    hi, lo = 0, len(coeffs)
+    while lo and coeffs[lo - 1] == 0:
+        lo -= 1
+    if not lo:
         return LaurentPoly((), 0)
-    return LaurentPoly(tuple(coeffs), lsd_exponent)
+    while coeffs[hi] == 0:
+        hi += 1
+    return LaurentPoly(tuple(coeffs[hi:lo]),
+                       lsd_exponent + len(coeffs) - lo)
 
 
 def to_poly(ds: DigitString) -> LaurentPoly:
@@ -60,95 +66,91 @@ def to_poly(ds: DigitString) -> LaurentPoly:
     return laurent(ds.digits, ds.lsd_exponent)
 
 
-def poly_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    if p.is_zero:
-        return q
+def _combine(p: LaurentPoly, q: LaurentPoly, op) -> LaurentPoly:
+    """op(p, q) coefficient-wise, for op = operator.add or operator.sub."""
     if q.is_zero:
         return p
+    if p.is_zero:
+        p = LaurentPoly((), q.lsd_exponent)
     lsd = min(p.lsd_exponent, q.lsd_exponent)
     msd = max(p.msd_exponent, q.msd_exponent)
-    return laurent(
-        [p.coeff_at(e) + q.coeff_at(e) for e in range(msd, lsd - 1, -1)], lsd)
+    out = [0] * (msd - lsd + 1)
+    start = msd - p.msd_exponent
+    out[start:start + len(p.coeffs)] = p.coeffs
+    start = msd - q.msd_exponent
+    out[start:start + len(q.coeffs)] = map(op, out[start:], q.coeffs)
+    return _trimmed(out, lsd)
+
+
+def poly_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    return _combine(p, q, operator.add)
 
 
 def poly_sub(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return poly_add(p, poly_scale(q, -1))
-
-
-def poly_scale(p: LaurentPoly, c: int) -> LaurentPoly:
-    if c == 0 or p.is_zero:
-        return LaurentPoly((), 0)
-    return LaurentPoly(tuple(c * x for x in p.coeffs), p.lsd_exponent)
-
-
-def poly_shift(p: LaurentPoly, delta: int) -> LaurentPoly:
-    """Multiply by X**delta."""
-    if p.is_zero:
-        return p
-    return LaurentPoly(p.coeffs, p.lsd_exponent + delta)
+    return _combine(p, q, operator.sub)
 
 
 def reduce_mod_base(p: LaurentPoly, base: BaseSpec) -> LaurentPoly:
-    """Canonical remainder of ``p * X**s`` modulo the defining polynomial.
+    """Remainder of ``p * X**s`` modulo beta's minimal polynomial f.
 
     ``s = max(0, -lsd)`` clears negative exponents first (valid because X
-    is invertible modulo every defining polynomial here: the constant term
-    is never 0).  Monic divisors give the exact integer remainder; the
-    non-monic (rational base) divisors give a primitive integer
-    representative of it.  Either way, ``p`` represents the value 0 iff
-    the result :attr:`~LaurentPoly.is_zero`.
+    is invertible modulo f: its constant term is never 0).  A monic f of
+    degree >= 2 gives the exact integer remainder by synthetic division.
+    A linear f = b*X + c gives the constant remainder p(-c/b) times
+    b**(n-1), n the number of coefficients: an integer, exact when b = 1.
+    Either way ``p`` represents the value 0 iff the result
+    :attr:`~LaurentPoly.is_zero`.  This is the package's one scalar exact
+    zero test; ``oracle.values_zero_batch`` is its batched form.
     """
     if p.is_zero:
         return p
-    shift = max(0, -p.lsd_exponent)
-    work = poly_shift(p, shift)
-    # plain polynomial now: exponents lsd..msd, all >= 0
-    coeffs = list(work.coeffs) + [0] * work.lsd_exponent
-    divisor = base.defining_poly
-    rem = _poly_remainder(coeffs, divisor)
-    return laurent(rem, 0)
-
-
-def _poly_remainder(coeffs, divisor):
-    """Integer remainder of coeffs / divisor (both msd-first).
-
-    Every defining polynomial is monic or linear.  Monic divisors give
-    the exact remainder by synthetic division; a linear non-monic one
-    gives a primitive integer multiple of its constant remainder.
-    """
-    if len(divisor) == 2 and divisor[0] != 1:
-        # Linear non-monic b*X + c with root -c/b: the remainder is a
-        # constant, zero iff the value at the root is zero.  Evaluate
-        # fraction-free: acc accumulates value * b**(n-1).
-        b, c = divisor
-        acc = 0
-        for j, x in enumerate(coeffs):
-            acc = acc * (-c) + x * b ** j
-        return _make_primitive([acc])
-    # monic synthetic division: exact integer remainder, kept as-is
-    rem = list(coeffs)
+    coeffs = list(p.coeffs) + [0] * max(0, p.lsd_exponent)
+    divisor = base.minimal_poly
+    if len(divisor) == 2:
+        return laurent([_linear_value(coeffs, *divisor)])
     d = len(divisor) - 1
-    for i in range(len(rem) - d):
-        lead = rem[i]
+    tail = divisor[1:]
+    for i in range(len(coeffs) - d):
+        lead = coeffs[i]
         if lead:
-            for j in range(1, d + 1):
-                rem[i + j] -= lead * divisor[j]
-            rem[i] = 0
-    return rem[-d:] if d <= len(rem) else rem
+            for j, a in enumerate(tail, i + 1):
+                coeffs[j] -= lead * a
+    return laurent(coeffs[-d:])
 
 
-def _make_primitive(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    if not coeffs:
-        return []
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, abs(c))
-    if coeffs[0] < 0:
-        g = -g
-    return [c // g for c in coeffs]
+_HORNER_CHUNK = 64
+
+
+def _linear_value(coeffs, b: int, c: int) -> int:
+    """b**(n-1) * p(-c/b) for the n coefficients of p, msd first.
+
+    Fraction-free Horner over chunks, then pairwise merging: a block A
+    followed by a block B has value val(A) * (-c)**len(B) +
+    val(B) * b**len(A).  The merges multiply operands of equal size, so
+    the whole costs a few multiplications of the final size, where one
+    Horner pass over the whole string would be quadratic in its length.
+    """
+    n = len(coeffs)
+    b_pow = [b ** j for j in range(_HORNER_CHUNK)]
+    level = []
+    for i in range(0, n, _HORNER_CHUNK):
+        acc = 0
+        for x, bj in zip(coeffs[i:i + _HORNER_CHUNK], b_pow):
+            acc = acc * -c + x * bj
+        level.append(acc)
+    size = _HORNER_CHUNK  # length of every block but the last
+    while len(level) > 1:
+        last = n - size * (len(level) - 1)
+        c_size, b_size = (-c) ** size, b ** size
+        merged = [level[i] * c_size + level[i + 1] * b_size
+                  for i in range(0, len(level) - 2, 2)]
+        if len(level) % 2:
+            merged.append(level[-1])
+        else:
+            merged.append(level[-2] * (-c) ** last + level[-1] * b_size)
+        level = merged
+        size *= 2
+    return level[0] if level else 0
 
 
 def values_equal(x: DigitString, y: DigitString, base: BaseSpec) -> bool:
@@ -159,43 +161,6 @@ def values_equal(x: DigitString, y: DigitString, base: BaseSpec) -> bool:
 
 def represents_zero(x: DigitString, base: BaseSpec) -> bool:
     return reduce_mod_base(to_poly(x), base).is_zero
-
-
-# -- fast integer predicates for hot loops -----------------------------
-
-
-def make_zero_value_test(base: BaseSpec):
-    """Return f(coeffs_msd_first) -> bool testing value == 0 in base.
-
-    Specialized integer-only paths: synthetic division for monic defining
-    polynomials, scaled Horner evaluation for the linear non-monic ones.
-    Used by the verification oracle where millions of tests run.
-    """
-    divisor = base.defining_poly
-    if divisor[0] != 1:
-        b, c = divisor  # b*X + c, root -c/b
-
-        def test_linear(coeffs) -> bool:
-            acc = 0
-            for j, x in enumerate(coeffs):
-                acc = acc * (-c) + x * b ** j
-            return acc == 0
-
-        return test_linear
-
-    d = len(divisor) - 1
-    tail = divisor[1:]
-
-    def test_monic(coeffs) -> bool:
-        rem = list(coeffs)
-        for i in range(len(rem) - d):
-            lead = rem[i]
-            if lead:
-                for j in range(d):
-                    rem[i + 1 + j] -= lead * tail[j]
-        return all(x == 0 for x in rem[max(0, len(rem) - d):])
-
-    return test_monic
 
 
 # -- certified interval evaluation --------------------------------------

@@ -11,10 +11,9 @@ this process may run on, and short inputs are not sharded at all.
 
 As an independent cross-check, a classical sequential ripple-carry adder
 (digit d = v mod a with a propagating carry, available for integer and
-rational bases) recomputes the sum and the values are compared modulo
-large random primes -- exact value comparison of million-digit strings
-would need million-bit integers, while the modular check is linear time
-with error probability below 2**-180 for three 62-bit primes.
+rational bases) recomputes the sum, and the two values are compared
+exactly with ``algebra.values_equal``, in about a second or less at
+10**6 digits.
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ from multiprocessing import get_context
 from typing import Optional
 
 from .adder import MAP, TOP_PASS, AdderPipeline
-from .core import BaseSpec, NumerationSystem
+from .algebra import values_equal
+from .core import BaseSpec, DigitString, NumerationSystem
 from .errors import UnsupportedBaseError, WorkerCountError
-
-_PRIMES_BITS = 62
-_N_PRIMES = 3
 
 
 # --- flat-table rule application over plain lists --------------------------
@@ -227,66 +224,18 @@ def ripple_digit_sum(z, base: BaseSpec):
     return out
 
 
-# --- probabilistic value equality for huge strings --------------------------
-
-
-def _random_prime(rng: random.Random, bits: int) -> int:
-    while True:
-        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if _is_probable_prime(n):
-            return n
-
-
-def _is_probable_prime(n: int, rounds: int = 24) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    rng = random.Random(n)
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _eval_mod(digits, lsd_exponent: int, base: BaseSpec, p: int) -> int:
-    """Value of a digit list (msd first) modulo p, beta reduced mod p."""
-    poly = base.defining_poly
-    if len(poly) != 2:
-        raise UnsupportedBaseError("modular evaluation needs a linear base")
-    b, c = poly  # b*beta + c = 0 -> beta = -c/b mod p
-    beta = (-c) * pow(b, -1, p) % p
-    acc = 0
-    for d in digits:
-        acc = (acc * beta + d) % p
-    # pow handles negative exponents with a modulus (modular inverse)
-    return acc * pow(beta, lsd_exponent, p) % p
-
-
 def values_equal_mod_primes(x_digits, x_lsd, y_digits, y_lsd,
                             base: BaseSpec, seed: int = 1,
-                            n_primes: int = _N_PRIMES) -> bool:
-    """Monte-Carlo value equality for linear bases (see module docstring)."""
-    rng = random.Random(seed)
-    for _ in range(n_primes):
-        p = _random_prime(rng, _PRIMES_BITS)
-        if _eval_mod(x_digits, x_lsd, base, p) != \
-                _eval_mod(y_digits, y_lsd, base, p):
-            return False
-    return True
+                            n_primes: int = 3) -> bool:
+    """Exact value equality of two digit lists (msd first).
+
+    Kept only under its old name and signature for the benchmark scripts
+    that still call it: ``seed`` and ``n_primes`` are unused, and the next
+    change to the benchmark removes the function in favour of
+    ``algebra.values_equal``.
+    """
+    return values_equal(DigitString(tuple(x_digits), x_lsd),
+                        DigitString(tuple(y_digits), y_lsd), base)
 
 
 # --- the benchmark -----------------------------------------------------------
@@ -324,8 +273,9 @@ def run_benchmark(pipeline: AdderPipeline, length: int = 10 ** 6,
     """Add two random strings with each worker count; compare everything.
 
     The single-worker run is the sequential reference; all runs must
-    produce identical digits.  When the base is linear the classical
-    ripple adder recomputes the value for the modular cross-check.
+    produce identical digits.  For integer and rational bases the
+    classical ripple adder recomputes the sum, whose value must equal
+    the output's exactly.
     Worker counts below 1 are refused before any work starts.
     """
     used = {w: worker_count(w, length) for w in worker_counts}
@@ -346,12 +296,12 @@ def run_benchmark(pipeline: AdderPipeline, length: int = 10 ** 6,
 
     ripple_match = None
     ripple_seconds = 0.0
-    if len(system.base.defining_poly) == 2 and alphabet.m >= 0:
+    if system.base.integer_ratio is not None and alphabet.m >= 0:
         t0 = time.perf_counter()
         ripple = ripple_digit_sum(z, system.base)
         ripple_seconds = time.perf_counter() - t0
         total_t = sum(rule.anticipation for _, rule in pipeline.plan)
-        ripple_match = values_equal_mod_primes(
-            first, -total_t, ripple, 0, system.base, seed=seed)
+        ripple_match = values_equal(DigitString(tuple(first), -total_t),
+                                    DigitString(tuple(ripple)), system.base)
     return BenchResult(system, length, timings, used, ripple_seconds,
                        identical, ripple_match)

@@ -11,40 +11,11 @@ which is what makes their alphabets minimal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    BaseSpec, INTEGER, NEGATIVE_INTEGER, NEGATIVE_ROOT, PISOT_MINUS,
-    PISOT_PLUS, RATIONAL_NEG, RATIONAL_POS, ROOT, _integer_root_floor,
-)
+from .core import BaseSpec, RATIONAL_NEG, RATIONAL_POS
 from .errors import NotApplicableError
-
-
-def minimal_form(b: int, k: int):
-    """Is beta = b**(1/k) already written with the smallest possible b?
-
-    If b = c**k' for some divisor k' >= 2 of k, the same beta is
-    c**(1/(k/k')) and the minimal polynomial has degree below k.  Returns
-    (True, None) or (False, (c, k // k')) with the largest applicable k'.
-    """
-    for kp in range(k, 1, -1):
-        if k % kp:
-            continue
-        c = _integer_root_floor(b, kp)
-        if c ** kp == b:
-            return False, (c, k // kp)
-    return True, None
-
-
-# |f(1)| for the beta = b**(1/k) * exp(i*pi/k) bases whose minimal
-# polynomials are known not to be X^k + b: keyed by (b, k).
-_NEG_ROOT_F1 = {
-    (4, 4): 5,   # minimal polynomial X^2 + 2X + 2 (beta = -1 + i)
-    (4, 2): 5,   # X^2 + 4 (beta = 2i)
-    (2, 2): 3,   # X^2 + 2 (beta = i*sqrt(2))
-}
 
 
 @dataclass(frozen=True)
@@ -57,7 +28,6 @@ class BoundReport:
     f1_bound: Optional[int]             # |f(1)|, +2 when real beta > 1
     direct_bound: Optional[int]         # rational bases: a + b
     minimal_size: int
-    f1_proven_minimal: bool = True
 
     def to_json(self) -> dict:
         return {
@@ -67,77 +37,34 @@ class BoundReport:
             "f1_bound": self.f1_bound,
             "direct_bound": self.direct_bound,
             "minimal_size": self.minimal_size,
-            "f1_proven_minimal": self.f1_proven_minimal,
         }
 
 
-def f1_of(base: BaseSpec):
-    """(|f(1)|, proven_minimal) for the base's minimal polynomial.
-
-    Root kinds must already be in minimal form.  For negative-root bases
-    outside the catalog table the defining polynomial X^k + b is used
-    with proven_minimal = False (it may factor further over Z).
-    """
-    kind = base.kind
-    if kind in (RATIONAL_POS, RATIONAL_NEG):
+def f1_of(base: BaseSpec) -> int:
+    """|f(1)| for the minimal polynomial f of an algebraic-integer base."""
+    terms = base.minimal_terms
+    if terms[0][1] != 1:
         raise NotApplicableError(
             "the |f(1)| bound assumes an algebraic integer; rational "
             "bases use the direct a + b bound")
-    if kind == NEGATIVE_ROOT:
-        b, k = base.param("b"), base.param("k")
-        if (b, k) in _NEG_ROOT_F1:
-            return _NEG_ROOT_F1[(b, k)], True
-        if k == 1:
-            return b + 1, True
-        ok, reduced = minimal_form(b, k)
-        if not ok:
-            raise NotApplicableError(
-                f"no |f(1)| value known for the degenerate form "
-                f"{b}**(1/{k}); reduce towards {reduced[0]}**(1/{reduced[1]})",
-                reduced=list(reduced))
-        return b + 1, False
-    if kind == ROOT:
-        b, k = base.param("b"), base.param("k")
-        ok, reduced = minimal_form(b, k)
-        if not ok:
-            raise NotApplicableError(
-                f"{b}**(1/{k}) is not in minimal form; use "
-                f"{reduced[0]}**(1/{reduced[1]})", reduced=list(reduced))
-        # X^k - b is irreducible once b is not a p-th power for any
-        # prime p dividing k, which minimal_form guarantees.
-        return b - 1, True
-    if kind == INTEGER:
-        return base.param("b") - 1, True
-    if kind == NEGATIVE_INTEGER:
-        return base.param("b") + 1, True
-    if kind == PISOT_MINUS:
-        return base.param("a") - 2, True
-    if kind == PISOT_PLUS:
-        return base.param("a"), True
-    raise NotApplicableError(f"no |f(1)| bound for kind {kind!r}")
+    return abs(sum(c for _, c in terms))
 
 
 def minimal_alphabet_report(base: BaseSpec) -> BoundReport:
     """Collect every applicable lower bound and the resulting minimum."""
-    kind = base.kind
     ceiling = base.ceil_beta() if base.is_real_gt1 else None
     direct = None
     f1 = f1_bound = None
-    proven = True
-    if kind in (RATIONAL_POS, RATIONAL_NEG):
+    if base.kind in (RATIONAL_POS, RATIONAL_NEG):
         direct = base.param("a") + base.param("b")
     else:
-        f1, proven = f1_of(base)
+        f1 = f1_of(base)
         f1_bound = f1 + 2 if base.is_real_gt1 else f1
     candidates = [v for v in (ceiling, f1_bound, direct) if v is not None]
     return BoundReport(base, ceiling, f1, f1_bound, direct,
-                       minimal_size=max(candidates),
-                       f1_proven_minimal=proven)
+                       minimal_size=max(candidates))
 
 
-def minimal_alphabet_size(base: BaseSpec) -> Optional[int]:
-    """Best-known lower bound on alphabet size, or None when none applies."""
-    try:
-        return minimal_alphabet_report(base).minimal_size
-    except NotApplicableError:
-        return None
+def minimal_alphabet_size(base: BaseSpec) -> int:
+    """Best-known lower bound on alphabet size; every base kind has one."""
+    return minimal_alphabet_report(base).minimal_size

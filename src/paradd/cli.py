@@ -25,17 +25,13 @@ from .errors import (
     AlphabetLacksNegativesError, AlphabetTooSmallError,
     DigitOutOfAlphabetError, DigitStringSyntaxError, NegativeInputError,
     NotApplicableError, NotInWindowError, NumberSyntaxError, NumerationError,
-    UnsupportedAlphabetError, UnsupportedBaseError,
+    RuleFileError, UnsupportedAlphabetError, UnsupportedBaseError,
 )
 from .expansions import (
     euclid_expansion, greedy_expansion, symmetric_expansion, tm_expansion,
 )
-from .local import apply_rule, carries, rule_from_json
-from .oracle import (
-    verify_addition, verify_boundary, verify_congruence, verify_conversion,
-)
+from .local import apply_rule, carries, negate_rule, rule_from_json
 from .rules import canonical_gde, rules_for_alphabet
-from .local import negate_rule
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -210,9 +206,8 @@ def cmd_bounds(args) -> int:
     if report.ceiling_bound is not None:
         text.append(f"ceiling bound    {report.ceiling_bound}")
     if report.f1_bound is not None:
-        extra = "" if report.f1_proven_minimal else "  (minimality unproven)"
         text.append(f"|f(1)| bound     {report.f1_bound} "
-                    f"(|f(1)| = {report.f1}){extra}")
+                    f"(|f(1)| = {report.f1})")
     if report.direct_bound is not None:
         text.append(f"direct bound     {report.direct_bound}")
     text.append(f"minimal size     {report.minimal_size}")
@@ -228,15 +223,42 @@ _VERIFY_CATALOG = [
 ]
 
 
+def _load_rule(path: str):
+    """The rule in a JSON file; a file that cannot be read as one is a
+    RuleFileError, naming the missing key when one is missing."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise RuleFileError(f"cannot read rule file {path!r}: "
+                            f"{exc.strerror}", path=path) from None
+    except ValueError as exc:
+        raise RuleFileError(f"rule file {path!r} is not JSON: {exc}",
+                            path=path) from None
+    try:
+        return rule_from_json(data)
+    except KeyError as exc:
+        raise RuleFileError(f"rule file {path!r} lacks the key {exc}",
+                            path=path) from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise RuleFileError(f"rule file {path!r} is not a rule: {exc}",
+                            path=path) from None
+
+
 def cmd_verify(args) -> int:
+    # the oracle needs numpy, which no other command loads
+    from .oracle import (
+        verify_addition, verify_boundary, verify_congruence,
+        verify_conversion,
+    )
+
     reports = []
     if args.rule_file:
-        with open(args.rule_file) as fh:
-            rule = rule_from_json(json.load(fh))
-        base = parse_base(args.base) if args.base else None
-        if base is None:
+        if not args.base:
             print("verify: --rule-file needs --base", file=sys.stderr)
             return EXIT_USAGE
+        base = parse_base(args.base)
+        rule = _load_rule(args.rule_file)
         reports.append(verify_conversion(rule, base, args.max_len,
                                          budget=args.budget))
     else:

@@ -1,10 +1,10 @@
 """Core domain types: bases, alphabets, digit strings, numeration systems.
 
-A *base* is an algebraic number beta with |beta| > 1, described by the kind
-of its defining polynomial and small integer parameters.  A *digit string*
-is a finite window of integer digits attached to a least-significant
-exponent; the represented value is ``sum d_j beta^j`` over the support.
-All arithmetic on these types is exact.
+A *base* is an algebraic number beta with |beta| > 1, described by a kind
+and small integer parameters, which fix its minimal polynomial.  A *digit
+string* is a finite window of integer digits attached to a
+least-significant exponent; the represented value is ``sum d_j beta^j``
+over the support.  All arithmetic on these types is exact.
 """
 
 from __future__ import annotations
@@ -68,39 +68,51 @@ class BaseSpec:
     def params_dict(self) -> dict:
         return dict(self.params)
 
-    # -- defining polynomial ------------------------------------------
+    # -- minimal polynomial -------------------------------------------
 
     @property
-    def defining_poly(self) -> tuple:
-        """Integer coefficients, most significant first.
+    def minimal_terms(self) -> tuple:
+        """Nonzero terms of :attr:`minimal_poly` as (exponent, coefficient).
 
-        The represented relation is ``poly(beta) = 0``.  For rational
-        kinds the polynomial is not monic (``b*X -+ a``).
+        Highest exponent first.  Every minimal polynomial here has at most
+        three terms, so this stays small for root bases of any degree.
         """
         k = self.kind
-        if k == INTEGER:
-            return (1, -self.param("b"))
-        if k == NEGATIVE_INTEGER:
-            return (1, self.param("b"))
-        if k == ROOT:
-            b, deg = self.param("b"), self.param("k")
-            return (1,) + (0,) * (deg - 1) + (-b,)
         if k == NEGATIVE_ROOT:
             b, deg = self.param("b"), self.param("k")
-            return (1,) + (0,) * (deg - 1) + (b,)
-        if k == PISOT_MINUS:
-            return (1, -self.param("a"), 1)
-        if k == PISOT_PLUS:
-            return (1, -self.param("a"), -1)
-        if k == RATIONAL_POS:
-            return (self.param("b"), -self.param("a"))
-        if k == RATIONAL_NEG:
-            return (self.param("b"), self.param("a"))
-        raise UnsupportedBaseError(f"unknown base kind {k!r}")
+            if (b, deg) == (4, 4):
+                return ((2, 1), (1, 2), (0, 2))  # the catalog's -1 + i
+            # negative_root_base refuses every other reducible X^k + b
+            return ((deg, 1), (0, b))
+        if k == ROOT:
+            b, deg = self.param("b"), self.param("k")
+            ok, reduced = minimal_form(b, deg)
+            if not ok:
+                b, deg = reduced
+            return ((deg, 1), (0, -b))
+        if k in (PISOT_MINUS, PISOT_PLUS):
+            return ((2, 1), (1, -self.param("a")),
+                    (0, 1 if k == PISOT_MINUS else -1))
+        a, b, neg = self.integer_ratio
+        return ((1, b), (0, a if neg else -a))
+
+    @property
+    def minimal_poly(self) -> tuple:
+        """Integer coefficients of beta's minimal polynomial, msd first.
+
+        The represented relation is ``poly(beta) = 0``, and no polynomial
+        of lower degree holds it (Capelli's criterion for X^k -+ b).  For
+        rational kinds the polynomial is not monic (``b*X -+ a``).
+        """
+        terms = self.minimal_terms
+        coeffs = [0] * (terms[0][0] + 1)
+        for e, c in terms:
+            coeffs[-1 - e] = c
+        return tuple(coeffs)
 
     @property
     def degree(self) -> int:
-        return len(self.defining_poly) - 1
+        return self.minimal_terms[0][0]
 
     # -- exact real data ----------------------------------------------
 
@@ -118,22 +130,11 @@ class BaseSpec:
     @property
     def beta_fraction(self) -> Optional[Fraction]:
         """Exact value of beta when beta is rational, else None."""
-        k = self.kind
-        if k == INTEGER:
-            return Fraction(self.param("b"))
-        if k == NEGATIVE_INTEGER:
-            return Fraction(-self.param("b"))
-        if k == RATIONAL_POS:
-            return Fraction(self.param("a"), self.param("b"))
-        if k == RATIONAL_NEG:
-            return Fraction(-self.param("a"), self.param("b"))
-        if k == ROOT:
-            b, deg = self.param("b"), self.param("k")
-            n = _integer_root_floor(b, deg)
-            return Fraction(n) if n ** deg == b else None
-        if k == NEGATIVE_ROOT and self.param("k") == 1:
-            return Fraction(-self.param("b"))
-        return None
+        terms = self.minimal_terms
+        if terms[0][0] != 1:
+            return None
+        (_, b), (_, c) = terms
+        return Fraction(-c, b)
 
     @property
     def integer_ratio(self) -> Optional[tuple]:
@@ -151,13 +152,10 @@ class BaseSpec:
     @property
     def quadratic_coeffs(self) -> Optional[tuple]:
         """(A, B) with beta^2 = A*beta + B, for real quadratic bases."""
-        if self.kind == PISOT_MINUS:
-            return (self.param("a"), -1)
-        if self.kind == PISOT_PLUS:
-            return (self.param("a"), 1)
-        if self.kind == ROOT and self.param("k") == 2:
-            return (0, self.param("b"))
-        return None
+        if not self.is_real or self.degree != 2:
+            return None
+        _, p, q = self.minimal_poly
+        return (-p, -q)
 
     def ceil_beta(self) -> int:
         """Exact ceiling of beta for real bases with beta > 1."""
@@ -218,6 +216,38 @@ def _integer_root_floor(b: int, k: int) -> int:
         n = m
 
 
+def _is_power(b: int, e: int) -> bool:
+    return _integer_root_floor(b, e) ** e == b
+
+
+def minimal_form(b: int, k: int):
+    """Is beta = b**(1/k) already written with the smallest possible b?
+
+    If b = c**e for some divisor e >= 2 of k, the same beta is
+    c**(1/(k/e)).  Returns (True, None), or (False, (c, k')) with the
+    fully reduced form, where X^k' - c is irreducible (Capelli).  Only
+    e with 2**e <= b can have a root c >= 2, so at most log2(b)
+    exponents are tried; a stripped root needs no smaller e again.
+    """
+    c, kk = b, k
+    e = 2
+    while e <= kk and 1 << e <= c:
+        if kk % e == 0 and _is_power(c, e):
+            c, kk = _integer_root_floor(c, e), kk // e
+        else:
+            e += 1
+    return (True, None) if kk == k else (False, (c, kk))
+
+
+def _negative_root_reducible(b: int, k: int) -> bool:
+    """Capelli: X^k + b is reducible over Q iff b is a p-th power for an
+    odd prime p dividing k, or 4 divides k and b = 4*c**4."""
+    if any(k % e == 0 and _is_power(b, e)
+           for e in range(3, min(k, b.bit_length()) + 1, 2)):
+        return True
+    return k % 4 == 0 and b % 4 == 0 and _is_power(b // 4, 4)
+
+
 # -- base factories ---------------------------------------------------
 
 
@@ -247,6 +277,10 @@ def negative_root_base(b: int, k: int) -> BaseSpec:
     _check_b(b)
     if not isinstance(k, int) or k < 1:
         raise ParameterRangeError(f"parameter k must be an integer >= 1, got {k!r}")
+    if (b, k) != (4, 4) and _negative_root_reducible(b, k):
+        raise UnsupportedBaseError(
+            f"X^{k} + {b} is reducible, so {b}**(1/{k})*exp(i*pi/{k}) has "
+            "no supported minimal polynomial", kind=NEGATIVE_ROOT)
     return BaseSpec(NEGATIVE_ROOT, (("b", b), ("k", k)))
 
 
@@ -498,12 +532,12 @@ class NumerationSystem:
     """A base together with a digit alphabet.
 
     ``meets_lower_bound`` is informational: whether the alphabet size
-    reaches the applicable minimality lower bound for parallel addition.
+    reaches the minimality lower bound for parallel addition.
     """
 
     base: BaseSpec
     alphabet: Alphabet
-    meets_lower_bound: Optional[bool] = None
+    meets_lower_bound: bool
 
     def to_json(self) -> dict:
         return {
@@ -514,16 +548,8 @@ class NumerationSystem:
 
 
 def make_system(base: BaseSpec, alphabet: Alphabet) -> NumerationSystem:
-    """Validate and bundle base + alphabet.
-
-    The lower-bound flag is best-effort: None when no bound applies to
-    the base kind.
-    """
+    """Validate and bundle base + alphabet, with the lower-bound flag."""
     from . import bounds  # deferred: bounds imports core
 
-    try:
-        minimal = bounds.minimal_alphabet_size(base)
-    except Exception:
-        minimal = None
-    flag = None if minimal is None else alphabet.size >= minimal
+    flag = alphabet.size >= bounds.minimal_alphabet_size(base)
     return NumerationSystem(base, alphabet, flag)

@@ -111,8 +111,8 @@ class NotApplicableError(NumerationError):
     code = "not-applicable"
 
 
-class BudgetExceededError(NumerationError):
-    code = "budget-exceeded"
+class RuleFileError(NumerationError):
+    code = "invalid-rule-file"
 
 
 # --- bench ----------------------------------------------------------------

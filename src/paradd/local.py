@@ -11,7 +11,7 @@ Most rules come from a :class:`CarryRule`: a digit selector Q examined on
 a sub-window around each position, whose value is added back at fixed
 offsets with fixed coefficients.  Such a rule preserves represented
 values exactly when its offset/coefficient pattern is a multiple of the
-base's defining polynomial; :func:`derive_local_rule` checks that and the
+base's minimal polynomial; :func:`derive_local_rule` checks that and the
 closure of the output alphabet.
 """
 

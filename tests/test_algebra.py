@@ -1,12 +1,15 @@
 """Exact Laurent-polynomial arithmetic and value tests."""
 
+import random
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paradd.algebra import (
     eval_approx,
     laurent,
-    make_zero_value_test,
     poly_add,
     poly_sub,
     reduce_mod_base,
@@ -14,6 +17,7 @@ from paradd.algebra import (
     to_poly,
     values_equal,
 )
+from paradd.cli import parse_base
 from paradd.core import (
     DigitString,
     integer_base,
@@ -26,6 +30,8 @@ from paradd.core import (
     rational_base,
     root_base,
 )
+from paradd.errors import UnsupportedBaseError
+from paradd.oracle import _growth_bound, values_zero_batch
 
 BASES = [
     integer_base(10),
@@ -93,9 +99,92 @@ class TestValueEquality:
         # zeroness is shift-invariant, so a plain integer-exponent string
         # covers the general case
         ds = DigitString(tuple(digits), 0)
+        row = np.array([digits], dtype=np.int64)
         for base in BASES:
-            fast = make_zero_value_test(base)
-            assert fast(tuple(digits)) == represents_zero(ds, base)
+            assert values_zero_batch(row, base)[0] == represents_zero(ds, base)
+
+    def test_batch_fallback_matches_exact(self):
+        # a leading 2**62 pushes the int64 growth bound over, so the batch
+        # answers through the scalar test; a multiple of the minimal
+        # polynomial still reads 0 there
+        for base in BASES:
+            f = base.minimal_poly
+            rows = [[2 ** 40 * c for c in f] + [0],
+                    [2 ** 62] + [0] * (len(f) - 1) + [1],
+                    [0] * len(f) + [1]]
+            C = np.array(rows, dtype=np.int64)
+            col_max = [int(x) for x in np.abs(C).max(axis=0)]
+            assert _growth_bound(col_max, f) >= 2 ** 62
+            want = [represents_zero(DigitString(tuple(r)), base) for r in rows]
+            assert want == [True, False, False], base.describe()
+            assert list(values_zero_batch(C, base)) == want, base.describe()
+
+
+class TestMinimalPolynomial:
+    """Zero tests divide by beta's minimal polynomial, not by X^k -+ b."""
+
+    def test_minus_one_plus_i(self):
+        # beta^2 + 2 beta + 2 = 0, a proper factor of X^4 + 4
+        base = parse_base("-1+i")
+        assert represents_zero(parse_digit_string("1 2 2 ."), base)
+        assert not represents_zero(parse_digit_string("1 -2 2 ."), base)
+
+    def test_perfect_power_roots(self):
+        # beta = 4**(1/2) = 2 and beta = 4**(1/4) = sqrt(2)
+        two = parse_digit_string("2 .")
+        assert values_equal(parse_digit_string("1 0 ."), two,
+                            parse_base("root:4,2,+"))
+        assert values_equal(parse_digit_string("1 0 0 ."), two,
+                            parse_base("root:4,4,+"))
+        assert not values_equal(parse_digit_string("1 0 ."), two,
+                                parse_base("root:4,4,+"))
+
+    def test_reducible_negative_root_refused(self):
+        # X^3 + 8 = (X + 2)(X^2 - 2X + 4): no supported minimal polynomial
+        with pytest.raises(UnsupportedBaseError):
+            parse_base("root:8,3,-")
+
+    @pytest.mark.parametrize("text", [
+        "-2", "3/2", "-3/2", "pisot-:3", "pisot+:2", "root:2,2,+", "-1+i",
+        "2i", "isqrt2", "2", "10", "root:4,4,+", "root:3,3,-"])
+    def test_minimal_poly_vanishes_at_beta(self, text):
+        base = parse_base(text)
+        enc = eval_approx(DigitString(base.minimal_poly, 0), base)
+        assert enc.contains(0j, slack=1e-20), enc
+
+    def test_long_strings(self):
+        # 10**4 digits, so many pairwise merges with a ragged last block:
+        # adding multiples of the minimal polynomial (dense enough that
+        # every block of the difference is nonzero) keeps the value, and
+        # one changed digit does not
+        rng = random.Random(5)
+        n = 10_001
+        digits = [rng.randint(-3, 3) for _ in range(n)]
+        x = DigitString(tuple(digits), -7)
+        for base in BASES:
+            f = base.minimal_poly
+            moved = list(digits)
+            for _ in range(n // 2):
+                i, k = rng.randrange(n - len(f)), rng.randint(-3, 3)
+                for j, c in enumerate(f):
+                    moved[i + j] += k * c
+            assert values_equal(x, DigitString(tuple(moved), -7), base)
+            moved[n // 2] += 1
+            assert not values_equal(x, DigitString(tuple(moved), -7), base)
+
+    def test_linear_remainder_is_scaled_value(self):
+        # for f = bX + c the remainder is p(-c/b) * b**(n-1), exactly
+        rng = random.Random(6)
+        digits = [rng.randint(-9, 9) for _ in range(1_000)]
+        for base in (integer_base(10), negative_integer_base(2),
+                     rational_base(3, 2), negative_rational_base(5, 3)):
+            beta = base.beta_fraction
+            value = Fraction(0)
+            for d in digits:
+                value = value * beta + d
+            b = base.minimal_poly[0]
+            r = reduce_mod_base(laurent(digits), base)
+            assert r.coeffs == (value * b ** (len(digits) - 1),)
 
 
 class TestEnclosures:

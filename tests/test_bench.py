@@ -13,6 +13,7 @@ from paradd.core import (
     negative_integer_base,
     negative_rational_base,
     pisot_minus_base,
+    rational_base,
 )
 from paradd.errors import WorkerCountError
 
@@ -78,3 +79,24 @@ def test_worker_count_caps_without_starting_processes(monkeypatch):
     pipe = build_pipeline(make_system(*_SYSTEMS[0]))
     with pytest.raises(WorkerCountError):
         bench.run_benchmark(pipe, length=10 ** 6, worker_counts=(1, 0))
+
+
+@pytest.mark.parametrize("system", [
+    (negative_integer_base(2), Alphabet(0, 2)),
+    (rational_base(3, 2), Alphabet(0, 4)),
+], ids=lambda s: s[0].describe())
+def test_ripple_check_sees_one_changed_digit(monkeypatch, system):
+    pipe = build_pipeline(make_system(*system))
+    assert bench.run_benchmark(pipe, length=5_000,
+                               worker_counts=(1,)).ripple_value_match
+    flat = bench.run_pipeline_flat
+
+    def one_digit_off(pipeline, digits, workers=1):
+        out = flat(pipeline, digits, workers)
+        out[len(out) // 2] += 1
+        return out
+
+    monkeypatch.setattr(bench, "run_pipeline_flat", one_digit_off)
+    result = bench.run_benchmark(pipe, length=5_000, worker_counts=(1,))
+    assert result.outputs_identical
+    assert result.ripple_value_match is False and not result.passed

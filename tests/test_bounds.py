@@ -6,10 +6,10 @@ from paradd.bounds import (
     f1_of,
     minimal_alphabet_report,
     minimal_alphabet_size,
-    minimal_form,
 )
 from paradd.core import (
     integer_base,
+    minimal_form,
     negative_integer_base,
     negative_rational_base,
     negative_root_base,
@@ -32,22 +32,26 @@ class TestMinimalForm:
         assert minimal_form(2, 1) == (True, None)
         assert minimal_form(12, 2) == (True, None)
 
+    def test_repeated_and_mixed_powers(self):
+        assert minimal_form(16, 4) == (False, (2, 1))
+        assert minimal_form(64, 6) == (False, (2, 1))
+        assert minimal_form(64, 4) == (False, (8, 2))
+        assert minimal_form(3 ** 10, 15) == (False, (9, 3))
+        assert minimal_form(2, 3 * 10 ** 7) == (True, None)
+
 
 class TestF1Values:
     def test_complex_catalog(self):
-        val, proven = f1_of(negative_root_base(4, 4))  # beta = -1+i
-        assert (val, proven) == (5, True)
-        val, proven = f1_of(negative_root_base(4, 2))  # beta = 2i
-        assert (val, proven) == (5, True)
-        val, proven = f1_of(negative_root_base(2, 2))  # beta = i*sqrt(2)
-        assert (val, proven) == (3, True)
+        assert f1_of(negative_root_base(4, 4)) == 5  # beta = -1+i
+        assert f1_of(negative_root_base(4, 2)) == 5  # beta = 2i
+        assert f1_of(negative_root_base(2, 2)) == 3  # beta = i*sqrt(2)
 
     def test_real_families(self):
-        assert f1_of(negative_integer_base(2))[0] == 3
-        assert f1_of(integer_base(10))[0] == 9
-        assert f1_of(pisot_minus_base(4))[0] == 2  # a - 2
-        assert f1_of(pisot_plus_base(3))[0] == 3   # a
-        assert f1_of(root_base(2, 2))[0] == 1
+        assert f1_of(negative_integer_base(2)) == 3
+        assert f1_of(integer_base(10)) == 9
+        assert f1_of(pisot_minus_base(4)) == 2  # a - 2
+        assert f1_of(pisot_plus_base(3)) == 3   # a
+        assert f1_of(root_base(2, 2)) == 1
 
     def test_rational_not_applicable(self):
         with pytest.raises(NotApplicableError):
@@ -66,6 +70,8 @@ class TestReports:
             (negative_rational_base(3, 2), 5),
             (negative_integer_base(2), 3),
             (integer_base(10), 11),
+            (root_base(4, 4), 3),          # sqrt(2), as root:2,2
+            (root_base(2, 2), 3),
         ]
         for base, expected in cases:
             assert minimal_alphabet_size(base) == expected, base.describe()

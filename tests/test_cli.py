@@ -1,8 +1,15 @@
 """Command-line front end: worked examples and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import paradd
 
 from paradd.cli import main, parse_alphabet, parse_base
 from paradd.core import Alphabet, negative_root_base, rational_base
@@ -103,6 +110,29 @@ class TestBounds:
         code, out, _ = run(capsys, "bounds", "--base", "pisot+:3")
         assert code == 0 and "5" in out
 
+    def test_huge_prime_degree_root_is_fast(self, capsys):
+        # minimal_form tries only exponents e with 2**e <= b, not every
+        # divisor of k, and no dense polynomial of degree k is built
+        t0 = time.process_time()
+        code, out, _ = run(capsys, "bounds", "--base", "root:2,30000000,+",
+                           "--json")
+        assert time.process_time() - t0 < 0.1
+        assert code == 0 and json.loads(out)["minimal_size"] == 3
+
+    def test_non_minimal_root_is_answered(self, capsys):
+        # 4**(1/4) = sqrt(2): the same bounds as root:2,2,+
+        code, out, _ = run(capsys, "bounds", "--base", "root:4,4,+",
+                           "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["f1"], data["minimal_size"]) == (1, 3)
+        assert "f1_proven_minimal" not in data
+
+    def test_reducible_negative_root_refused(self, capsys):
+        code, _, err = run(capsys, "bounds", "--base", "root:8,3,-", "--json")
+        assert code == 3
+        assert json.loads(err)["error"] == "unsupported-base"
+
     def test_huge_cube_root_base(self, capsys):
         b = 10 ** 400 + 1
         code, out, _ = run(capsys, "bounds", "--base", f"root:{b},3,+",
@@ -130,6 +160,36 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--base", "-2",
                          "--rule-file", str(path), "--max-len", "4")
         assert code == 1
+
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "cannot read"),
+        ('{"name": "x"}', "lacks the key 'input_alphabet'"),
+        ('{"name": ', "is not JSON"),
+        ("[1, 2]", "is not a rule"),
+    ])
+    def test_bad_rule_file_is_bad_input(self, tmp_path, capsys, content,
+                                        reason):
+        path = tmp_path / "rule.json"
+        if content is not None:
+            path.write_text(content)
+        code, _, err = run(capsys, "verify", "--base", "-2", "--json",
+                           "--rule-file", str(path))
+        assert code == 2
+        data = json.loads(err)
+        assert data["error"] == "invalid-rule-file"
+        assert reason in data["message"]
+
+
+def test_import_leaves_numpy_out():
+    # only verify needs numpy; the oracle's names load it on first use
+    code = ("import sys, paradd, paradd.cli; "
+            "assert 'numpy' not in sys.modules; "
+            "from paradd import verify_conversion; "
+            "assert 'numpy' in sys.modules")
+    src = str(Path(paradd.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 class TestBench:

@@ -28,19 +28,49 @@ from paradd.errors import (
     DigitStringSyntaxError,
     NonCoprimeError,
     ParameterRangeError,
+    UnsupportedBaseError,
 )
 
 
 class TestBaseFactories:
-    def test_defining_polynomials(self):
-        assert integer_base(10).defining_poly == (1, -10)
-        assert negative_integer_base(2).defining_poly == (1, 2)
-        assert root_base(2, 2).defining_poly == (1, 0, -2)
-        assert negative_root_base(4, 4).defining_poly == (1, 0, 0, 0, 4)
-        assert pisot_minus_base(3).defining_poly == (1, -3, 1)
-        assert pisot_plus_base(2).defining_poly == (1, -2, -1)
-        assert rational_base(3, 2).defining_poly == (2, -3)
-        assert negative_rational_base(3, 2).defining_poly == (2, 3)
+    def test_minimal_polynomials(self):
+        assert integer_base(10).minimal_poly == (1, -10)
+        assert negative_integer_base(2).minimal_poly == (1, 2)
+        assert root_base(2, 2).minimal_poly == (1, 0, -2)
+        # -1 + i is a root of the factor X^2 + 2X + 2 of X^4 + 4
+        assert negative_root_base(4, 4).minimal_poly == (1, 2, 2)
+        assert pisot_minus_base(3).minimal_poly == (1, -3, 1)
+        assert pisot_plus_base(2).minimal_poly == (1, -2, -1)
+        assert rational_base(3, 2).minimal_poly == (2, -3)
+        assert negative_rational_base(3, 2).minimal_poly == (2, 3)
+        # perfect powers reduce: 4**(1/2) = 2, 4**(1/4) = sqrt(2)
+        assert root_base(4, 2).minimal_poly == (1, -2)
+        assert root_base(4, 4).minimal_poly == (1, 0, -2)
+        assert root_base(8, 3).minimal_poly == (1, -2)
+        assert negative_root_base(3, 3).minimal_poly == (1, 0, 0, 3)
+
+    def test_reducible_negative_roots_refused(self):
+        # Capelli: X^k + b factors when b is a p-th power for an odd prime
+        # p | k, or when 4 | k and b = 4c^4; only (4, 4) has a catalog root
+        for b, k in ((8, 3), (27, 6), (4, 8), (64, 4), (32, 5)):
+            with pytest.raises(UnsupportedBaseError):
+                negative_root_base(b, k)
+        for b, k in ((2, 2), (4, 2), (8, 2), (3, 3), (16, 4), (2, 30_000_000)):
+            negative_root_base(b, k)
+
+    def test_quadratic_data_follows_minimal_poly(self):
+        # 4**(1/4) = sqrt(2) and 9**(1/4) = sqrt(3) are real quadratic
+        assert root_base(4, 4).quadratic_coeffs == (0, 2)
+        assert root_base(9, 4).quadratic_coeffs == (0, 3)
+        assert pisot_minus_base(3).quadratic_coeffs == (3, -1)
+        assert pisot_plus_base(2).quadratic_coeffs == (2, 1)
+        assert negative_root_base(4, 4).quadratic_coeffs is None
+        assert root_base(2, 3).quadratic_coeffs is None
+
+    def test_huge_degree_stays_sparse(self):
+        base = root_base(2, 30_000_000)
+        assert base.minimal_terms == ((30_000_000, 1), (0, -2))
+        assert base.degree == 30_000_000
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterRangeError):
