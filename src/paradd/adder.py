@@ -12,6 +12,13 @@ excess is carried over unchanged, and the eliminator output absorbs one
 unit of excess per pass.  For beta**2 = a*beta - 1 with the canonical
 alphabet a faster two-stage pipeline applies the rules to the whole
 digit range directly.
+
+``add`` and ``subtract`` run the plan with the array kernel
+(``paradd.kernel``) on operands of at least ``MIN_ARRAY_DIGITS`` digits.
+The scalar loop here (``reduce_to_alphabet``: ``local.apply_rule`` plus
+``_clamp_split``) is the reference the kernel is tested against, and it
+serves traces, short operands (so a short one-shot command never loads
+numpy) and plans whose selector tables exceed the kernel's budget.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .core import (
     digitwise_sum, normalize,
 )
 from .errors import AlphabetLacksNegativesError, DigitOutOfAlphabetError
-from .local import LocalRule, apply_rule
+from .local import DEFAULT_TABLE_BUDGET, apply_rule
 from .rules import RulePair, doubling_reducer, gde_pisot_minus, rules_for_alphabet
 
 # pass kinds
@@ -149,18 +156,42 @@ def _check_digits(x: DigitString, alphabet: Alphabet) -> None:
                 f"digit {d} outside alphabet {alphabet}", digit=d)
 
 
-def add(x: DigitString, y: DigitString, pipeline: AdderPipeline,
-        trace: list = None) -> DigitString:
-    """Parallel addition: digitwise sum, then the fixed conversion plan."""
+# Shortest operand, in digits, that add/subtract hand to the array
+# kernel.  Measured on a 2-CPU host: with numpy loaded and the rules
+# compiled, the kernel overtook the scalar loop at 4-8 digits (-2, 3/2,
+# pisot-:3; below 4 for -1+i).  A fresh process also pays numpy's import,
+# 70-100 ms there, as much as the scalar loop spends on about 4 000 (-1+i)
+# to 20 000 (-2) digits.  1 000 lies between: long operands take the
+# kernel, and a one-shot `paradd add` of a few dozen digits never loads
+# numpy.
+MIN_ARRAY_DIGITS = 1_000
+
+
+def _combine(x: DigitString, y: DigitString, pipeline: AdderPipeline,
+             trace: list, negate: bool) -> DigitString:
+    """x + y, or x - y with ``negate``: digitwise, then the pass plan."""
+    if (trace is None
+            and max(len(x.digits), len(y.digits)) >= MIN_ARRAY_DIGITS
+            and all(rule.selector_table_size <= DEFAULT_TABLE_BUDGET
+                    for _, rule in pipeline.plan)):
+        from .kernel import add_strings
+        return add_strings(x, y, pipeline, negate)
     alphabet = pipeline.system.alphabet
     _check_digits(x, alphabet)
     _check_digits(y, alphabet)
-    z = digitwise_sum(x, y)
+    z = digitwise_sum(x, digitwise_negate(y) if negate else y)
     if trace is not None:
-        trace.append({"kind": "digitwise-sum", "string": z, "carries": {}})
+        kind = "digitwise-difference" if negate else "digitwise-sum"
+        trace.append({"kind": kind, "string": z, "carries": {}})
     result = reduce_to_alphabet(z, pipeline, trace)
     _check_digits(result, alphabet)
     return result
+
+
+def add(x: DigitString, y: DigitString, pipeline: AdderPipeline,
+        trace: list = None) -> DigitString:
+    """Parallel addition: digitwise sum, then the fixed conversion plan."""
+    return _combine(x, y, pipeline, trace, negate=False)
 
 
 def subtract(x: DigitString, y: DigitString, pipeline: AdderPipeline,
@@ -170,12 +201,4 @@ def subtract(x: DigitString, y: DigitString, pipeline: AdderPipeline,
     if alphabet.m == 0 or alphabet.M == 0:
         raise AlphabetLacksNegativesError(
             f"subtraction needs a mixed-sign alphabet, got {alphabet}")
-    _check_digits(x, alphabet)
-    _check_digits(y, alphabet)
-    z = digitwise_sum(x, digitwise_negate(y))
-    if trace is not None:
-        trace.append({"kind": "digitwise-difference", "string": z,
-                      "carries": {}})
-    result = reduce_to_alphabet(z, pipeline, trace)
-    _check_digits(result, alphabet)
-    return result
+    return _combine(x, y, pipeline, trace, negate=True)

@@ -1,13 +1,13 @@
 """Benchmark: fixed-pass parallel addition vs a sequential reference.
 
-Every output digit of the fixed pass plan depends only on a bounded
-window of input digits, ``AdderPipeline.effective_window`` = (T, R).  So
-the output can be cut into slices, one per worker process, each computed
-by running the whole plan once on its input slice plus a halo of T + R
-digits; no data moves between passes.  The sequential reference runs the
-same plan over the whole string in one process.  Both produce the same
-digits, which the benchmark asserts.  Workers are capped at the CPUs
-this process may run on, and short inputs are not sharded at all.
+Every output digit of the pass plan depends only on a window of input
+digits, ``AdderPipeline.effective_window`` = (T, R).  So the output can
+be cut into slices, one per worker thread, each computed by the array
+kernel (``paradd.kernel``) from its input slice plus a halo of T + R
+digits.  The one-thread run is the reference, and all runs must agree
+digit for digit.  Workers are capped at the CPUs this process may run
+on, and short inputs are not sliced.  numpy loads only when a function
+here runs the kernel.
 
 As an independent cross-check, a classical sequential ripple-carry adder
 (digit d = v mod a with a propagating carry, available for integer and
@@ -19,94 +19,41 @@ exactly with ``algebra.values_equal``, in about a second or less at
 from __future__ import annotations
 
 import os
-import random
 import time
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Optional
 
-from .adder import MAP, TOP_PASS, AdderPipeline
+from .adder import AdderPipeline
 from .algebra import values_equal
 from .core import BaseSpec, DigitString, NumerationSystem
-from .errors import UnsupportedBaseError, WorkerCountError
+from .errors import LimitExceededError, UnsupportedBaseError, WorkerCountError
 
 
-# --- flat-table rule application over plain lists --------------------------
-
-
-def _flat_table(rule):
-    """(flat list indexed by window code, S, m, p) for fast scanning."""
-    import itertools
-
-    S = rule.input_alphabet.size
-    m = rule.input_alphabet.m
-    p = rule.window_length
-    flat = [0] * (S ** p)
-    for code, w in enumerate(itertools.product(range(m, m + S), repeat=p)):
-        flat[code] = rule.window_fn(w)
-    return flat, S, m, p
-
-
-def _apply_pass(digits, table):
-    """One rule pass over a plain digit list (msd first).
-
-    The output is p - 1 = anticipation + memory digits longer than the
-    input; output index ``rule.memory`` lines up with the input msd.
-    """
-    flat, S, m, p = table
-    pad = [0] * (p - 1)
-    P = pad + digits + pad
-    width = len(digits) + p - 1
-    roll = S ** (p - 1)
-    code = 0
-    for i in range(p):
-        code = code * S + (P[i] - m)
-    out = []
-    append = out.append
-    for c in range(width):
-        append(flat[code])
-        if c + 1 < width:
-            code = (code % roll) * S + (P[c + p] - m)
-    return out
-
-
-def _run_plan(tables, alphabet, digits):
-    """The whole pass plan, sequentially, on a plain digit list."""
-    m, M = alphabet
-    z = digits
-    for kind, rule, table in tables:
-        if kind == MAP:
-            z = _apply_pass(z, table)
-            continue
-        lo, hi = (m, M + 1) if kind == TOP_PASS else (m - 1, M)
-        u = [min(max(d, lo), hi) for d in z]
-        v = [d - c for d, c in zip(z, u)]
-        w = _apply_pass(u, table)
-        r = rule.memory  # output index of the input msd position
-        for i, x in enumerate(v):
-            if x:
-                w[r + i] += x
-        z = w
-    return z
-
-
-# --- sharding the plan by locality -------------------------------------------
-
-# Shortest input slice, in digits, worth a worker process.  On the 2-CPU
-# host it was measured on, a 2-worker call costs 30-65 ms more than half
-# a 1-worker call (fork, result pickling; more with a bigger parent heap),
-# and the cheapest plan (base -2, two passes) scans about 1 us per digit,
-# so 2 workers first won at 60 000-120 000 digits.  The constant keeps a
-# margin above that, so that a sharded call does not lose to one worker.
+# Shortest input, in digits per worker, worth a thread of its own.  On
+# the 2-CPU host it was measured on (41 alternated calls per length), 2
+# threads against 1 took 1.00 of the time at 50 000 digits and 0.46 at
+# 200 000 for base -2 {0..2}; 1.02 at 100 000 and 0.72 at 200 000 for
+# 3/2 {0..4}.  So a second thread starts at 200 000 digits.
 MIN_SHARD_DIGITS = 100_000
+
+# Calls per worker count, alternating between the counts; a timing is the
+# fastest.  A call on 10**6 digits takes 5-20 ms, and a first call also
+# pays for heap growth and thread start, so one wall time on a shared
+# host moves by more than a second thread gains.
+TIMED_CALLS = 3
+
+# Operand lengths run_benchmark accepts.  At 10**7 digits a run of
+# 3/2 {0..4} peaked at about 1 GB of memory and took 7 s, most of it the
+# exact ripple check, on the host the other constants were measured on.
+MIN_LENGTH, MAX_LENGTH = 10 ** 3, 10 ** 7
 
 
 def worker_count(requested: int, length: int) -> int:
-    """Worker processes that ``run_pipeline_flat`` uses for ``requested``.
+    """Worker threads that ``run_pipeline_flat`` uses for ``requested``.
 
     At most the CPUs this process may run on, and at most one per
-    ``MIN_SHARD_DIGITS`` input digits; 1 means no process is started.
-    A request below 1 is refused before any process starts.
+    ``MIN_SHARD_DIGITS`` input digits; 1 means the calling thread runs
+    the whole plan.  A request below 1 is refused before any work starts.
     """
     if requested < 1:
         raise WorkerCountError(
@@ -116,71 +63,21 @@ def worker_count(requested: int, length: int) -> int:
                       length // MIN_SHARD_DIGITS))
 
 
-def _shard_cuts(width: int, shards: int):
-    """Split output positions [0, width) into ``shards`` contiguous cuts."""
-    return [(width * i // shards, width * (i + 1) // shards)
-            for i in range(shards)]
-
-
-def _plan_slice(state, cut):
-    """Output positions [a, b) of the plan from digits [a - halo, b) alone.
-
-    Output index c depends on input digits c - halo .. c only, with
-    halo = T + R from ``AdderPipeline.effective_window`` (every rule maps
-    the zero window to 0, so the zero padding past either end of the
-    input adds nothing).  The outputs in [a, b) never read past either
-    end of the slice, so they equal those of the run over all digits.
-    """
-    tables, alphabet, halo, digits = state
-    a, b = cut
-    lo = max(0, a - halo)
-    return _run_plan(tables, alphabet, digits[lo:b])[a - lo:b - lo]
-
-
-_SHARD: tuple = ()  # _plan_slice state inside a pool worker
-
-
-def _init_shard_worker(state) -> None:
-    global _SHARD
-    _SHARD = state
-
-
-def _shard_task(job):
-    cut, cpu = job
-    # A forked worker starts on its parent's CPU, and the kernel was seen
-    # to leave two busy workers sharing one CPU for half a second while
-    # the other idled; so each worker takes a CPU of its own.
-    os.sched_setaffinity(0, {cpu})
-    return _plan_slice(_SHARD, cut)
-
-
 def run_pipeline_flat(pipeline: AdderPipeline, digits, workers: int = 1):
-    """Run the pass plan on an lsd-exponent-0 digit list; msd first.
+    """Run the pass plan on an lsd-exponent-0 digit sequence, msd first.
 
-    Returns the output digit list (msd first, least significant digit at
-    exponent -(total anticipation)).  ``workers`` > 1 cuts the output
-    into one slice per worker (see ``worker_count``); each worker runs the
-    whole plan once on its input slice plus a halo of the plan's window.
+    Returns the output digits, msd first, least significant digit at
+    exponent -(total anticipation): a list of ints for a list, else an
+    int32 array.  ``workers`` > 1 cuts the output into one slice per
+    thread (see ``worker_count``); each runs the whole plan once on its
+    input slice plus a halo of the plan's window.  A plan whose selector
+    tables exceed ``local.DEFAULT_TABLE_BUDGET`` is refused with
+    ``LimitExceededError``.
     """
-    tables = [(kind, rule, _flat_table(rule)) for kind, rule in pipeline.plan]
-    alphabet = (pipeline.system.alphabet.m, pipeline.system.alphabet.M)
-    z = list(digits)
-    shards = worker_count(workers, len(z))
-    if shards == 1:
-        return _run_plan(tables, alphabet, z)
-    t, r = pipeline.effective_window
-    state = (tables, alphabet, t + r, z)
-    jobs = zip(_shard_cuts(len(z) + t + r, shards),
-               sorted(os.sched_getaffinity(0)))
-    # fork: the workers inherit the tables and the digits from this
-    # process; only the cuts and the output slices are pickled.
-    with get_context("fork").Pool(shards, _init_shard_worker,
-                                  (state,)) as pool:
-        parts = pool.map(_shard_task, jobs)
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
+    threads = worker_count(workers, len(digits))
+    from .kernel import run_plan
+    out = run_plan(pipeline, digits, threads)
+    return out.tolist() if isinstance(digits, list) else out
 
 
 # --- classical sequential ripple adder -------------------------------------
@@ -227,13 +124,9 @@ def ripple_digit_sum(z, base: BaseSpec):
 def values_equal_mod_primes(x_digits, x_lsd, y_digits, y_lsd,
                             base: BaseSpec, seed: int = 1,
                             n_primes: int = 3) -> bool:
-    """Exact value equality of two digit lists (msd first).
-
-    Kept only under its old name and signature for the benchmark scripts
-    that still call it: ``seed`` and ``n_primes`` are unused, and the next
-    change to the benchmark removes the function in favour of
-    ``algebra.values_equal``.
-    """
+    """Exact value equality of two digit lists (msd first); kept under
+    this name for the benchmark scripts, which ``algebra.values_equal``
+    will serve once they change.  ``seed`` and ``n_primes`` are unused."""
     return values_equal(DigitString(tuple(x_digits), x_lsd),
                         DigitString(tuple(y_digits), y_lsd), base)
 
@@ -245,8 +138,8 @@ def values_equal_mod_primes(x_digits, x_lsd, y_digits, y_lsd,
 class BenchResult:
     system: NumerationSystem
     length: int
-    timings: dict            # requested workers -> seconds (pipeline only)
-    workers_used: dict       # requested workers -> processes used
+    timings: dict            # requested workers -> fastest seconds (plan only)
+    workers_used: dict       # requested workers -> threads used
     ripple_seconds: float
     outputs_identical: bool  # across worker counts
     ripple_value_match: Optional[bool]
@@ -275,33 +168,46 @@ def run_benchmark(pipeline: AdderPipeline, length: int = 10 ** 6,
     The single-worker run is the sequential reference; all runs must
     produce identical digits.  For integer and rational bases the
     classical ripple adder recomputes the sum, whose value must equal
-    the output's exactly.
-    Worker counts below 1 are refused before any work starts.
+    the output's exactly.  The operands are drawn as arrays before any
+    timing starts, and each count's timing is the fastest of
+    ``TIMED_CALLS`` calls.  Worker counts below 1 and lengths outside
+    [MIN_LENGTH, MAX_LENGTH] are refused before anything is allocated,
+    oversized rule tables before the plan runs.
     """
     used = {w: worker_count(w, length) for w in worker_counts}
+    if not MIN_LENGTH <= length <= MAX_LENGTH:
+        raise LimitExceededError(
+            f"benchmark length must lie in [{MIN_LENGTH}, {MAX_LENGTH}], "
+            f"got {length}", length=length, limit=[MIN_LENGTH, MAX_LENGTH])
+    import numpy as np
     system = pipeline.system
     alphabet = system.alphabet
-    rng = random.Random(seed)
-    x = [rng.randint(alphabet.m, alphabet.M) for _ in range(length)]
-    y = [rng.randint(alphabet.m, alphabet.M) for _ in range(length)]
-    z = [a + b for a, b in zip(x, y)]
-    timings = {}
+    rng = np.random.default_rng(seed)
+    x, y = rng.integers(alphabet.m, alphabet.M + 1, (2, length),
+                        dtype=np.int32)
+    z = x + y
+    timings = dict.fromkeys(worker_counts, float("inf"))
     outputs = {}
-    for workers in worker_counts:
-        t0 = time.perf_counter()
-        outputs[workers] = run_pipeline_flat(pipeline, z, workers=workers)
-        timings[workers] = time.perf_counter() - t0
+    for _ in range(TIMED_CALLS):
+        for workers in worker_counts:
+            t0 = time.perf_counter()
+            outputs[workers] = run_pipeline_flat(pipeline, z, workers=workers)
+            timings[workers] = min(timings[workers],
+                                   time.perf_counter() - t0)
     first = outputs[worker_counts[0]]
-    identical = all(outputs[w] == first for w in worker_counts[1:])
+    identical = all(np.array_equal(outputs[w], first)
+                    for w in worker_counts[1:])
 
     ripple_match = None
     ripple_seconds = 0.0
     if system.base.integer_ratio is not None and alphabet.m >= 0:
+        digit_sums = z.tolist()
         t0 = time.perf_counter()
-        ripple = ripple_digit_sum(z, system.base)
+        ripple = ripple_digit_sum(digit_sums, system.base)
         ripple_seconds = time.perf_counter() - t0
-        total_t = sum(rule.anticipation for _, rule in pipeline.plan)
-        ripple_match = values_equal(DigitString(tuple(first), -total_t),
-                                    DigitString(tuple(ripple)), system.base)
+        total_t = pipeline.effective_window[0]
+        ripple_match = values_equal(
+            DigitString(tuple(first.tolist()), -total_t),
+            DigitString(tuple(ripple)), system.base)
     return BenchResult(system, length, timings, used, ripple_seconds,
                        identical, ripple_match)

@@ -119,3 +119,9 @@ class RuleFileError(NumerationError):
 
 class WorkerCountError(NumerationError):
     code = "invalid-worker-count"
+
+
+class LimitExceededError(NumerationError):
+    """A request above a documented size limit, refused before the work."""
+
+    code = "limit-exceeded"

@@ -1,0 +1,197 @@
+"""Whole-array pass-plan kernel: one compiled rule form, one runner.
+
+Output digit j of a rule is z_j + sum(gamma * q_{j-delta}) over its
+placements (delta, gamma); the carry q_i is a selector of a sub-window
+around position i, compiled into a table indexed by the sub-window's
+base-|A| code.  A pass is then a few shifted slices, one ``take`` and one
+shifted add per placement.  A rule with only a ``table`` (a table-form
+rule file) compiles as q = Phi - center on its whole window, at (0, 1).
+Arrays hold int32 digits, msd first, along the last axis (a 1-D string
+or a 2-D batch of rows).  Importing this module loads numpy.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import lru_cache
+
+import numpy as np
+
+from .adder import MAP, TOP_PASS, AdderPipeline
+from .core import Alphabet, DigitString
+from .errors import DigitOutOfAlphabetError, LimitExceededError
+from .local import DEFAULT_TABLE_BUDGET, LocalRule
+
+# threads for run_plan's slices; they start on first use, not on import
+_POOL = ThreadPoolExecutor(max_workers=os.cpu_count())
+
+
+@lru_cache(maxsize=256)
+def compiled(rule: LocalRule) -> tuple:
+    """(carry table, least digit, |A|, sub-window length, placements as
+    (window index of the sub-window, gamma)), tabulated once per rule.
+
+    A table above ``local.DEFAULT_TABLE_BUDGET`` entries is refused with
+    ``LimitExceededError`` before anything is tabulated.
+    """
+    size = rule.selector_table_size
+    if size > DEFAULT_TABLE_BUDGET:
+        raise LimitExceededError(
+            f"rule {rule.name!r} needs a selector table of {size} entries, "
+            f"above {DEFAULT_TABLE_BUDGET}", entries=size)
+    a, t, cr = rule.input_alphabet, rule.anticipation, rule.carry
+    if cr is not None:
+        width = cr.selector_window
+        q = [cr.selector(w) for w in itertools.product(a, repeat=width)]
+        placements = [(t + delta - cr.selector_anticipation, gamma)
+                      for delta, gamma in cr.placements]
+    else:
+        width = rule.window_length
+        q = [rule.phi(w) - w[t] for w in itertools.product(a, repeat=width)]
+        placements = [(0, 1)]
+    return np.array(q, dtype=np.int32), a.m, a.size, width, placements
+
+
+def _pass(rule: LocalRule, Z: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """One pass of a rule, its carries read from Z clamped into [lo, hi].
+
+    Each output digit is z_j, unclamped so that the clipped excess
+    carries over, plus the placed carries.  The output is t + r digits
+    wider than Z: output index ``rule.memory`` lines up with Z's msd.
+    """
+    q_table, m, size, width, placements = compiled(rule)
+    t, r = rule.anticipation, rule.memory
+    pad = t + r
+    n = Z.shape[-1]
+    P = np.full(Z.shape[:-1] + (n + 2 * pad,), -m, dtype=np.int32)
+    np.clip(Z, lo, hi, out=P[..., pad:pad + n])
+    if m:
+        P[..., pad:pad + n] -= m  # codes count from the least digit
+    span = n + 2 * pad - width + 1
+    code = P[..., :span].astype(np.intp)
+    for j in range(1, width):
+        code *= size
+        code += P[..., j:j + span]
+    q = q_table.take(code)
+    out = np.zeros(Z.shape[:-1] + (n + pad,), dtype=np.int32)
+    out[..., r:r + n] = Z
+    for i0, gamma in placements:
+        out += gamma * q[..., i0:i0 + n + pad]
+    return out
+
+
+def _check(Z: np.ndarray, lo: int, hi: int, where: str) -> None:
+    """Refuse the first digit of Z outside [lo, hi], as the scalar path."""
+    if Z.size and (Z.min() < lo or Z.max() > hi):
+        d = int(Z[(Z < lo) | (Z > hi)][0])
+        raise DigitOutOfAlphabetError(f"digit {d} outside {where}", digit=d)
+
+
+def apply(rule: LocalRule, Z) -> np.ndarray:
+    """``local.apply_rule`` on every string along the last axis of Z,
+    lsd at exponent 0; the output covers exponents msd + r .. -t."""
+    Z = np.asarray(Z)
+    a = rule.input_alphabet
+    _check(Z, a.m, a.M, f"input alphabet {a}")
+    return _pass(rule, Z, a.m, a.M)
+
+
+def _run(pipeline: AdderPipeline, Z: np.ndarray) -> np.ndarray:
+    m, M = pipeline.system.alphabet.m, pipeline.system.alphabet.M
+    for kind, rule in pipeline.plan:
+        Z = (apply(rule, Z) if kind == MAP else
+             _pass(rule, Z, m, M + 1) if kind == TOP_PASS else
+             _pass(rule, Z, m - 1, M))
+    return Z
+
+
+def shard_cuts(width: int, shards: int) -> list:
+    """Split output positions [0, width) into ``shards`` contiguous cuts."""
+    return [(width * i // shards, width * (i + 1) // shards)
+            for i in range(shards)]
+
+
+def plan_slice(pipeline: AdderPipeline, Z: np.ndarray, cut) -> np.ndarray:
+    """Output positions [a, b) of the plan from digits [a - halo, b) alone.
+
+    Output c reads inputs c - halo .. c only, halo = T + R of
+    ``AdderPipeline.effective_window`` (the zero padding past the ends
+    adds nothing, since every rule maps the zero window to 0), so the
+    slice's outputs equal those of the run over all digits.
+    """
+    a, b = cut
+    lo = max(0, a - sum(pipeline.effective_window))
+    return _run(pipeline, Z[..., lo:b])[..., a - lo:b - lo]
+
+
+def _slice_on(cpu: int, pipeline: AdderPipeline, Z: np.ndarray, cut):
+    # Measured on a 2-CPU host, the scheduler woke every slice's thread on
+    # the caller's CPU and left the other idle (10**6 digits, base -2: 10.5
+    # ms on one thread, 7.0 on two unpinned, 4.0 on two pinned).
+    os.sched_setaffinity(0, {cpu})
+    return plan_slice(pipeline, Z, cut)
+
+
+def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
+    """The whole pass plan on the digits along the last axis of Z.
+
+    Z's digits must lie in ``pipeline.input_range``; its lsd sits at
+    exponent 0, and the output, T + R digits wider, ends at exponent -T
+    for (T, R) = ``pipeline.effective_window``.  ``workers`` > 1 cuts the
+    output into slices (``plan_slice``) run on threads, as numpy releases
+    the interpreter lock inside array operations.
+    """
+    Z = np.asarray(Z)
+    lo, hi = pipeline.input_range
+    _check(Z, lo, hi, f"reducible range [{lo}, {hi}]")
+    Z = Z.astype(np.int32, copy=False)
+    for _, rule in pipeline.plan:  # an oversized table is refused here
+        compiled(rule)
+    if workers == 1:
+        return _run(pipeline, Z)
+    cuts = shard_cuts(Z.shape[-1] + sum(pipeline.effective_window), workers)
+    cpus = sorted(os.sched_getaffinity(0))
+    parts = [_POOL.submit(_slice_on, cpus[k % len(cpus)], pipeline, Z, cut)
+             for k, cut in enumerate(cuts)]
+    wait(parts)  # no slice still runs when one raises
+    return np.concatenate([part.result() for part in parts], axis=-1)
+
+
+def _digits(ds: DigitString, alphabet: Alphabet) -> np.ndarray:
+    """The digits of ``ds`` as int32, each checked against the alphabet."""
+    try:
+        D = np.array(ds.digits, dtype=np.int32)
+    except OverflowError:
+        d = next(d for d in ds.digits if d not in alphabet)
+        raise DigitOutOfAlphabetError(f"digit {d} outside alphabet "
+                                      f"{alphabet}", digit=d) from None
+    _check(D, alphabet.m, alphabet.M, f"alphabet {alphabet}")
+    return D
+
+
+def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
+                negate: bool = False) -> DigitString:
+    """x + y, or x - y with ``negate``, through the plan; normalized.
+
+    The array form of ``adder.add``/``subtract`` without a trace: the
+    same digits and the same ``DigitOutOfAlphabetError``s.
+    """
+    alphabet = pipeline.system.alphabet
+    X, Y = _digits(x, alphabet), _digits(y, alphabet)
+    msd = max(x.msd_exponent, y.msd_exponent)
+    lsd = min(x.lsd_exponent, y.lsd_exponent)
+    Z = np.zeros(msd - lsd + 1, dtype=np.int32)
+    for D, s in ((X, x), (-Y if negate else Y, y)):
+        Z[msd - s.msd_exponent:][:D.size] += D
+    out = run_plan(pipeline, Z)
+    nonzero = np.flatnonzero(out)
+    if not nonzero.size:
+        return DigitString.zero()
+    first, last = int(nonzero[0]), int(nonzero[-1])
+    digits = out[first:last + 1]
+    _check(digits, alphabet.m, alphabet.M, f"alphabet {alphabet}")
+    return DigitString(tuple(digits.tolist()),
+                       lsd - pipeline.effective_window[0] + len(out) - 1
+                       - last)

@@ -30,6 +30,7 @@ from .errors import (
     LetterNotFixedError,
     OutputEscapesAlphabetError,
     PatternNotMultipleError,
+    RuleFileError,
     ZeroNotFixedError,
 )
 
@@ -68,6 +69,20 @@ class CarryRule:
         for delta, gamma in self.placements:
             coeffs[hi - delta] += gamma
         return laurent(coeffs, lo)
+
+    def window_fn(self, t: int) -> Callable:
+        """Phi on windows with anticipation t: z_j plus placed carries."""
+        ta, width = self.selector_anticipation, self.selector_window
+
+        def phi(window, _sel=self.selector, _placements=self.placements):
+            # window[i] holds the digit at position j + t - i
+            out = window[t]
+            for delta, gamma in _placements:
+                i0 = t + delta - ta
+                out += gamma * _sel(window[i0:i0 + width])
+            return out
+
+        return phi
 
     def shifted(self, h: int) -> "CarryRule":
         """Selector conjugated by digit shift -h (same placements)."""
@@ -108,6 +123,13 @@ class LocalRule:
     def window_length(self) -> int:
         return self.anticipation + self.memory + 1
 
+    @property
+    def selector_table_size(self) -> int:
+        """Entries of the kernel's table: one per (sub-)window."""
+        width = (self.carry.selector_window if self.carry is not None
+                 else self.window_length)
+        return self.input_alphabet.size ** width
+
     def phi(self, window) -> int:
         """Output digit for one window (msd-first tuple of length p)."""
         if self.table is not None:
@@ -142,18 +164,36 @@ class LocalRule:
         return data
 
 
+def _complete(table: dict, alphabet: Alphabet, width: int) -> dict:
+    """The table, if it holds every window of ``width`` digits over the
+    alphabet; else a RuleFileError naming the first one missing."""
+    if {len(w) for w in table} != {width}:
+        raise RuleFileError(f"rule table needs windows of {width} digits")
+    for w in itertools.product(list(alphabet), repeat=width):
+        if w not in table:
+            raise RuleFileError(
+                f"rule table lacks the window {' '.join(map(str, w))!r}",
+                window=list(w))
+    return table
+
+
 def rule_from_json(data: dict) -> LocalRule:
     """Rebuild a rule from its JSON export (table or carry form).
 
-    No re-verification happens here; feed the result to the oracle.
+    A table must hold every window over the input alphabet.  No other
+    verification happens here; feed the result to the oracle.
     """
     in_alpha = Alphabet.from_json(data["input_alphabet"])
     out_alpha = Alphabet.from_json(data["output_alphabet"])
     t, r = data["anticipation"], data["memory"]
+    if min(t, r) < 0:
+        raise RuleFileError("anticipation and memory must be at least 0")
     if "carry" in data:
         cd = data["carry"]
-        sel_table = {tuple(int(x) for x in key.split()): int(v)
-                     for key, v in cd["selector_table"].items()}
+        sel_table = _complete(
+            {tuple(int(x) for x in key.split()): int(v)
+             for key, v in cd["selector_table"].items()},
+            in_alpha, cd["selector_anticipation"] + cd["selector_memory"] + 1)
 
         def selector(sub, _tab=sel_table):
             return _tab[tuple(sub)]
@@ -162,21 +202,15 @@ def rule_from_json(data: dict) -> LocalRule:
                           cd["selector_memory"],
                           tuple(tuple(pl) for pl in cd["placements"]),
                           name=data.get("name", ""))
-        ta, tm = carry.selector_anticipation, carry.selector_memory
-        placements = carry.placements
-        sub_len = carry.selector_window
-
-        def window_fn(window, _t=t):
-            out = window[_t]
-            for delta, gamma in placements:
-                i0 = _t + delta - ta
-                out += gamma * selector(window[i0:i0 + sub_len])
-            return out
-
-        return LocalRule(in_alpha, out_alpha, t, r, window_fn,
+        if any(not 0 <= t + delta - carry.selector_anticipation
+               <= t + r + 1 - carry.selector_window
+               for delta, _ in carry.placements):
+            raise RuleFileError("a carry placement reads outside the window")
+        return LocalRule(in_alpha, out_alpha, t, r, carry.window_fn(t),
                          table=None, carry=carry, name=data.get("name", ""))
-    table = {tuple(int(x) for x in key.split()): int(v)
-             for key, v in data["table"].items()}
+    table = _complete({tuple(int(x) for x in key.split()): int(v)
+                       for key, v in data["table"].items()},
+                      in_alpha, t + r + 1)
 
     def window_fn(window, _tab=table):
         return _tab[tuple(window)]
@@ -207,18 +241,7 @@ def derive_local_rule(carry: CarryRule, base: BaseSpec,
     t = max([0] + [ta - delta for delta, _ in carry.placements])
     r = max([0] + [tm + delta for delta, _ in carry.placements])
     p = t + r + 1
-    selector = carry.selector
-    placements = carry.placements
-    sub_len = carry.selector_window
-
-    def window_fn(window, _t=t):
-        # window[i] holds the digit at position j + t - i
-        out = window[_t]
-        for delta, gamma in placements:
-            i0 = _t + delta - ta
-            out += gamma * selector(window[i0:i0 + sub_len])
-        return out
-
+    window_fn = carry.window_fn(t)
     letters = list(input_alphabet)
     size = len(letters)
     total = size ** p

@@ -1,30 +1,30 @@
 """Independent verification of conversion rules and addition pipelines.
 
-The engine modules compute digits; this module checks them against the
-definition: a conversion must preserve represented values exactly, keep
-outputs inside the declared alphabet, commute with translation of the
-radix point, and depend only on the declared window.  Value preservation
-is decided by exact divisibility by beta's minimal polynomial (vectorized
-with numpy for the exhaustive sweeps, with automatic fallback to the
-scalar arbitrary-precision test when 64-bit growth bounds would be
-exceeded).
+The engine computes digits -- the array kernel (``paradd.kernel``) on
+2-D batches for the sweeps, the scalar ``local.apply_rule`` for the
+structural checks -- and this module checks them against the definition:
+a conversion must preserve represented values exactly, keep outputs
+inside the declared alphabet, commute with translation of the radix
+point, and depend only on the declared window.  Value preservation is
+decided by exact divisibility by beta's minimal polynomial (vectorized
+with numpy, with automatic fallback to the scalar arbitrary-precision
+test when 64-bit growth bounds would be exceeded).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .adder import MAP, TOP_PASS, AdderPipeline
+from .adder import AdderPipeline
 from .algebra import represents_zero
 from .core import BaseSpec, DigitString, normalize
 from .errors import NotApplicableError
 from .local import LocalRule, apply_rule
-from . import bounds
+from . import bounds, kernel
 
 DEFAULT_BUDGET = 10 ** 7
 DEFAULT_SAMPLES = 10 ** 5
@@ -61,87 +61,6 @@ class VerificationReport:
             "checks": self.checks,
             "failures": self.failures[:20],
         }
-
-
-# --- vectorized rule application ----------------------------------------
-
-
-def _selector_table(rule: LocalRule):
-    """(Qtab, sub_len, i0s/gammas) for numpy application of a carry rule."""
-    cr = rule.carry
-    m, M = rule.input_alphabet.m, rule.input_alphabet.M
-    S = rule.input_alphabet.size
-    sub_len = cr.selector_window
-    tab = np.empty(S ** sub_len, dtype=np.int64)
-    for code, sub in enumerate(itertools.product(range(m, M + 1),
-                                                 repeat=sub_len)):
-        tab[code] = cr.selector(sub)
-    meta = []
-    for delta, gamma in cr.placements:
-        i0 = rule.anticipation + delta - cr.selector_anticipation
-        meta.append((i0, gamma))
-    return tab, sub_len, meta
-
-
-def batch_apply(rule: LocalRule, Z: np.ndarray) -> np.ndarray:
-    """Apply a carry-backed rule to every row of a digit matrix.
-
-    ``Z`` has one digit string per row, most significant digit first,
-    least significant digit at exponent 0.  Returns the (wider) output
-    matrix covering exponents  msd+r .. -t.
-    """
-    if rule.carry is None:
-        # no selector structure: fall back to the scalar engine
-        out = []
-        width = Z.shape[1] + rule.anticipation + rule.memory
-        for row in Z:
-            ds = DigitString(tuple(int(d) for d in row), 0)
-            res = apply_rule(rule, ds)
-            digits = [res.digit_at(e)
-                      for e in range(Z.shape[1] - 1 + rule.memory,
-                                     -rule.anticipation - 1, -1)]
-            out.append(digits)
-        return np.array(out, dtype=np.int64).reshape(len(Z), width)
-    t, r = rule.anticipation, rule.memory
-    m = rule.input_alphabet.m
-    S = rule.input_alphabet.size
-    N, L = Z.shape
-    tab, sub_len, meta = _selector_table(rule)
-    pad = t + r
-    P = np.zeros((N, L + 2 * pad), dtype=np.int64)
-    P[:, pad:pad + L] = Z
-    width = L + t + r
-    out = np.empty((N, width), dtype=np.int64)
-    powers = [S ** (sub_len - 1 - j) for j in range(sub_len)]
-    for c in range(width):
-        acc = P[:, c + t].copy()
-        for i0, gamma in meta:
-            code = np.zeros(N, dtype=np.int64)
-            for j in range(sub_len):
-                code += (P[:, c + i0 + j] - m) * powers[j]
-            acc += gamma * tab[code]
-        out[:, c] = acc
-    return out
-
-
-def batch_reduce(pipeline: AdderPipeline, Z: np.ndarray):
-    """Run the full pass plan on a digit matrix; returns (out, T, R)."""
-    m, M = pipeline.system.alphabet.m, pipeline.system.alphabet.M
-    T = R = 0
-    for kind, rule in pipeline.plan:
-        if kind == MAP:
-            Z = batch_apply(rule, Z)
-        else:
-            lo, hi = (m, M + 1) if kind == TOP_PASS else (m - 1, M)
-            U = np.clip(Z, lo, hi)
-            V = Z - U
-            W = batch_apply(rule, U)
-            # output column of the input msd exponent is rule.memory
-            W[:, rule.memory:rule.memory + Z.shape[1]] += V
-            Z = W
-        T += rule.anticipation
-        R += rule.memory
-    return Z, T, R
 
 
 # --- vectorized exact value test -----------------------------------------
@@ -199,32 +118,28 @@ def values_zero_batch(C: np.ndarray, base: BaseSpec) -> np.ndarray:
 # --- conversion verification ----------------------------------------------
 
 
-def _digit_matrix(codes: np.ndarray, L: int, S: int, m: int) -> np.ndarray:
-    D = np.empty((len(codes), L), dtype=np.int64)
-    for i in range(L):
-        D[:, i] = (codes // S ** (L - 1 - i)) % S + m
-    return D
+def _failing_rows(Z: np.ndarray, out: np.ndarray, memory: int,
+                  alphabet, base: BaseSpec) -> tuple:
+    """Rows of ``out``, the image of Z's rows with Z's msd at column
+    ``memory``, holding a digit outside the alphabet, and rows whose
+    value differs from Z's; at most 10 of each."""
+    bad = (out < alphabet.m) | (out > alphabet.M)
+    C = -out.astype(np.int64)
+    C[:, memory:memory + Z.shape[1]] += Z
+    ok = values_zero_batch(C, base)
+    return np.unique(np.nonzero(bad)[0])[:10], np.nonzero(~ok)[0][:10]
 
 
 def _check_batch(rule: LocalRule, base: BaseSpec, D: np.ndarray,
-                 report: VerificationReport, limit: int = 10) -> None:
+                 report: VerificationReport) -> None:
     """Alphabet closure + exact value preservation for a batch of strings."""
-    out = batch_apply(rule, D)
-    r = rule.memory
-    oa = rule.output_alphabet
-    bad = (out < oa.m) | (out > oa.M)
-    if bad.any():
-        rows = np.unique(np.nonzero(bad)[0])[:limit]
+    out = kernel.apply(rule, D)
+    closure, value = _failing_rows(D, out, rule.memory,
+                                   rule.output_alphabet, base)
+    for check, rows in (("output-alphabet", closure),
+                        ("value-preservation", value)):
         for i in rows:
-            report.fail("output-alphabet", input=[int(x) for x in D[i]],
-                        output=[int(x) for x in out[i]])
-    C = -out
-    C[:, r:r + D.shape[1]] += D
-    ok = values_zero_batch(C, base)
-    if not ok.all():
-        for i in np.nonzero(~ok)[0][:limit]:
-            report.fail("value-preservation", input=[int(x) for x in D[i]],
-                        output=[int(x) for x in out[i]])
+            report.fail(check, input=D[i].tolist(), output=out[i].tolist())
     report.instances_checked += len(D)
     report.note("alphabet-closure", len(D))
     report.note("value-preservation", len(D))
@@ -262,8 +177,8 @@ def verify_conversion(rule: LocalRule, base: BaseSpec, max_len: int = 6,
             break
         report.exhaustive_lengths.append(L)
         for start in range(0, total, _CHUNK):
-            codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            D = _digit_matrix(codes, L, S, m)
+            codes = np.arange(start, min(start + _CHUNK, total))
+            D = np.stack(np.unravel_index(codes, (S,) * L), axis=1) + m
             _check_batch(rule, base, D, report)
         spent += total
     if len(report.exhaustive_lengths) < max_len and samples:
@@ -345,21 +260,13 @@ def verify_addition(pipeline: AdderPipeline, n_pairs: int = 10 ** 4,
     if subtraction:
         jobs.append(("subtract", X - Y))
     for label, Z in jobs:
-        out, T, R = batch_reduce(pipeline, Z)
-        bad = (out < alphabet.m) | (out > alphabet.M)
-        if bad.any():
-            for i in np.unique(np.nonzero(bad)[0])[:10]:
-                report.fail(f"{label}-closure", x=[int(v) for v in X[i]],
-                            y=[int(v) for v in Y[i]],
-                            result=[int(v) for v in out[i]])
-        C = -out
-        C[:, R:R + max_len] += Z
-        ok = values_zero_batch(C, system.base)
-        if not ok.all():
-            for i in np.nonzero(~ok)[0][:10]:
-                report.fail(f"{label}-value", x=[int(v) for v in X[i]],
-                            y=[int(v) for v in Y[i]],
-                            result=[int(v) for v in out[i]])
+        out = kernel.run_plan(pipeline, Z)
+        closure, value = _failing_rows(Z, out, pipeline.effective_window[1],
+                                       alphabet, system.base)
+        for check, rows in (("closure", closure), ("value", value)):
+            for i in rows:
+                report.fail(f"{label}-{check}", x=X[i].tolist(),
+                            y=Y[i].tolist(), result=out[i].tolist())
         report.note(f"{label}-closure", n_pairs)
         report.note(f"{label}-value", n_pairs)
         report.instances_checked += n_pairs

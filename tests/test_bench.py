@@ -1,11 +1,12 @@
-"""Sharded flat runner: digit identity with the sequential run, worker caps."""
+"""Threaded flat runner: digit identity with the sequential run, worker caps."""
 
 import os
 import random
 
+import numpy as np
 import pytest
 
-from paradd import bench
+from paradd import bench, kernel
 from paradd.adder import build_pipeline
 from paradd.core import (
     Alphabet,
@@ -42,20 +43,19 @@ def test_slices_equal_sequential_run(pipeline):
     """Every cut of the output, computed from its slice plus halo alone."""
     t, r = pipeline.effective_window
     halo = t + r
-    tables = [(kind, rule, bench._flat_table(rule))
-              for kind, rule in pipeline.plan]
-    alphabet = (pipeline.system.alphabet.m, pipeline.system.alphabet.M)
     for length in (1, 2, halo - 1, halo, halo + 1, 2 * halo + 1, 5 * halo):
         z = _digit_sums(pipeline, length)
         expected = bench.run_pipeline_flat(pipeline, z, workers=1)
-        state = (tables, alphabet, halo, z)
+        Z = np.array(z, dtype=np.int32)
         for shards in range(1, 7):
-            cuts = bench._shard_cuts(length + halo, shards)
-            got = [d for cut in cuts for d in bench._plan_slice(state, cut)]
+            cuts = kernel.shard_cuts(length + halo, shards)
+            got = [d for cut in cuts
+                   for d in kernel.plan_slice(pipeline, Z, cut).tolist()]
             assert got == expected, (length, shards)
 
 
 def test_forked_run_equals_sequential_run(pipeline):
+    """The threaded run of a long input equals the one-thread run."""
     length = 2 * bench.MIN_SHARD_DIGITS + 3
     z = _digit_sums(pipeline, length)
     assert bench.worker_count(8, length) == min(
@@ -65,10 +65,11 @@ def test_forked_run_equals_sequential_run(pipeline):
 
 
 def test_worker_count_caps_without_starting_processes(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+    class NoPool:
+        def submit(self, *args, **kwargs):
+            raise AssertionError("work was submitted to the thread pool")
 
-    monkeypatch.setattr(bench, "get_context", no_pool)
+    monkeypatch.setattr(kernel, "_POOL", NoPool())
     cpus = len(os.sched_getaffinity(0))
     assert bench.worker_count(10 ** 9, 10 ** 12) == cpus
     assert bench.worker_count(10 ** 9, bench.MIN_SHARD_DIGITS - 1) == 1
@@ -79,6 +80,9 @@ def test_worker_count_caps_without_starting_processes(monkeypatch):
     pipe = build_pipeline(make_system(*_SYSTEMS[0]))
     with pytest.raises(WorkerCountError):
         bench.run_benchmark(pipe, length=10 ** 6, worker_counts=(1, 0))
+    z = _digit_sums(pipe, bench.MIN_SHARD_DIGITS + 1)
+    assert bench.run_pipeline_flat(pipe, z, workers=8) == \
+        bench.run_pipeline_flat(pipe, z, workers=1)
 
 
 @pytest.mark.parametrize("system", [

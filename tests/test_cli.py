@@ -162,6 +162,30 @@ class TestVerify:
         assert code == 1
 
 
+    @pytest.mark.parametrize("form, key", [("carry", "2 1"),
+                                           ("table", "2 1 0")])
+    def test_incomplete_rule_file_is_bad_input(self, tmp_path, capsys,
+                                               form, key):
+        from paradd.rules import gde_negative_integer
+        rule = gde_negative_integer(2)
+        data = rule.to_json()
+        if form == "table":
+            del data["carry"]
+            data["table"] = {" ".join(map(str, w)): out
+                             for w, out in rule.table.items()}
+            table = data["table"]
+        else:
+            table = data["carry"]["selector_table"]
+        del table[key]
+        path = tmp_path / "incomplete.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", "--base", "-2", "--json",
+                           "--rule-file", str(path))
+        assert code == 2
+        error = json.loads(err)
+        assert error["error"] == "invalid-rule-file"
+        assert error["window"] == [int(d) for d in key.split()]
+
     @pytest.mark.parametrize("content, reason", [
         (None, "cannot read"),
         ('{"name": "x"}', "lacks the key 'input_alphabet'"),
@@ -182,14 +206,28 @@ class TestVerify:
 
 
 def test_import_leaves_numpy_out():
-    # only verify needs numpy; the oracle's names load it on first use
-    code = ("import sys, paradd, paradd.cli; "
-            "assert 'numpy' not in sys.modules; "
-            "from paradd import verify_conversion; "
-            "assert 'numpy' in sys.modules")
+    # only verify, bench and long operands need numpy; the oracle's names
+    # load it on first use
+    code = """
+import sys, paradd, paradd.cli
+from paradd.adder import build_pipeline
+from paradd.cli import main, parse_alphabet, parse_base
+from paradd.core import make_system
+for base, alphabet in [("-2", "0..2"), ("-2", "-1..1"), ("3/2", "0..4"),
+                       ("-3/2", "0..4"), ("pisot-:3", "0..2"),
+                       ("pisot+:2", "0..3"), ("-1+i", "0..4")]:
+    build_pipeline(make_system(parse_base(base), parse_alphabet(alphabet)))
+digits = " ".join(["1"] * 24) + " ."
+for flag in ([], ["--subtract"]):
+    assert main(["add", "--base", "-2", "--alphabet", "-1..1", *flag,
+                 digits, digits]) == 0
+assert 'numpy' not in sys.modules
+from paradd import verify_conversion
+assert 'numpy' in sys.modules
+"""
     src = str(Path(paradd.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": src})
+                   capture_output=True, env={**os.environ, "PYTHONPATH": src})
 
 
 class TestBench:
@@ -208,6 +246,17 @@ class TestBench:
                            workers, "--json")
         assert code == 2
         assert json.loads(err)["error"] == "invalid-worker-count"
+
+    @pytest.mark.parametrize("base, length", [
+        ("-2", "999"),               # below bench.MIN_LENGTH
+        ("-2", str(10 ** 12)),       # above bench.MAX_LENGTH
+        ("pisot-:100", "1000"),      # a selector table of 199**3 entries
+    ])
+    def test_oversized_request_refused(self, capsys, base, length):
+        code, _, err = run(capsys, "bench", "--base", base, "--length",
+                           length, "--json")
+        assert code == 2
+        assert json.loads(err)["error"] == "limit-exceeded"
 
 
 class TestErrors:

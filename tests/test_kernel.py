@@ -1,0 +1,163 @@
+"""Array kernel against the scalar reference, digit for digit."""
+
+import itertools
+import time
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from paradd import bench, kernel
+from paradd.adder import (
+    MIN_ARRAY_DIGITS, add, build_pipeline, reduce_to_alphabet, subtract,
+)
+from paradd.algebra import values_equal
+from paradd.cli import _VERIFY_CATALOG, parse_alphabet, parse_base
+from paradd.core import (
+    DigitString, digitwise_negate, digitwise_sum, make_system, normalize,
+)
+from paradd.errors import DigitOutOfAlphabetError, LimitExceededError
+from paradd.local import DEFAULT_TABLE_BUDGET, apply_rule, rule_from_json
+from paradd.rules import gde_negative_integer, gde_rational_neg
+
+# every system `paradd verify` checks, plus two mixed-sign alphabets whose
+# plans alternate top and bottom passes
+_SYSTEMS = [f"{b} {a}" for b, a in _VERIFY_CATALOG] + ["-2 -1..1",
+                                                       "-3/2 -2..2"]
+
+
+@lru_cache(maxsize=None)
+def _pipeline(name):
+    base, alphabet = name.split()
+    return build_pipeline(make_system(parse_base(base),
+                                      parse_alphabet(alphabet)))
+
+
+def _lengths(pipe):
+    halo = sum(pipe.effective_window)
+    return st.one_of(st.sampled_from([0, 1, halo - 1, halo, halo + 1]),
+                     st.integers(0, 3 * halo))
+
+
+@pytest.mark.parametrize("name", _SYSTEMS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_add_and_subtract_match_scalar(name, data):
+    pipe = _pipeline(name)
+    al = pipe.system.alphabet
+    negate = al.m < 0 < al.M and data.draw(st.booleans())
+    x, y = (DigitString(tuple(data.draw(st.lists(
+                st.integers(al.m, al.M), min_size=n, max_size=n))),
+                        data.draw(st.integers(-3, 3)))
+            for n in (data.draw(_lengths(pipe)), data.draw(_lengths(pipe))))
+    z = digitwise_sum(x, digitwise_negate(y) if negate else y)
+    assert kernel.add_strings(x, y, pipe, negate) == \
+        reduce_to_alphabet(z, pipe)
+
+
+@pytest.mark.parametrize("name", _SYSTEMS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 5),
+       length=st.integers(0, 24))
+def test_batch_rows_match_scalar(name, seed, rows, length):
+    pipe = _pipeline(name)
+    lo, hi = pipe.input_range
+    Z = np.random.default_rng(seed).integers(lo, hi + 1, (rows, length))
+    out = kernel.run_plan(pipe, Z)
+    t = pipe.effective_window[0]
+    for row, got in zip(Z, out):
+        want = reduce_to_alphabet(DigitString(tuple(row.tolist())), pipe)
+        assert normalize(DigitString(tuple(got.tolist()), -t)) == want
+
+
+def _table_form(rule):
+    data = rule.to_json()
+    del data["carry"]
+    data["table"] = {
+        " ".join(map(str, w)): rule.phi(w)
+        for w in itertools.product(list(rule.input_alphabet),
+                                   repeat=rule.window_length)}
+    return rule_from_json(data)
+
+
+@pytest.mark.parametrize("rule", [gde_negative_integer(2),
+                                  gde_rational_neg(3, 2)],
+                         ids=lambda rule: rule.name)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 5),
+       length=st.integers(0, 12))
+def test_table_rule_matches_scalar(rule, seed, rows, length):
+    table_rule = _table_form(rule)
+    assert table_rule.carry is None
+    a = rule.input_alphabet
+    Z = np.random.default_rng(seed).integers(a.m, a.M + 1, (rows, length))
+    out = kernel.apply(table_rule, Z)
+    assert (out == kernel.apply(rule, Z)).all()
+    for row, got in zip(Z, out):
+        want = apply_rule(table_rule, DigitString(tuple(row.tolist())))
+        assert normalize(DigitString(tuple(got.tolist()),
+                                     -rule.anticipation)) == want
+
+
+@pytest.mark.parametrize("name", ["-2 -1..1", "-1+i 0..4"])
+def test_long_operands_take_the_kernel(monkeypatch, name):
+    pipe = _pipeline(name)
+    al = pipe.system.alphabet
+    rng = np.random.default_rng(2)
+    x, y = (DigitString(tuple(rng.integers(al.m, al.M + 1,
+                                           MIN_ARRAY_DIGITS).tolist()), e)
+            for e in (0, -5))
+    calls = []
+    array_add = kernel.add_strings
+
+    def spy(*args):
+        calls.append(args)
+        return array_add(*args)
+
+    monkeypatch.setattr(kernel, "add_strings", spy)
+    ops = [add] + ([subtract] if al.m < 0 else [])
+    for op in ops:
+        # a trace keeps the scalar loop
+        assert op(x, y, pipe) == op(x, y, pipe, trace=[])
+    assert len(calls) == len(ops)
+
+
+@pytest.mark.parametrize("bad", [7, -1, 10 ** 30])
+def test_long_operand_errors_match_scalar(bad):
+    pipe = _pipeline("-2 0..2")
+    x = DigitString((1,) * 500 + (bad,) + (2,) * MIN_ARRAY_DIGITS)
+    y = DigitString((1,) * 10)
+    with pytest.raises(DigitOutOfAlphabetError) as kern:
+        add(x, y, pipe)
+    with pytest.raises(DigitOutOfAlphabetError) as scalar:
+        add(x, y, pipe, trace=[])
+    assert str(kern.value) == str(scalar.value)
+    assert kern.value.details == scalar.value.details == {"digit": bad}
+
+
+def test_m1pi_flat_run_matches_scalar_quickly():
+    pipe = _pipeline("-1+i 0..4")
+    lo, hi = pipe.input_range
+    z = np.random.default_rng(1).integers(lo, hi + 1, 10 ** 5).tolist()
+    kernel.compiled.cache_clear()  # the time includes tabulating the rule
+    t0 = time.perf_counter()
+    got = bench.run_pipeline_flat(pipe, z, workers=1)
+    elapsed = time.perf_counter() - t0
+    want = reduce_to_alphabet(DigitString(tuple(z)), pipe)
+    t = pipe.effective_window[0]
+    assert normalize(DigitString(tuple(got), -t)) == want
+    assert elapsed < 1.0, elapsed
+
+
+def test_oversized_table_adds_on_scalar_path_and_flat_run_refuses():
+    pipe = build_pipeline(make_system(parse_base("pisot-:100"),
+                                      parse_alphabet("0..99")))
+    assert pipe.plan[0][1].selector_table_size == 199 ** 3 > \
+        DEFAULT_TABLE_BUDGET
+    x = DigitString(tuple(range(100)) * (MIN_ARRAY_DIGITS // 100))
+    y = DigitString(tuple(range(99, -1, -1)) * (MIN_ARRAY_DIGITS // 100))
+    z = digitwise_sum(x, y)
+    assert values_equal(add(x, y, pipe), z, pipe.system.base)
+    with pytest.raises(LimitExceededError):
+        bench.run_pipeline_flat(pipe, list(z.digits))

@@ -13,8 +13,8 @@ from paradd.core import (
     rational_base,
 )
 from paradd.local import rule_from_json
+from paradd.kernel import apply
 from paradd.oracle import (
-    batch_apply,
     values_zero_batch,
     verify_addition,
     verify_boundary,
@@ -52,7 +52,7 @@ class TestConversionSweep:
         rule = gde_rational_pos(3, 2)
         rng = np.random.default_rng(3)
         Z = rng.integers(0, 6, size=(50, 5))
-        out = batch_apply(rule, Z)
+        out = apply(rule, Z)
         for row, orow in zip(Z, out):
             want = apply_rule(rule, DigitString(tuple(int(v) for v in row),
                                                 0))
