@@ -158,12 +158,12 @@ def _check_digits(x: DigitString, alphabet: Alphabet) -> None:
 
 # Shortest operand, in digits, that add/subtract hand to the array
 # kernel.  Measured on a 2-CPU host: with numpy loaded and the rules
-# compiled, the kernel overtook the scalar loop at 4-8 digits (-2, 3/2,
+# compiled, the kernel overtook the scalar loop at 8-16 digits (-2, 3/2,
 # pisot-:3; below 4 for -1+i).  A fresh process also pays numpy's import,
-# 70-100 ms there, as much as the scalar loop spends on about 4 000 (-1+i)
-# to 20 000 (-2) digits.  1 000 lies between: long operands take the
-# kernel, and a one-shot `paradd add` of a few dozen digits never loads
-# numpy.
+# 70-100 ms there, as much as the scalar loop spends on about 15 000
+# (-1+i, 3/2) to 40 000 (-2) digits.  1 000 lies between: long operands
+# take the kernel, and a one-shot `paradd add` of a few dozen digits never
+# loads numpy.
 MIN_ARRAY_DIGITS = 1_000
 
 

@@ -1,10 +1,10 @@
 """Whole-array pass-plan kernel: one compiled rule form, one runner.
 
 Output digit j of a rule is z_j + sum(gamma * q_{j-delta}) over its
-placements (delta, gamma); the carry q_i is a selector of a sub-window
-around position i, compiled into a table indexed by the sub-window's
-base-|A| code.  A pass is then a few shifted slices, one ``take`` and one
-shifted add per placement.  A rule with only a ``table`` (a table-form
+placements (delta, gamma); the carry q_i is the rule's selector table
+(``LocalRule.selector_table``) at the base-|A| code of the sub-window
+around position i.  A pass is then a few shifted slices, one ``take``
+and one shifted add per placement.  A rule with only a ``table`` (a table-form
 rule file) compiles as q = Phi - center on its whole window, at (0, 1).
 Arrays hold int32 digits, msd first, along the last axis (a 1-D string
 or a 2-D batch of rows).  Importing this module loads numpy.
@@ -31,7 +31,8 @@ _POOL = ThreadPoolExecutor(max_workers=os.cpu_count())
 @lru_cache(maxsize=256)
 def compiled(rule: LocalRule) -> tuple:
     """(carry table, least digit, |A|, sub-window length, placements as
-    (window index of the sub-window, gamma)), tabulated once per rule.
+    (window index of the sub-window, gamma)), once per rule: a carry rule's
+    ``selector_table`` as it is, a table-form rule's Phi minus its centre.
 
     A table above ``local.DEFAULT_TABLE_BUDGET`` entries is refused with
     ``LimitExceededError`` before anything is tabulated.
@@ -42,11 +43,9 @@ def compiled(rule: LocalRule) -> tuple:
             f"rule {rule.name!r} needs a selector table of {size} entries, "
             f"above {DEFAULT_TABLE_BUDGET}", entries=size)
     a, t, cr = rule.input_alphabet, rule.anticipation, rule.carry
-    if cr is not None:
-        width = cr.selector_window
-        q = [cr.selector(w) for w in itertools.product(a, repeat=width)]
-        placements = [(t + delta - cr.selector_anticipation, gamma)
-                      for delta, gamma in cr.placements]
+    if cr is not None:  # within the budget, derivation built the table
+        width, q, placements = (cr.selector_window, rule.selector_table,
+                                cr.reads(t))
     else:
         width = rule.window_length
         q = [rule.phi(w) - w[t] for w in itertools.product(a, repeat=width)]

@@ -12,13 +12,19 @@ a sub-window around each position, whose value is added back at fixed
 offsets with fixed coefficients.  Such a rule preserves represented
 values exactly when its offset/coefficient pattern is a multiple of the
 base's minimal polynomial; :func:`derive_local_rule` checks that and the
-closure of the output alphabet.
+closure of the output alphabet.  It tabulates the selector once, over
+the |A|**sw sub-windows, and proves closure from that table with one
+exact sweep (:func:`closure_range`) instead of evaluating Phi on all
+|A|**p windows; only a selector table above ``DEFAULT_TABLE_BUDGET``
+entries is left untabulated, and its closure is checked on
+``SAMPLE_COUNT`` random windows.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from operator import add
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,7 +41,6 @@ from .errors import (
 )
 
 DEFAULT_TABLE_BUDGET = 10 ** 5
-DEFAULT_ENUM_BUDGET = 10 ** 7
 SAMPLE_COUNT = 20000
 
 
@@ -70,15 +75,26 @@ class CarryRule:
             coeffs[hi - delta] += gamma
         return laurent(coeffs, lo)
 
+    def window(self) -> tuple:
+        """(t, r): the least anticipation and memory covering every read."""
+        ta, tm = self.selector_anticipation, self.selector_memory
+        return (max([0] + [ta - delta for delta, _ in self.placements]),
+                max([0] + [tm + delta for delta, _ in self.placements]))
+
+    def reads(self, t: int) -> list:
+        """(window index where the sub-window starts, gamma) per placement,
+        in windows with anticipation t."""
+        return [(t + delta - self.selector_anticipation, gamma)
+                for delta, gamma in self.placements]
+
     def window_fn(self, t: int) -> Callable:
         """Phi on windows with anticipation t: z_j plus placed carries."""
-        ta, width = self.selector_anticipation, self.selector_window
+        width = self.selector_window
 
-        def phi(window, _sel=self.selector, _placements=self.placements):
+        def phi(window, _sel=self.selector, _reads=self.reads(t)):
             # window[i] holds the digit at position j + t - i
             out = window[t]
-            for delta, gamma in _placements:
-                i0 = t + delta - ta
+            for i0, gamma in _reads:
                 out += gamma * _sel(window[i0:i0 + width])
             return out
 
@@ -108,7 +124,14 @@ class CarryRule:
 
 @dataclass(frozen=True)
 class LocalRule:
-    """A verified sliding-window digit-set conversion."""
+    """A verified sliding-window digit-set conversion.
+
+    A carry rule keeps its ``selector_table``: q for every sub-window of
+    the selector, indexed by the sub-window's base-|A| code, msd first,
+    with the least digit as code 0 (``None`` above
+    ``DEFAULT_TABLE_BUDGET`` entries).  A table-form rule keeps ``table``,
+    Phi for every window.
+    """
 
     input_alphabet: Alphabet
     output_alphabet: Alphabet
@@ -118,6 +141,8 @@ class LocalRule:
     table: Optional[dict] = field(default=None, repr=False, compare=False)
     carry: Optional[CarryRule] = field(default=None, repr=False, compare=False)
     name: str = ""
+    selector_table: Optional[tuple] = field(default=None, repr=False,
+                                            compare=False)
 
     @property
     def window_length(self) -> int:
@@ -202,12 +227,12 @@ def rule_from_json(data: dict) -> LocalRule:
                           cd["selector_memory"],
                           tuple(tuple(pl) for pl in cd["placements"]),
                           name=data.get("name", ""))
-        if any(not 0 <= t + delta - carry.selector_anticipation
-               <= t + r + 1 - carry.selector_window
-               for delta, _ in carry.placements):
+        if any(not 0 <= i0 <= t + r + 1 - carry.selector_window
+               for i0, _ in carry.reads(t)):
             raise RuleFileError("a carry placement reads outside the window")
-        return LocalRule(in_alpha, out_alpha, t, r, carry.window_fn(t),
-                         table=None, carry=carry, name=data.get("name", ""))
+        q = tuple(sel_table[w] for w in itertools.product(
+            in_alpha, repeat=carry.selector_window))
+        return _carry_rule(carry, in_alpha, out_alpha, t, r, q)
     table = _complete({tuple(int(x) for x in key.split()): int(v)
                        for key, v in data["table"].items()},
                       in_alpha, t + r + 1)
@@ -220,71 +245,128 @@ def rule_from_json(data: dict) -> LocalRule:
 
 
 def derive_local_rule(carry: CarryRule, base: BaseSpec,
-                      input_alphabet: Alphabet, output_alphabet: Alphabet,
-                      *, table_budget: int = DEFAULT_TABLE_BUDGET,
-                      enum_budget: int = DEFAULT_ENUM_BUDGET,
-                      rng: Optional[random.Random] = None) -> LocalRule:
+                      input_alphabet: Alphabet,
+                      output_alphabet: Alphabet) -> LocalRule:
     """Turn a carry rule into a checked LocalRule.
 
     Checks, in order: the placement pattern represents 0 in the base (so
     the conversion preserves values); the window parameters (t, r) cover
-    every read; all outputs stay inside ``output_alphabet`` --- verified
-    exhaustively when |A|**p fits ``enum_budget``, else on ``SAMPLE_COUNT``
-    random windows.  The full output table is materialized when |A|**p
-    fits ``table_budget``.
+    every read; all outputs stay inside ``output_alphabet``; the all-zero
+    window maps to 0.  The selector is tabulated once, over its |A|**sw
+    sub-windows, and closure is proved from that table by the exact sweep
+    of :func:`closure_range`; a window is enumerated only to name one that
+    escapes.  A selector table above ``DEFAULT_TABLE_BUDGET`` entries is
+    not built, and closure is then checked on ``SAMPLE_COUNT`` random
+    windows.
     """
     if not reduce_mod_base(carry.pattern_poly(), base).is_zero:
         raise PatternNotMultipleError(
             f"carry placements {carry.placements} do not represent 0 in "
             f"base {base.describe()}")
-    ta, tm = carry.selector_anticipation, carry.selector_memory
-    t = max([0] + [ta - delta for delta, _ in carry.placements])
-    r = max([0] + [tm + delta for delta, _ in carry.placements])
+    t, r = carry.window()
     p = t + r + 1
-    window_fn = carry.window_fn(t)
-    letters = list(input_alphabet)
-    size = len(letters)
-    total = size ** p
-    table = None
-    if total <= enum_budget:
-        windows = itertools.product(letters, repeat=p)
-        collect = total <= table_budget
-        table = {} if collect else None
-        for w in windows:
-            out = window_fn(w)
-            if out not in output_alphabet:
-                raise OutputEscapesAlphabetError(
-                    f"window {w} maps to {out}, outside {output_alphabet}",
-                    window=list(w), output=out)
-            if collect:
-                table[w] = out
-    else:
-        rng = rng or random.Random(0xC0FFEE)
-        for _ in range(SAMPLE_COUNT):
-            w = tuple(rng.choice(letters) for _ in range(p))
-            out = window_fn(w)
-            if out not in output_alphabet:
-                raise OutputEscapesAlphabetError(
-                    f"window {w} maps to {out}, outside {output_alphabet}",
-                    window=list(w), output=out)
-    zero_window = (0,) * p
-    if window_fn(zero_window) != 0:
-        raise ZeroNotFixedError(
-            f"all-zero window maps to {window_fn(zero_window)}, expected 0")
-    rule = LocalRule(input_alphabet, output_alphabet, t, r,
-                     window_fn, table=table, carry=carry, name=carry.name)
-    if table is not None:
-        _spot_check_table(rule, rng or random.Random(0xC0FFEE))
+    q = None
+    if input_alphabet.size ** carry.selector_window <= DEFAULT_TABLE_BUDGET:
+        q = tuple(map(carry.selector, itertools.product(
+            input_alphabet, repeat=carry.selector_window)))
+    rule = _carry_rule(carry, input_alphabet, output_alphabet, t, r, q)
+    if q is None:
+        _refuse_escape(rule, _sampled_windows(list(input_alphabet), p))
+    elif any(x not in output_alphabet for x in closure_range(rule)):
+        _refuse_escape(rule, itertools.product(input_alphabet, repeat=p))
+    zero = carry.window_fn(t)((0,) * p)
+    if zero != 0:
+        raise ZeroNotFixedError(f"all-zero window maps to {zero}, expected 0")
     return rule
 
 
-def _spot_check_table(rule: LocalRule, rng: random.Random,
-                      samples: int = 64) -> None:
-    """Table and closure must agree (guards table-construction bugs)."""
-    letters = list(rule.input_alphabet)
-    for _ in range(samples):
-        w = tuple(rng.choice(letters) for _ in range(rule.window_length))
-        assert rule.table[w] == rule.window_fn(w)
+def _carry_rule(carry: CarryRule, in_alpha: Alphabet, out_alpha: Alphabet,
+                t: int, r: int, selector_table: Optional[tuple],
+                name: Optional[str] = None) -> LocalRule:
+    """The LocalRule of a carry rule; Phi reads the selector table when
+    there is one, and calls the selector otherwise."""
+    if selector_table is None:
+        window_fn = carry.window_fn(t)
+    else:
+        size, width = in_alpha.size, carry.selector_window
+        # a sub-window's code counts from the least digit m: the code of
+        # its digits d, read in base |A|, minus the code of (m, ..., m)
+        offset = in_alpha.m * sum(size ** k for k in range(width))
+
+        def window_fn(window, _q=selector_table, _reads=carry.reads(t)):
+            out = window[t]
+            for i0, gamma in _reads:
+                code = 0
+                for d in window[i0:i0 + width]:
+                    code = code * size + d
+                out += gamma * _q[code - offset]
+            return out
+
+    return LocalRule(in_alpha, out_alpha, t, r, window_fn, carry=carry,
+                     selector_table=selector_table,
+                     name=carry.name if name is None else name)
+
+
+def closure_range(rule: LocalRule) -> tuple:
+    """Exact (least, greatest) output of a carry rule over all windows.
+
+    Reads the rule's selector table q.  Phi(w) = w[t] + sum of gamma *
+    q(sub-window at i0) is swept across the p window positions, msd
+    first.  The state after position s is the code of the last sw digits
+    read, holding the least and the greatest partial sum over the digits
+    before them; position s adds the centre digit when s = t and
+    gamma * q when a placement's sub-window ends at s.  That is p *
+    |A|**sw steps where enumerating the windows costs |A|**p calls of Phi.
+    """
+    a, cr, q = rule.input_alphabet, rule.carry, rule.selector_table
+    size, width, t = a.size, cr.selector_window, rule.anticipation
+    reads = cr.reads(t)
+    if not reads:  # Phi is the centre digit
+        return a.m, a.M
+    n = len(q)
+    block = n // size
+
+    def advance(values, pick):
+        # a state at s has one predecessor per digit leaving the window:
+        # those whose last sw - 1 digits are its first sw - 1
+        best = map(pick, *(values[x * block:(x + 1) * block]
+                           for x in range(size)))
+        return [v for v in best for _ in range(size)]
+
+    lo = hi = None
+    for s in range(width - 1, rule.window_length):
+        gain = [0] * n
+        if s == max(t, width - 1):  # the centre digit, at power s - t
+            run = size ** (s - t)
+            gain = [d for d in a for _ in range(run)] * (n // (run * size))
+        for i0, gamma in reads:
+            if i0 + width - 1 == s:
+                gain = [g + gamma * x for g, x in zip(gain, q)]
+        if lo is None:
+            lo = hi = gain
+        else:
+            lo = list(map(add, advance(lo, min), gain))
+            hi = list(map(add, advance(hi, max), gain))
+    return min(lo), max(hi)
+
+
+def _sampled_windows(letters: list, p: int):
+    """SAMPLE_COUNT random windows of p digits, from a fixed seed."""
+    rng = random.Random(0xC0FFEE)
+    for _ in range(SAMPLE_COUNT):
+        yield tuple(rng.choice(letters) for _ in range(p))
+
+
+def _refuse_escape(rule: LocalRule, windows) -> None:
+    """Raise OutputEscapesAlphabetError for the first of ``windows`` that
+    Phi maps outside the output alphabet."""
+    alphabet = rule.output_alphabet
+    for w in windows:
+        out = rule.window_fn(w)
+        if out not in alphabet:
+            raise OutputEscapesAlphabetError(
+                f"window {w} maps to {out}, outside {alphabet}",
+                window=list(w), output=out)
 
 
 def apply_rule(rule: LocalRule, ds: DigitString,
@@ -313,18 +395,13 @@ def apply_rule(rule: LocalRule, ds: DigitString,
     if ds.is_zero and background == 0:
         return DigitString.zero()
     t, r = rule.anticipation, rule.memory
-    out_msd = ds.msd_exponent + r
+    p, phi = rule.window_length, rule.phi
     out_lsd = ds.lsd_exponent - t
-
-    def digit(e):
-        if ds.lsd_exponent <= e <= ds.msd_exponent:
-            return ds.digit_at(e)
-        return background
-
-    out = []
-    for j in range(out_msd, out_lsd - 1, -1):
-        window = tuple(digit(j + t - i) for i in range(rule.window_length))
-        out.append(rule.phi(window))
+    # output j reads exponents j+t .. j-r: the slice of the background-
+    # padded digits that starts r + msd - j places in
+    pad = (background,) * (t + r)
+    padded = pad + tuple(ds.digits) + pad
+    out = [phi(padded[k:k + p]) for k in range(len(ds.digits) + t + r)]
     if background != 0:
         return DigitString(tuple(out), out_lsd)
     return normalize(DigitString(tuple(out), out_lsd))
@@ -366,6 +443,12 @@ def shift_alphabet(rule: LocalRule, h: int) -> LocalRule:
             f"digit {h} is not fixed by rule {rule.name!r}", digit=h)
     in_alpha = rule.input_alphabet.shifted(h)
     out_alpha = rule.output_alphabet.shifted(h)
+    name = f"{rule.name} on {in_alpha}"
+    if rule.carry is not None:
+        # codes count from the least digit: the selector table is unchanged
+        return _carry_rule(rule.carry.shifted(h), in_alpha, out_alpha,
+                           rule.anticipation, rule.memory,
+                           rule.selector_table, name)
     inner = rule.window_fn
 
     def window_fn(window, _inner=inner, _h=h):
@@ -375,14 +458,22 @@ def shift_alphabet(rule: LocalRule, h: int) -> LocalRule:
     if rule.table is not None:
         table = {tuple(d - h for d in w): out - h
                  for w, out in rule.table.items()}
-    carry = rule.carry.shifted(h) if rule.carry is not None else None
     return LocalRule(in_alpha, out_alpha, rule.anticipation, rule.memory,
-                     window_fn, table=table, carry=carry,
-                     name=f"{rule.name} on {in_alpha}")
+                     window_fn, table=table, name=name)
 
 
 def negate_rule(rule: LocalRule) -> LocalRule:
     """Mirror the rule through digit negation: Phi~(w) = -Phi(-w)."""
+    in_alpha, out_alpha = (rule.input_alphabet.negated(),
+                           rule.output_alphabet.negated())
+    name = f"{rule.name} negated"
+    if rule.carry is not None:
+        # negating the digits of a sub-window turns code c into N - 1 - c
+        q = rule.selector_table
+        if q is not None:
+            q = tuple(-x for x in reversed(q))
+        return _carry_rule(rule.carry.negated(), in_alpha, out_alpha,
+                           rule.anticipation, rule.memory, q, name)
     inner = rule.window_fn
 
     def window_fn(window, _inner=inner):
@@ -391,12 +482,8 @@ def negate_rule(rule: LocalRule) -> LocalRule:
     table = None
     if rule.table is not None:
         table = {tuple(-d for d in w): -out for w, out in rule.table.items()}
-    carry = rule.carry.negated() if rule.carry is not None else None
-    return LocalRule(rule.input_alphabet.negated(),
-                     rule.output_alphabet.negated(),
-                     rule.anticipation, rule.memory,
-                     window_fn, table=table, carry=carry,
-                     name=f"{rule.name} negated")
+    return LocalRule(in_alpha, out_alpha, rule.anticipation, rule.memory,
+                     window_fn, table=table, name=name)
 
 
 def compose_rules(outer: LocalRule, inner: LocalRule,

@@ -13,7 +13,9 @@ test when 64-bit growth bounds would be exceeded).
 
 from __future__ import annotations
 
+import functools
 import random
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,6 +42,7 @@ class VerificationReport:
     sampled: int = 0
     checks: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
+    elapsed_s: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -60,7 +63,21 @@ class VerificationReport:
             "sampled": self.sampled,
             "checks": self.checks,
             "failures": self.failures[:20],
+            "elapsed_s": self.elapsed_s,
+            "instances_per_s": (self.instances_checked / self.elapsed_s
+                                if self.elapsed_s else None),
         }
+
+
+def _timed(verify):
+    """Record the wall time of each call in its report's ``elapsed_s``."""
+    @functools.wraps(verify)
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        report = verify(*args, **kwargs)
+        report.elapsed_s = time.perf_counter() - start
+        return report
+    return timed
 
 
 # --- vectorized exact value test -----------------------------------------
@@ -148,6 +165,7 @@ def _check_batch(rule: LocalRule, base: BaseSpec, D: np.ndarray,
 _CHUNK = 1 << 19
 
 
+@_timed
 def verify_conversion(rule: LocalRule, base: BaseSpec, max_len: int = 6,
                       *, budget: int = DEFAULT_BUDGET,
                       samples: int = DEFAULT_SAMPLES,
@@ -237,6 +255,7 @@ def _check_locality(rule: LocalRule, report: VerificationReport,
 # --- addition verification -------------------------------------------------
 
 
+@_timed
 def verify_addition(pipeline: AdderPipeline, n_pairs: int = 10 ** 4,
                     max_len: int = 8, *, seed: int = 0,
                     subtraction: bool = None) -> VerificationReport:
@@ -276,6 +295,7 @@ def verify_addition(pipeline: AdderPipeline, n_pairs: int = 10 ** 4,
 # --- structural properties ------------------------------------------------------
 
 
+@_timed
 def verify_congruence(rule: LocalRule, base: BaseSpec) -> VerificationReport:
     """Constant windows: Phi(x,...,x) must be congruent to x mod |f(1)|.
 
@@ -297,6 +317,7 @@ def verify_congruence(rule: LocalRule, base: BaseSpec) -> VerificationReport:
     return report
 
 
+@_timed
 def verify_boundary(rule: LocalRule, base: BaseSpec) -> VerificationReport:
     """Extreme constant windows cannot map to extreme digits (real beta>1).
 

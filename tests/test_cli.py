@@ -1,5 +1,6 @@
 """Command-line front end: worked examples and exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -149,6 +150,18 @@ class TestVerify:
                            "--pairs", "200")
         assert code == 0
 
+    def test_reports_carry_timings(self, capsys):
+        code, out, _ = run(capsys, "verify", "--base", "3/2",
+                           "--alphabet", "0..4", "--max-len", "4",
+                           "--pairs", "200", "--json")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert len(reports) == 3  # conversion, boundary, addition
+        for report in reports:
+            assert report["elapsed_s"] > 0
+            assert report["instances_per_s"] == pytest.approx(
+                report["instances_checked"] / report["elapsed_s"])
+
     def test_fault_injection_fails(self, tmp_path, capsys):
         from paradd.rules import gde_negative_integer
         data = gde_negative_integer(2).to_json()
@@ -171,8 +184,10 @@ class TestVerify:
         data = rule.to_json()
         if form == "table":
             del data["carry"]
-            data["table"] = {" ".join(map(str, w)): out
-                             for w, out in rule.table.items()}
+            data["table"] = {" ".join(map(str, w)): rule.phi(w)
+                             for w in itertools.product(
+                                 rule.input_alphabet,
+                                 repeat=rule.window_length)}
             table = data["table"]
         else:
             table = data["carry"]["selector_table"]

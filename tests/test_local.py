@@ -1,10 +1,14 @@
 """Windowed conversion engine: derivation, application, conjugation."""
 
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from paradd import local
 from paradd.algebra import values_equal
+from paradd.cli import _VERIFY_CATALOG, parse_alphabet, parse_base
 from paradd.core import (
     Alphabet,
     DigitString,
@@ -18,12 +22,15 @@ from paradd.core import (
 from paradd.errors import (
     DigitOutOfAlphabetError,
     LetterNotFixedError,
+    OutputEscapesAlphabetError,
     PatternNotMultipleError,
 )
 from paradd.local import (
     CarryRule,
+    LocalRule,
     apply_rule,
     carries,
+    closure_range,
     compose_rules,
     derive_local_rule,
     fixed_letters,
@@ -32,11 +39,15 @@ from paradd.local import (
     shift_alphabet,
 )
 from paradd.rules import (
+    canonical_gde,
     doubling_reducer,
     gde_negative_integer,
     gde_pisot_minus,
     gde_rational_pos,
+    gde_root,
+    rules_for_alphabet,
 )
+from test_acceptance import _SWEEP
 
 
 class TestDerivation:
@@ -59,6 +70,107 @@ class TestDerivation:
     def test_zero_window_fixed(self):
         g = gde_negative_integer(3)
         assert g.phi((0,) * g.window_length) == 0
+
+    def test_escaping_rule_refused_with_its_window(self):
+        # gde(-2) reaches digit 2, outside {0, 1}
+        carry = gde_negative_integer(2).carry
+        with pytest.raises(OutputEscapesAlphabetError) as info:
+            derive_local_rule(carry, negative_integer_base(2),
+                              Alphabet(0, 3), Alphabet(0, 1))
+        details = info.value.details
+        t, _ = carry.window()
+        assert carry.window_fn(t)(tuple(details["window"])) \
+            == details["output"]
+        assert details["output"] not in Alphabet(0, 1)
+
+    def test_quartic_rule_closure_is_exact(self, monkeypatch):
+        # -1+i: 6**5 selector entries fit the budget, so its 6**9 windows
+        # are covered by the sweep, never by sampling
+        def sampled(letters, p):
+            raise AssertionError("closure was sampled")
+
+        monkeypatch.setattr(local, "_sampled_windows", sampled)
+        rule = gde_root.__wrapped__(4, 4, True)
+        assert len(rule.selector_table) == 6 ** 5
+        assert closure_range(rule) == (0, 4)
+
+    def test_oversized_selector_is_sampled(self, monkeypatch):
+        # pisot-:100 needs 101**5 selector entries: none are tabulated
+        seen = []
+
+        def sampled(letters, p):
+            seen.append(p)
+            yield (0,) * p
+
+        monkeypatch.setattr(local, "_sampled_windows", sampled)
+        rule = gde_pisot_minus.__wrapped__(100)
+        assert rule.selector_table is None and seen == [7]
+        # q = 1 at the centre and both neighbours: 100 - 100 + 1 + 1
+        assert rule.phi((0, 0, 99, 100, 99, 0, 0)) == 2
+
+    def test_derivation_cpu_time(self):
+        # the three largest catalog derivations: 7**7, 11**5 and 6**9
+        # windows, proved from 7**5, 11**3 and 6**5 selector entries;
+        # __wrapped__ derives afresh and leaves the shared caches alone
+        start = time.process_time()
+        gde_pisot_minus.__wrapped__(6)
+        doubling_reducer.__wrapped__(6)
+        gde_root.__wrapped__(4, 4, True)
+        assert time.process_time() - start < 0.1
+
+
+def _brute_range(rule):
+    """min and max of the selector-calling Phi over every window."""
+    phi = rule.carry.window_fn(rule.anticipation)
+    outs = list(map(phi, itertools.product(rule.input_alphabet,
+                                           repeat=rule.window_length)))
+    return min(outs), max(outs)
+
+
+def _catalog_rules():
+    """The acceptance sweep's rules and the verify catalog's rules, with
+    their shifted and negated forms on the catalog alphabets."""
+    out = [rule for rule, _, _ in _SWEEP]
+    for base_text, alpha_text in _VERIFY_CATALOG:
+        base = parse_base(base_text)
+        pair = rules_for_alphabet(base, parse_alphabet(alpha_text))
+        out += [canonical_gde(base), pair.gde, pair.sde]
+    for alpha_text in ("-1..1", "-2..0"):
+        pair = rules_for_alphabet(parse_base("-2"), parse_alphabet(alpha_text))
+        out += [pair.gde, pair.sde]
+    return [rule for rule in out if rule is not None and
+            rule.input_alphabet.size ** rule.window_length <= 10 ** 6]
+
+
+class TestClosureRange:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_brute_force(self, data):
+        m = data.draw(st.integers(-3, 0))
+        alphabet = Alphabet(m, data.draw(st.integers(max(m + 1, 0), m + 3)))
+        ta, tm = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+        width = ta + tm + 1
+        q = tuple(data.draw(st.lists(st.integers(-3, 3),
+                                     min_size=alphabet.size ** width,
+                                     max_size=alphabet.size ** width)))
+        placements = tuple(data.draw(st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(-3, 3)),
+            min_size=1, max_size=3)))
+        codes = {w: i for i, w in enumerate(
+            itertools.product(alphabet, repeat=width))}
+        carry = CarryRule(lambda sub: q[codes[sub]], ta, tm, placements)
+        t, r = carry.window()
+        rule = LocalRule(alphabet, alphabet, t, r, carry.window_fn(t),
+                         carry=carry, selector_table=q)
+        assert closure_range(rule) == _brute_range(rule)
+
+    def test_catalog_rules_equal_brute_force(self):
+        checked = _catalog_rules()
+        assert len(checked) >= 40
+        for rule in checked:
+            assert closure_range(rule) == _brute_range(rule), rule.name
+            assert closure_range(rule)[1] <= rule.output_alphabet.M
+            assert closure_range(rule)[0] >= rule.output_alphabet.m
 
 
 class TestApplication:
