@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -104,10 +105,15 @@ def _read_digit_string(arg: str) -> DigitString:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json
+              else text, flush=True)
+    except BrokenPipeError:
+        # the reader closed early (`| head`); the exit code still stands,
+        # and stdout points at /dev/null so the exit-time flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # --- subcommands -----------------------------------------------------------

@@ -6,8 +6,9 @@ placements (delta, gamma); the carry q_i is the rule's selector table
 around position i.  A pass is then a few shifted slices, one ``take``
 and one shifted add per placement.  A rule with only a ``table`` (a table-form
 rule file) compiles as q = Phi - center on its whole window, at (0, 1).
-Arrays hold int32 digits, msd first, along the last axis (a 1-D string
-or a 2-D batch of rows).  Importing this module loads numpy.
+Arrays hold int32 digits, msd first, along the first axis: a 1-D string,
+or a 2-D batch of shape (positions, strings) whose every digit row is one
+contiguous block.  Importing this module loads numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .adder import MAP, TOP_PASS, AdderPipeline
-from .core import Alphabet, DigitString
+from .core import DigitString
 from .errors import DigitOutOfAlphabetError, LimitExceededError
 from .local import DEFAULT_TABLE_BUDGET, LocalRule
 
@@ -63,21 +64,21 @@ def _pass(rule: LocalRule, Z: np.ndarray, lo: int, hi: int) -> np.ndarray:
     q_table, m, size, width, placements = compiled(rule)
     t, r = rule.anticipation, rule.memory
     pad = t + r
-    n = Z.shape[-1]
-    P = np.full(Z.shape[:-1] + (n + 2 * pad,), -m, dtype=np.int32)
-    np.clip(Z, lo, hi, out=P[..., pad:pad + n])
+    n, rest = len(Z), Z.shape[1:]
+    P = np.full((n + 2 * pad,) + rest, -m, dtype=np.int32)
+    np.clip(Z, lo, hi, out=P[pad:pad + n])
     if m:
-        P[..., pad:pad + n] -= m  # codes count from the least digit
+        P[pad:pad + n] -= m  # codes count from the least digit
     span = n + 2 * pad - width + 1
-    code = P[..., :span].astype(np.intp)
+    code = P[:span].astype(np.intp)
     for j in range(1, width):
         code *= size
-        code += P[..., j:j + span]
+        code += P[j:j + span]
     q = q_table.take(code)
-    out = np.zeros(Z.shape[:-1] + (n + pad,), dtype=np.int32)
-    out[..., r:r + n] = Z
+    out = np.zeros((n + pad,) + rest, dtype=np.int32)
+    out[r:r + n] = Z
     for i0, gamma in placements:
-        out += gamma * q[..., i0:i0 + n + pad]
+        out += gamma * q[i0:i0 + n + pad]
     return out
 
 
@@ -88,13 +89,24 @@ def _check(Z: np.ndarray, lo: int, hi: int, where: str) -> None:
         raise DigitOutOfAlphabetError(f"digit {d} outside {where}", digit=d)
 
 
+def _int32(Z, lo: int, hi: int, where: str) -> np.ndarray:
+    """Z as int32 digits, refusing its first digit outside [lo, hi] as
+    ``_check`` does, one beyond int32 included.  An array is checked
+    before the cast; a sequence converts straight to int32."""
+    if not isinstance(Z, np.ndarray):
+        try:
+            Z = np.array(Z, dtype=np.int32)
+        except OverflowError:  # _check names the first digit out of range
+            Z = np.array(Z, dtype=object)
+    _check(Z, lo, hi, where)
+    return Z.astype(np.int32, copy=False)
+
+
 def apply(rule: LocalRule, Z) -> np.ndarray:
-    """``local.apply_rule`` on every string along the last axis of Z,
+    """``local.apply_rule`` on every string along the first axis of Z,
     lsd at exponent 0; the output covers exponents msd + r .. -t."""
-    Z = np.asarray(Z)
     a = rule.input_alphabet
-    _check(Z, a.m, a.M, f"input alphabet {a}")
-    return _pass(rule, Z, a.m, a.M)
+    return _pass(rule, _int32(Z, a.m, a.M, f"input alphabet {a}"), a.m, a.M)
 
 
 def _run(pipeline: AdderPipeline, Z: np.ndarray) -> np.ndarray:
@@ -122,7 +134,7 @@ def plan_slice(pipeline: AdderPipeline, Z: np.ndarray, cut) -> np.ndarray:
     """
     a, b = cut
     lo = max(0, a - sum(pipeline.effective_window))
-    return _run(pipeline, Z[..., lo:b])[..., a - lo:b - lo]
+    return _run(pipeline, Z[lo:b])[a - lo:b - lo]
 
 
 def _slice_on(cpu: int, pipeline: AdderPipeline, Z: np.ndarray, cut):
@@ -134,7 +146,7 @@ def _slice_on(cpu: int, pipeline: AdderPipeline, Z: np.ndarray, cut):
 
 
 def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
-    """The whole pass plan on the digits along the last axis of Z.
+    """The whole pass plan on the digits along the first axis of Z.
 
     Z's digits must lie in ``pipeline.input_range``; its lsd sits at
     exponent 0, and the output, T + R digits wider, ends at exponent -T
@@ -142,32 +154,18 @@ def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
     output into slices (``plan_slice``) run on threads, as numpy releases
     the interpreter lock inside array operations.
     """
-    Z = np.asarray(Z)
     lo, hi = pipeline.input_range
-    _check(Z, lo, hi, f"reducible range [{lo}, {hi}]")
-    Z = Z.astype(np.int32, copy=False)
+    Z = _int32(Z, lo, hi, f"reducible range [{lo}, {hi}]")
     for _, rule in pipeline.plan:  # an oversized table is refused here
         compiled(rule)
     if workers == 1:
         return _run(pipeline, Z)
-    cuts = shard_cuts(Z.shape[-1] + sum(pipeline.effective_window), workers)
+    cuts = shard_cuts(len(Z) + sum(pipeline.effective_window), workers)
     cpus = sorted(os.sched_getaffinity(0))
     parts = [_POOL.submit(_slice_on, cpus[k % len(cpus)], pipeline, Z, cut)
              for k, cut in enumerate(cuts)]
     wait(parts)  # no slice still runs when one raises
-    return np.concatenate([part.result() for part in parts], axis=-1)
-
-
-def _digits(ds: DigitString, alphabet: Alphabet) -> np.ndarray:
-    """The digits of ``ds`` as int32, each checked against the alphabet."""
-    try:
-        D = np.array(ds.digits, dtype=np.int32)
-    except OverflowError:
-        d = next(d for d in ds.digits if d not in alphabet)
-        raise DigitOutOfAlphabetError(f"digit {d} outside alphabet "
-                                      f"{alphabet}", digit=d) from None
-    _check(D, alphabet.m, alphabet.M, f"alphabet {alphabet}")
-    return D
+    return np.concatenate([part.result() for part in parts])
 
 
 def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
@@ -178,7 +176,8 @@ def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
     same digits and the same ``DigitOutOfAlphabetError``s.
     """
     alphabet = pipeline.system.alphabet
-    X, Y = _digits(x, alphabet), _digits(y, alphabet)
+    X, Y = (_int32(s.digits, alphabet.m, alphabet.M, f"alphabet {alphabet}")
+            for s in (x, y))
     msd = max(x.msd_exponent, y.msd_exponent)
     lsd = min(x.lsd_exponent, y.lsd_exponent)
     Z = np.zeros(msd - lsd + 1, dtype=np.int32)

@@ -1,8 +1,9 @@
 """Independent verification of conversion rules and addition pipelines.
 
 The engine computes digits -- the array kernel (``paradd.kernel``) on
-2-D batches for the sweeps, the scalar ``local.apply_rule`` for the
-structural checks -- and this module checks them against the definition:
+(positions, strings) batches for the sweeps, the scalar
+``local.apply_rule`` for the structural checks -- and this module checks
+them against the definition:
 a conversion must preserve represented values exactly, keep outputs
 inside the declared alphabet, commute with translation of the radix
 point, and depend only on the declared window.  Value preservation is
@@ -24,12 +25,26 @@ import numpy as np
 from .adder import AdderPipeline
 from .algebra import represents_zero
 from .core import BaseSpec, DigitString, normalize
-from .errors import NotApplicableError
+from .errors import LimitExceededError, NotApplicableError
 from .local import LocalRule, apply_rule
 from . import bounds, kernel
 
 DEFAULT_BUDGET = 10 ** 7
 DEFAULT_SAMPLES = 10 ** 5
+
+# Sweep sizes are checked against these before anything is allocated.
+# Enumeration codes are int32, and 10**9 strings take minutes to check.
+MAX_BUDGET = 10 ** 9
+# Digits per batch: 625 000 pairs of 8 digits on -1+i peaked at 0.87 GB.
+MAX_BATCH_DIGITS = 5 * 10 ** 6
+
+
+def _within(name: str, value: int, lo: int, hi: int) -> None:
+    """Refuse ``value`` outside [lo, hi] with ``LimitExceededError``."""
+    if not lo <= value <= hi:
+        raise LimitExceededError(
+            f"{name} must lie in [{lo}, {hi}], got {value}",
+            option=name, value=value, limit=[lo, hi])
 
 
 @dataclass
@@ -102,64 +117,67 @@ def _growth_bound(col_max, divisor) -> int:
 
 
 def values_zero_batch(C: np.ndarray, base: BaseSpec) -> np.ndarray:
-    """Rows of C (coefficients, msd first) that represent the value 0.
+    """Columns of C, position-major coefficients (W positions msd first,
+    N strings), that represent the value 0.
 
     The batched form of ``algebra.reduce_mod_base``: the same division
-    by the minimal polynomial in int64 columns, or that scalar test row
-    by row when ``_growth_bound`` says int64 could overflow.
+    by the minimal polynomial on int64 rows, or that scalar test column
+    by column when ``_growth_bound`` says int64 could overflow.
     """
     divisor = base.minimal_poly
-    N, W = C.shape
-    col_max = [int(np.abs(C[:, i]).max()) if N else 0 for i in range(W)]
-    if _growth_bound(col_max, divisor) >= 2 ** 62:
-        return np.array([represents_zero(DigitString(tuple(map(int, row))),
-                                         base) for row in C], dtype=bool)
+    W, N = C.shape
+    row_max = np.abs(C).max(axis=1).tolist() if N else [0] * W
+    if _growth_bound(row_max, divisor) >= 2 ** 62:
+        return np.array([represents_zero(DigitString(tuple(map(int, col))),
+                                         base) for col in C.T], dtype=bool)
     if divisor[0] != 1:
         b, c = divisor
         acc = np.zeros(N, dtype=np.int64)
         for j in range(W):
-            acc = acc * (-c) + C[:, j] * b ** j
+            acc = acc * (-c) + C[j] * b ** j
         return acc == 0
     d = len(divisor) - 1
     if W <= d:
-        return (C == 0).all(axis=1)
-    R = C.astype(np.int64).copy()
+        return (C == 0).all(axis=0)
+    R = C.astype(np.int64)
     tail = divisor[1:]
     for i in range(W - d):
-        lead = R[:, i]
+        lead = R[i]
         for j in range(d):
-            R[:, i + 1 + j] -= lead * tail[j]
-    return (R[:, W - d:] == 0).all(axis=1)
+            R[i + 1 + j] -= lead * tail[j]
+    return (R[W - d:] == 0).all(axis=0)
 
 
 # --- conversion verification ----------------------------------------------
 
 
-def _failing_rows(Z: np.ndarray, out: np.ndarray, memory: int,
-                  alphabet, base: BaseSpec) -> tuple:
-    """Rows of ``out``, the image of Z's rows with Z's msd at column
-    ``memory``, holding a digit outside the alphabet, and rows whose
+def _failing_strings(Z: np.ndarray, out: np.ndarray, memory: int,
+                     alphabet, base: BaseSpec) -> tuple:
+    """Columns of ``out``, the image of Z's columns with Z's msd at row
+    ``memory``, holding a digit outside the alphabet, and columns whose
     value differs from Z's; at most 10 of each."""
-    bad = (out < alphabet.m) | (out > alphabet.M)
+    bad = ((out < alphabet.m) | (out > alphabet.M)).any(axis=0)
     C = -out.astype(np.int64)
-    C[:, memory:memory + Z.shape[1]] += Z
+    C[memory:memory + len(Z)] += Z
     ok = values_zero_batch(C, base)
-    return np.unique(np.nonzero(bad)[0])[:10], np.nonzero(~ok)[0][:10]
+    return np.flatnonzero(bad)[:10], np.flatnonzero(~ok)[:10]
 
 
 def _check_batch(rule: LocalRule, base: BaseSpec, D: np.ndarray,
                  report: VerificationReport) -> None:
-    """Alphabet closure + exact value preservation for a batch of strings."""
+    """Alphabet closure + exact value preservation for D's columns."""
     out = kernel.apply(rule, D)
-    closure, value = _failing_rows(D, out, rule.memory,
-                                   rule.output_alphabet, base)
-    for check, rows in (("output-alphabet", closure),
+    closure, value = _failing_strings(D, out, rule.memory,
+                                      rule.output_alphabet, base)
+    for check, cols in (("output-alphabet", closure),
                         ("value-preservation", value)):
-        for i in rows:
-            report.fail(check, input=D[i].tolist(), output=out[i].tolist())
-    report.instances_checked += len(D)
-    report.note("alphabet-closure", len(D))
-    report.note("value-preservation", len(D))
+        for i in cols:
+            report.fail(check, input=D[:, i].tolist(),
+                        output=out[:, i].tolist())
+    n = D.shape[1]
+    report.instances_checked += n
+    report.note("alphabet-closure", n)
+    report.note("value-preservation", n)
 
 
 _CHUNK = 1 << 19
@@ -173,14 +191,20 @@ def verify_conversion(rule: LocalRule, base: BaseSpec, max_len: int = 6,
     """Check a conversion rule on every input string up to a length budget.
 
     Lengths whose exhaustive count S**L fits the remaining budget are
-    enumerated completely; if the budget runs out before ``max_len``,
-    ``samples`` random strings of length ``max_len`` are checked instead.
-    Also checks zero stability, translation invariance, and that outputs
-    really only depend on the declared window.
+    enumerated completely, as (L, strings) int32 batches; if the budget
+    runs out before ``max_len``, ``samples`` random strings of length
+    ``max_len`` are checked instead.  Also checks zero stability,
+    translation invariance, and that outputs really only depend on the
+    declared window.  Sizes that check no string or pass ``MAX_BUDGET``
+    or ``MAX_BATCH_DIGITS`` raise ``LimitExceededError``.
     """
-    report = VerificationReport(subject=rule.name or "rule")
     S = rule.input_alphabet.size
     m = rule.input_alphabet.m
+    _within("max_len", max_len, 1, MAX_BATCH_DIGITS)
+    _within("samples x max_len", samples * max_len, 0, MAX_BATCH_DIGITS)
+    # with no samples, a budget below S would check no string at all
+    _within("budget", budget, 0 if samples else S, MAX_BUDGET)
+    report = VerificationReport(subject=rule.name or "rule")
     rng = random.Random(seed)
     nprng = np.random.default_rng(seed)
 
@@ -195,13 +219,17 @@ def verify_conversion(rule: LocalRule, base: BaseSpec, max_len: int = 6,
             break
         report.exhaustive_lengths.append(L)
         for start in range(0, total, _CHUNK):
-            codes = np.arange(start, min(start + _CHUNK, total))
-            D = np.stack(np.unravel_index(codes, (S,) * L), axis=1) + m
+            codes = np.arange(start, min(start + _CHUNK, total),
+                              dtype=np.int32)
+            D = np.empty((L, len(codes)), dtype=np.int32)
+            for row in D[::-1]:  # lsd first: code = sum D[k] S**(L-1-k)
+                np.divmod(codes, S, out=(codes, row))
+            D += m
             _check_batch(rule, base, D, report)
         spent += total
     if len(report.exhaustive_lengths) < max_len and samples:
         D = nprng.integers(m, m + S, size=(samples, max_len), dtype=np.int64)
-        _check_batch(rule, base, D, report)
+        _check_batch(rule, base, np.ascontiguousarray(D.T), report)
         report.sampled = samples
 
     _check_translation(rule, base, report, rng)
@@ -262,17 +290,20 @@ def verify_addition(pipeline: AdderPipeline, n_pairs: int = 10 ** 4,
     """Random addition closure: digits stay in A, values are exact.
 
     When the alphabet is mixed-sign, subtraction pairs are checked too
-    (override with ``subtraction=``).
+    (override with ``subtraction=``).  Pairs are drawn as rows, checked
+    as columns; sizes below 1 or past ``MAX_BATCH_DIGITS`` are refused.
     """
+    _within("n_pairs", n_pairs, 1, MAX_BATCH_DIGITS)
+    _within("max_len", max_len, 1, MAX_BATCH_DIGITS)
+    _within("n_pairs x max_len", n_pairs * max_len, 1, MAX_BATCH_DIGITS)
     system = pipeline.system
     alphabet = system.alphabet
     report = VerificationReport(subject=f"addition over {alphabet} "
                                         f"base {system.base.describe()}")
     nprng = np.random.default_rng(seed)
-    X = nprng.integers(alphabet.m, alphabet.M + 1,
-                       size=(n_pairs, max_len), dtype=np.int64)
-    Y = nprng.integers(alphabet.m, alphabet.M + 1,
-                       size=(n_pairs, max_len), dtype=np.int64)
+    X, Y = (np.ascontiguousarray(nprng.integers(
+                alphabet.m, alphabet.M + 1, size=(n_pairs, max_len),
+                dtype=np.int64).T) for _ in range(2))
     if subtraction is None:
         subtraction = alphabet.m < 0 < alphabet.M
     jobs = [("add", X + Y)]
@@ -280,12 +311,12 @@ def verify_addition(pipeline: AdderPipeline, n_pairs: int = 10 ** 4,
         jobs.append(("subtract", X - Y))
     for label, Z in jobs:
         out = kernel.run_plan(pipeline, Z)
-        closure, value = _failing_rows(Z, out, pipeline.effective_window[1],
-                                       alphabet, system.base)
-        for check, rows in (("closure", closure), ("value", value)):
-            for i in rows:
-                report.fail(f"{label}-{check}", x=X[i].tolist(),
-                            y=Y[i].tolist(), result=out[i].tolist())
+        closure, value = _failing_strings(
+            Z, out, pipeline.effective_window[1], alphabet, system.base)
+        for check, cols in (("closure", closure), ("value", value)):
+            for i in cols:
+                report.fail(f"{label}-{check}", x=X[:, i].tolist(),
+                            y=Y[:, i].tolist(), result=out[:, i].tolist())
         report.note(f"{label}-closure", n_pairs)
         report.note(f"{label}-value", n_pairs)
         report.instances_checked += n_pairs

@@ -101,7 +101,7 @@ class TestValueEquality:
         ds = DigitString(tuple(digits), 0)
         row = np.array([digits], dtype=np.int64)
         for base in BASES:
-            assert values_zero_batch(row, base)[0] == represents_zero(ds, base)
+            assert values_zero_batch(row.T, base)[0] == represents_zero(ds, base)
 
     def test_batch_fallback_matches_exact(self):
         # a leading 2**62 pushes the int64 growth bound over, so the batch
@@ -117,7 +117,7 @@ class TestValueEquality:
             assert _growth_bound(col_max, f) >= 2 ** 62
             want = [represents_zero(DigitString(tuple(r)), base) for r in rows]
             assert want == [True, False, False], base.describe()
-            assert list(values_zero_batch(C, base)) == want, base.describe()
+            assert list(values_zero_batch(C.T, base)) == want, base.describe()
 
 
 class TestMinimalPolynomial:

@@ -174,6 +174,40 @@ class TestVerify:
                          "--rule-file", str(path), "--max-len", "4")
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-len", "0"), ("--max-len", "-1"),
+        ("--pairs", "-4"), ("--pairs", "0"),
+        ("--pairs", str(10 ** 7)),         # 10**7 pairs of 2 digits
+        ("--max-len", str(10 ** 12)),      # 10**5 samples of 10**12 digits
+        ("--budget", str(10 ** 12)),
+    ])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_out_of_range_size_refused(self, capsys, flag, value,
+                                       json_flag):
+        code, out, err = run(capsys, "verify", "--base", "-2",
+                             "--alphabet", "0..2", "--max-len", "2",
+                             flag, value, *json_flag)
+        assert code == 2
+        assert out == ""  # no PASS for a check that examined nothing
+        if json_flag:
+            assert json.loads(err)["error"] == "limit-exceeded"
+        assert "negative dimensions" not in err
+
+    def test_closed_pipe_is_no_failure(self):
+        # the JSON report, about 12 kB, outgrows the pipe's buffer, so the
+        # writer meets the closed pipe inside print
+        src = str(Path(paradd.__file__).resolve().parents[1])
+        with subprocess.Popen(
+                [sys.executable, "-m", "paradd.cli", "verify", "--max-len",
+                 "3", "--pairs", "10", "--json"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src}) as proc:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) != 1
+        assert "Traceback" not in err, err
+
 
     @pytest.mark.parametrize("form, key", [("carry", "2 1"),
                                            ("table", "2 1 0")])

@@ -64,11 +64,35 @@ def test_batch_rows_match_scalar(name, seed, rows, length):
     pipe = _pipeline(name)
     lo, hi = pipe.input_range
     Z = np.random.default_rng(seed).integers(lo, hi + 1, (rows, length))
-    out = kernel.run_plan(pipe, Z)
+    out = kernel.run_plan(pipe, Z.T).T
     t = pipe.effective_window[0]
     for row, got in zip(Z, out):
         want = reduce_to_alphabet(DigitString(tuple(row.tolist())), pipe)
         assert normalize(DigitString(tuple(got.tolist()), -t)) == want
+
+
+@pytest.mark.parametrize("name", _SYSTEMS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_batch_columns_match_1d_runs(name, data):
+    # a (positions, strings) batch, and every rule of its plan on one,
+    # against the 1-D run of each string
+    pipe = _pipeline(name)
+    n = data.draw(_lengths(pipe))
+    strings = data.draw(st.sampled_from([1, 2, 5]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    lo, hi = pipe.input_range
+    Z = rng.integers(lo, hi + 1, (n, strings), dtype=np.int32)
+    out = kernel.run_plan(pipe, Z, data.draw(st.sampled_from([1, 2])))
+    assert out.shape == (n + sum(pipe.effective_window), strings)
+    for k in range(strings):
+        assert (out[:, k] == kernel.run_plan(pipe, Z[:, k])).all()
+    for _, rule in pipe.plan:
+        a = rule.input_alphabet
+        D = rng.integers(a.m, a.M + 1, (n, strings), dtype=np.int32)
+        out = kernel.apply(rule, D)
+        for k in range(strings):
+            assert (out[:, k] == kernel.apply(rule, D[:, k])).all()
 
 
 def _table_form(rule):
@@ -92,8 +116,8 @@ def test_table_rule_matches_scalar(rule, seed, rows, length):
     assert table_rule.carry is None
     a = rule.input_alphabet
     Z = np.random.default_rng(seed).integers(a.m, a.M + 1, (rows, length))
-    out = kernel.apply(table_rule, Z)
-    assert (out == kernel.apply(rule, Z)).all()
+    out = kernel.apply(table_rule, Z.T).T
+    assert (out == kernel.apply(rule, Z.T).T).all()
     for row, got in zip(Z, out):
         want = apply_rule(table_rule, DigitString(tuple(row.tolist())))
         assert normalize(DigitString(tuple(got.tolist()),
@@ -134,6 +158,16 @@ def test_long_operand_errors_match_scalar(bad):
         add(x, y, pipe, trace=[])
     assert str(kern.value) == str(scalar.value)
     assert kern.value.details == scalar.value.details == {"digit": bad}
+
+
+@pytest.mark.parametrize("bad", [2 ** 31, -2 ** 31 - 1, 10 ** 30])
+def test_flat_list_beyond_int32_is_refused(bad):
+    pipe = _pipeline("-2 0..2")
+    digits = [1, 2] * 50 + [bad] + [9]
+    with pytest.raises(DigitOutOfAlphabetError) as err:
+        bench.run_pipeline_flat(pipe, digits)
+    assert str(err.value) == f"digit {bad} outside reducible range [0, 4]"
+    assert err.value.details == {"digit": bad}
 
 
 def test_m1pi_flat_run_matches_scalar_quickly():

@@ -1,20 +1,29 @@
 """Independent verification oracle: exhaustive sweeps and fault injection."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from paradd import oracle
 from paradd.adder import build_pipeline
+from paradd.algebra import values_equal
 from paradd.core import (
     Alphabet,
+    DigitString,
     make_system,
     negative_integer_base,
     negative_root_base,
+    normalize,
     pisot_minus_base,
     rational_base,
 )
-from paradd.local import rule_from_json
-from paradd.kernel import apply
+from paradd.errors import LimitExceededError
+from paradd.local import apply_rule, rule_from_json
+from paradd.kernel import apply, run_plan
 from paradd.oracle import (
+    MAX_BATCH_DIGITS,
+    MAX_BUDGET,
     values_zero_batch,
     verify_addition,
     verify_boundary,
@@ -39,6 +48,28 @@ class TestConversionSweep:
         assert rep.exhaustive_lengths == [1, 2, 3, 4, 5, 6]
         assert rep.sampled == 0
 
+    def test_enumeration_yields_every_string_once(self, monkeypatch):
+        # a signed alphabet {-1..2}, and chunks that split every length
+        rule = build_pipeline(make_system(negative_integer_base(2),
+                                          Alphabet(-1, 1))).plan[0][1]
+        letters = list(rule.input_alphabet)
+        seen = []
+        check_batch = oracle._check_batch
+
+        def record(rule, base, D, report):
+            assert D.dtype == np.int32 and D.flags.c_contiguous
+            seen.extend(tuple(col) for col in D.T.tolist())
+            check_batch(rule, base, D, report)
+
+        monkeypatch.setattr(oracle, "_CHUNK", 7)
+        monkeypatch.setattr(oracle, "_check_batch", record)
+        rep = verify_conversion(rule, negative_integer_base(2), max_len=4)
+        assert rep.passed
+        want = [w for L in range(1, 5)
+                for w in itertools.product(letters, repeat=L)]
+        assert seen == want  # each string once, in code order
+        assert rep.instances_checked == sum(4 ** L for L in range(1, 5))
+
     def test_budget_forces_sampling(self):
         rep = verify_conversion(gde_negative_integer(2),
                                 negative_integer_base(2), max_len=12,
@@ -52,7 +83,7 @@ class TestConversionSweep:
         rule = gde_rational_pos(3, 2)
         rng = np.random.default_rng(3)
         Z = rng.integers(0, 6, size=(50, 5))
-        out = apply(rule, Z)
+        out = apply(rule, Z.T).T
         for row, orow in zip(Z, out):
             want = apply_rule(rule, DigitString(tuple(int(v) for v in row),
                                                 0))
@@ -69,7 +100,7 @@ class TestValueChecks:
         C = np.array([[0, 1, 1, -2],   # (X^2+X+1) - 3 at X = -2: zero
                       [1, 0, 0, 0],
                       [0, 0, 0, 0]], dtype=np.int64)
-        flags = values_zero_batch(C, base)
+        flags = values_zero_batch(C.T, base)
         assert list(flags) == [True, False, True]
 
     def test_big_coefficients_fall_back_exactly(self):
@@ -77,7 +108,7 @@ class TestValueChecks:
         big = 2 ** 40
         C = np.array([[2 * big, -3 * big, 0, 0],
                       [2 * big, -3 * big, 0, 1]], dtype=np.int64)
-        flags = values_zero_batch(C, base)
+        flags = values_zero_batch(C.T, base)
         assert list(flags) == [True, False]
 
 
@@ -95,6 +126,28 @@ class TestFaultInjection:
         assert not rep.passed
         assert any(f["check"] in ("value-preservation", "output-alphabet")
                    for f in rep.failures)
+
+    def test_witnesses_are_failing_strings(self):
+        rule = gde_negative_integer(2)
+        data = rule.to_json()
+        table = data["carry"]["selector_table"]
+        for key in list(table)[1::5]:
+            table[key] += 1
+        bad = rule_from_json(data)
+        base = negative_integer_base(2)
+        rep = verify_conversion(bad, base, max_len=4)
+        witnesses = [f for f in rep.failures if "input" in f]
+        assert witnesses
+        out_alphabet = bad.output_alphabet
+        for f in witnesses:
+            assert 1 <= len(f["input"]) <= 4
+            x = DigitString(tuple(f["input"]))
+            y = DigitString(tuple(f["output"]), -bad.anticipation)
+            assert normalize(y) == apply_rule(bad, x)
+            if f["check"] == "value-preservation":
+                assert not values_equal(x, y, base)
+            else:
+                assert any(d not in out_alphabet for d in y.digits)
 
     def test_zero_breaking_fault_is_caught(self):
         rule = gde_negative_integer(2)
@@ -121,6 +174,28 @@ class TestAdditionAndProperties:
         assert rep.passed
         assert any("subtract" in k for k in rep.checks)
 
+    def test_addition_witness_names_the_pair(self, monkeypatch):
+        pl = build_pipeline(make_system(negative_integer_base(2),
+                                        Alphabet(0, 2)))
+
+        def corrupt(pipeline, Z, *args):
+            out = run_plan(pipeline, Z, *args)
+            out[-1, 3] += 1  # the lsd of pair 3's sum
+            return out
+
+        monkeypatch.setattr(oracle.kernel, "run_plan", corrupt)
+        rep = verify_addition(pl, n_pairs=50, max_len=6, seed=4)
+        rng = np.random.default_rng(4)
+        x, y = (rng.integers(0, 3, size=(50, 6), dtype=np.int64)[3]
+                for _ in range(2))
+        want = run_plan(pl, x + y)
+        want[-1] += 1
+        assert rep.failures
+        for f in rep.failures:
+            assert f["check"].startswith("add-")
+            assert (f["x"], f["y"]) == (x.tolist(), y.tolist())
+            assert f["result"] == want.tolist()
+
     def test_congruence_mod_f1(self):
         rep = verify_congruence(gde_negative_integer(2),
                                 negative_integer_base(2))
@@ -134,3 +209,54 @@ class TestAdditionAndProperties:
         rep = verify_conversion(gde_root(4, 4, True),
                                 negative_root_base(4, 4), max_len=4)
         assert rep.passed
+
+
+class _Reached(Exception):
+    """Raised in place of the report, after every size was accepted."""
+
+
+class TestSizeLimits:
+    """Each size is refused just past its limit and accepted at it; an
+    accepted call is stopped before it allocates anything."""
+
+    @pytest.fixture(autouse=True)
+    def stop_after_checks(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise _Reached
+        monkeypatch.setattr(oracle, "VerificationReport", reached)
+
+    @pytest.mark.parametrize("kwargs, ok", [
+        ({"max_len": 1}, True),
+        ({"max_len": 0}, False),
+        ({"max_len": -1}, False),
+        ({"max_len": MAX_BATCH_DIGITS, "samples": 1}, True),
+        ({"max_len": MAX_BATCH_DIGITS + 1, "samples": 0}, False),
+        ({"max_len": MAX_BATCH_DIGITS // 10 ** 5}, True),
+        ({"max_len": MAX_BATCH_DIGITS // 10 ** 5 + 1}, False),
+        ({"samples": -1}, False),
+        ({"budget": MAX_BUDGET}, True),
+        ({"budget": MAX_BUDGET + 1}, False),
+        ({"budget": 0}, True),         # sampled only
+        ({"budget": -1}, False),
+        ({"budget": 4, "samples": 0}, True),
+        ({"budget": 3, "samples": 0}, False),  # no length of 4**L fits
+    ])
+    def test_conversion_sizes(self, kwargs, ok):
+        args = (gde_negative_integer(2), negative_integer_base(2))
+        with pytest.raises(_Reached if ok else LimitExceededError):
+            verify_conversion(*args, **kwargs)
+
+    @pytest.mark.parametrize("n_pairs, max_len, ok", [
+        (1, 1, True),
+        (0, 8, False),
+        (-4, 8, False),
+        (10, 0, False),
+        (MAX_BATCH_DIGITS // 8, 8, True),
+        (MAX_BATCH_DIGITS // 8 + 1, 8, False),
+        (1, MAX_BATCH_DIGITS + 1, False),
+    ])
+    def test_addition_sizes(self, n_pairs, max_len, ok):
+        pl = build_pipeline(make_system(negative_integer_base(2),
+                                        Alphabet(0, 2)))
+        with pytest.raises(_Reached if ok else LimitExceededError):
+            verify_addition(pl, n_pairs=n_pairs, max_len=max_len)
