@@ -26,7 +26,7 @@ from .errors import (
     AlphabetLacksNegativesError, AlphabetTooSmallError,
     DigitOutOfAlphabetError, DigitStringSyntaxError, NegativeInputError,
     NotApplicableError, NotInWindowError, NumberSyntaxError, NumerationError,
-    RuleFileError, UnsupportedAlphabetError, UnsupportedBaseError,
+    RuleFileError, UnsupportedAlphabetError, UnsupportedBaseError, within,
 )
 from .expansions import (
     euclid_expansion, greedy_expansion, symmetric_expansion, tm_expansion,
@@ -39,6 +39,9 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_ALPHABET = 4
+# Digits `expand` may produce: 10 000 digits of rationals in the catalog
+# bases took 0.06-0.5 s on a 2-CPU host.
+MAX_DIGITS = 10_000
 
 _COMPLEX_SHORTCUTS = {
     "-1+i": (4, 4),   # (-1+i)**4 = -4
@@ -120,6 +123,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_expand(args) -> int:
+    within("max_digits", args.max_digits, 1, MAX_DIGITS)
     base = parse_base(args.base)
     chosen = [name for name in ("euclid", "greedy", "window", "symmetric")
               if getattr(args, name) is not None]
@@ -254,39 +258,37 @@ def _load_rule(path: str):
 def cmd_verify(args) -> int:
     # the oracle needs numpy, which only verify, bench and long adds load
     from .oracle import (
-        verify_addition, verify_boundary, verify_congruence,
-        verify_conversion,
+        MAX_BATCH_DIGITS, verify_addition, verify_boundary,
+        verify_congruence, verify_conversion,
     )
 
+    if args.rule_file and not args.base:
+        print("verify: --rule-file needs --base", file=sys.stderr)
+        return EXIT_USAGE
+    # no shorter sweep sees a whole window; below 1 it would check nothing
+    within("max_len", args.max_len, 1, MAX_BATCH_DIGITS)
     reports = []
-    if args.rule_file:
-        if not args.base:
-            print("verify: --rule-file needs --base", file=sys.stderr)
-            return EXIT_USAGE
-        base = parse_base(args.base)
-        rule = _load_rule(args.rule_file)
-        reports.append(verify_conversion(rule, base, args.max_len,
-                                         budget=args.budget))
-    else:
-        targets = ([(args.base, args.alphabet)] if args.base
-                   else _VERIFY_CATALOG)
-        for base_text, alpha_text in targets:
-            base = parse_base(base_text)
-            rule = canonical_gde(base)
-            reports.append(verify_conversion(rule, base, args.max_len,
-                                             budget=args.budget))
-            try:
-                reports.append(verify_congruence(rule, base))
-            except NotApplicableError:
-                pass
-            if base.is_real_gt1:
-                reports.append(verify_boundary(rule, base))
-            if alpha_text:
-                system = make_system(base, parse_alphabet(alpha_text))
-                pipeline = build_pipeline(system)
-                reports.append(verify_addition(pipeline,
-                                               n_pairs=args.pairs,
-                                               max_len=min(args.max_len, 8)))
+    for base_text, alpha_text in ([(args.base, args.alphabet)] if args.base
+                                  else _VERIFY_CATALOG):
+        base = parse_base(base_text)
+        rule = (_load_rule(args.rule_file) if args.rule_file
+                else canonical_gde(base))
+        reports.append(verify_conversion(
+            rule, base, max(args.max_len, rule.window_length),
+            budget=args.budget))
+        if args.rule_file:  # a rule file is checked as a conversion only
+            break
+        try:
+            reports.append(verify_congruence(rule, base))
+        except NotApplicableError:
+            pass
+        if base.is_real_gt1:
+            reports.append(verify_boundary(rule, base))
+        if alpha_text:
+            system = make_system(base, parse_alphabet(alpha_text))
+            reports.append(verify_addition(build_pipeline(system),
+                                           n_pairs=args.pairs,
+                                           max_len=min(args.max_len, 8)))
     ok = all(r.passed for r in reports)
     payload = {"passed": ok, "reports": [r.to_json() for r in reports]}
     lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.subject} "

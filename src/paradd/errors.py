@@ -125,3 +125,11 @@ class LimitExceededError(NumerationError):
     """A request above a documented size limit, refused before the work."""
 
     code = "limit-exceeded"
+
+
+def within(name: str, value: int, lo: int, hi: int) -> None:
+    """Refuse ``value`` outside [lo, hi] with ``LimitExceededError``."""
+    if not lo <= value <= hi:
+        raise LimitExceededError(
+            f"{name} must lie in [{lo}, {hi}], got {value}",
+            option=name, value=value, limit=[lo, hi])

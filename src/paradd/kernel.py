@@ -6,9 +6,11 @@ placements (delta, gamma); the carry q_i is the rule's selector table
 around position i.  A pass is then a few shifted slices, one ``take``
 and one shifted add per placement.  A rule with only a ``table`` (a table-form
 rule file) compiles as q = Phi - center on its whole window, at (0, 1).
-Arrays hold int32 digits, msd first, along the first axis: a 1-D string,
-or a 2-D batch of shape (positions, strings) whose every digit row is one
-contiguous block.  Importing this module loads numpy.
+Arrays hold digits msd first along the first axis: a 1-D string, or a
+2-D batch of shape (positions, strings) whose every digit row is one
+contiguous block.  A ``run_plan``/``apply`` call's digits are int8, or a
+wider signed dtype where its static bound (``_dtype``) needs; codes are
+int16, or int32 above 2**15 table entries.  Importing this module loads numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .adder import MAP, TOP_PASS, AdderPipeline
+from .adder import MAP, AdderPipeline
 from .core import DigitString
 from .errors import DigitOutOfAlphabetError, LimitExceededError
 from .local import DEFAULT_TABLE_BUDGET, LocalRule
@@ -32,8 +34,9 @@ _POOL = ThreadPoolExecutor(max_workers=os.cpu_count())
 @lru_cache(maxsize=256)
 def compiled(rule: LocalRule) -> tuple:
     """(carry table, least digit, |A|, sub-window length, placements as
-    (window index of the sub-window, gamma)), once per rule: a carry rule's
-    ``selector_table`` as it is, a table-form rule's Phi minus its centre.
+    (window index of the sub-window, gamma), reach = sum |gamma| * max |q|)
+    once per rule; the table, in the narrowest dtype holding reach, is a
+    carry rule's ``selector_table``, a table-form rule's Phi minus centre.
 
     A table above ``local.DEFAULT_TABLE_BUDGET`` entries is refused with
     ``LimitExceededError`` before anything is tabulated.
@@ -51,31 +54,46 @@ def compiled(rule: LocalRule) -> tuple:
         width = rule.window_length
         q = [rule.phi(w) - w[t] for w in itertools.product(a, repeat=width)]
         placements = [(0, 1)]
-    return np.array(q, dtype=np.int32), a.m, a.size, width, placements
+    reach = sum(abs(g) for _, g in placements) * max(map(abs, q))
+    # a table of zeros places nothing, so no gamma need fit its dtype
+    return (np.array(q, dtype=np.min_scalar_type(-reach - 1)), a.m, a.size,
+            width, placements if reach else [], reach)
 
 
-def _pass(rule: LocalRule, Z: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """One pass of a rule, its carries read from Z clamped into [lo, hi].
+def _dtype(rules, lo: int, hi: int) -> np.dtype:
+    """The narrowest signed dtype holding every digit and code of a run
+    of ``rules`` on digits in [lo, hi]: each pass adds at most its reach
+    to the unclamped digits, and clamps them into its rule's input
+    alphabet A, coded 0 .. |A| - 1."""
+    bound = max([max(-lo, hi) + sum(compiled(rule)[5] for rule in rules)]
+                + [max(-a.m, a.M, a.M - a.m)
+                   for a in (rule.input_alphabet for rule in rules)])
+    return np.min_scalar_type(-bound - 1)
+
+
+def _pass(rule: LocalRule, Z: np.ndarray) -> np.ndarray:
+    """One pass of a rule, its carries read from Z clamped into the
+    rule's input alphabet, in Z's dtype.
 
     Each output digit is z_j, unclamped so that the clipped excess
     carries over, plus the placed carries.  The output is t + r digits
     wider than Z: output index ``rule.memory`` lines up with Z's msd.
     """
-    q_table, m, size, width, placements = compiled(rule)
+    q_table, m, size, width, placements, _ = compiled(rule)
     t, r = rule.anticipation, rule.memory
     pad = t + r
     n, rest = len(Z), Z.shape[1:]
-    P = np.full((n + 2 * pad,) + rest, -m, dtype=np.int32)
-    np.clip(Z, lo, hi, out=P[pad:pad + n])
+    P = np.full((n + 2 * pad,) + rest, -m, dtype=Z.dtype)
+    np.clip(Z, m, m + size - 1, out=P[pad:pad + n])
     if m:
         P[pad:pad + n] -= m  # codes count from the least digit
     span = n + 2 * pad - width + 1
-    code = P[:span].astype(np.intp)
+    code = P[:span].astype(np.int16 if q_table.size <= 1 << 15 else np.int32)
     for j in range(1, width):
         code *= size
         code += P[j:j + span]
     q = q_table.take(code)
-    out = np.zeros((n + pad,) + rest, dtype=np.int32)
+    out = np.zeros((n + pad,) + rest, dtype=Z.dtype)
     out[r:r + n] = Z
     for i0, gamma in placements:
         out += gamma * q[i0:i0 + n + pad]
@@ -89,32 +107,33 @@ def _check(Z: np.ndarray, lo: int, hi: int, where: str) -> None:
         raise DigitOutOfAlphabetError(f"digit {d} outside {where}", digit=d)
 
 
-def _int32(Z, lo: int, hi: int, where: str) -> np.ndarray:
-    """Z as int32 digits, refusing its first digit outside [lo, hi] as
-    ``_check`` does, one beyond int32 included.  An array is checked
-    before the cast; a sequence converts straight to int32."""
+def _digits(Z, lo: int, hi: int, rules, where: str) -> np.ndarray:
+    """Z in ``_dtype(rules, lo, hi)``; its first digit outside [lo, hi],
+    one beyond int32 included, is refused by ``_check`` before any table
+    is built.  A sequence converts through int32."""
     if not isinstance(Z, np.ndarray):
         try:
             Z = np.array(Z, dtype=np.int32)
         except OverflowError:  # _check names the first digit out of range
             Z = np.array(Z, dtype=object)
     _check(Z, lo, hi, where)
-    return Z.astype(np.int32, copy=False)
+    return Z.astype(_dtype(rules, lo, hi), copy=False)
 
 
 def apply(rule: LocalRule, Z) -> np.ndarray:
     """``local.apply_rule`` on every string along the first axis of Z,
     lsd at exponent 0; the output covers exponents msd + r .. -t."""
     a = rule.input_alphabet
-    return _pass(rule, _int32(Z, a.m, a.M, f"input alphabet {a}"), a.m, a.M)
+    return _pass(rule, _digits(Z, a.m, a.M, [rule], f"input alphabet {a}"))
 
 
 def _run(pipeline: AdderPipeline, Z: np.ndarray) -> np.ndarray:
-    m, M = pipeline.system.alphabet.m, pipeline.system.alphabet.M
+    # a top (bottom) pass's rule takes {m..M+1} ({m-1..M}), its clamp range
     for kind, rule in pipeline.plan:
-        Z = (apply(rule, Z) if kind == MAP else
-             _pass(rule, Z, m, M + 1) if kind == TOP_PASS else
-             _pass(rule, Z, m - 1, M))
+        if kind == MAP:
+            a = rule.input_alphabet
+            _check(Z, a.m, a.M, f"input alphabet {a}")
+        Z = _pass(rule, Z)
     return Z
 
 
@@ -155,9 +174,8 @@ def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
     the interpreter lock inside array operations.
     """
     lo, hi = pipeline.input_range
-    Z = _int32(Z, lo, hi, f"reducible range [{lo}, {hi}]")
-    for _, rule in pipeline.plan:  # an oversized table is refused here
-        compiled(rule)
+    Z = _digits(Z, lo, hi, [rule for _, rule in pipeline.plan],
+                f"reducible range [{lo}, {hi}]")
     if workers == 1:
         return _run(pipeline, Z)
     cuts = shard_cuts(len(Z) + sum(pipeline.effective_window), workers)
@@ -176,11 +194,12 @@ def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
     same digits and the same ``DigitOutOfAlphabetError``s.
     """
     alphabet = pipeline.system.alphabet
-    X, Y = (_int32(s.digits, alphabet.m, alphabet.M, f"alphabet {alphabet}")
-            for s in (x, y))
+    rules = [rule for _, rule in pipeline.plan]
+    X, Y = (_digits(s.digits, alphabet.m, alphabet.M, rules,
+                    f"alphabet {alphabet}") for s in (x, y))
     msd = max(x.msd_exponent, y.msd_exponent)
     lsd = min(x.lsd_exponent, y.lsd_exponent)
-    Z = np.zeros(msd - lsd + 1, dtype=np.int32)
+    Z = np.zeros(msd - lsd + 1, _dtype(rules, *pipeline.input_range))
     for D, s in ((X, x), (-Y if negate else Y, y)):
         Z[msd - s.msd_exponent:][:D.size] += D
     out = run_plan(pipeline, Z)

@@ -12,7 +12,7 @@ import pytest
 
 import paradd
 
-from paradd.cli import main, parse_alphabet, parse_base
+from paradd.cli import MAX_DIGITS, main, parse_alphabet, parse_base
 from paradd.core import Alphabet, negative_root_base, rational_base
 
 
@@ -61,6 +61,20 @@ class TestExpand:
                            flag, value)
         assert code == 2
         assert json.loads(err)["error"] == "invalid-number"
+
+    @pytest.mark.parametrize("digits, code", [
+        (-5, 2), (0, 2), (1, 0), (MAX_DIGITS, 0), (MAX_DIGITS + 1, 2),
+        (10 ** 8, 2)])
+    def test_max_digits_range(self, capsys, digits, code):
+        # 1/2 ends after one digit, so an accepted cap runs no long expansion
+        got, out, err = run(capsys, "expand", "--base", "2", "--greedy",
+                            "1/2", "--max-digits", str(digits), "--json")
+        assert got == code
+        if code:
+            assert out == ""
+            assert json.loads(err)["error"] == "limit-exceeded"
+        else:
+            assert json.loads(out)["text"] == ". 1"
 
     def test_huge_square_root_base(self, capsys):
         code, out, _ = run(capsys, "expand", "--base",
@@ -173,6 +187,25 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--base", "-2",
                          "--rule-file", str(path), "--max-len", "4")
         assert code == 1
+
+    def test_sweep_reaches_the_window(self, tmp_path, capsys):
+        # pisot-:3's rule as a table with the entry of 1111111 raised by 1:
+        # no string shorter than its window of 7 holds that window whole
+        from paradd.rules import canonical_gde
+        rule = canonical_gde(parse_base("pisot-:3"))
+        assert rule.window_length == 7
+        data = rule.to_json()
+        del data["carry"]
+        data["table"] = {
+            " ".join(map(str, w)): rule.phi(w) + (w == (1,) * 7)
+            for w in itertools.product(list(rule.input_alphabet), repeat=7)}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", "--base", "pisot-:3",
+                           "--rule-file", str(path), "--json")
+        assert code == 1
+        failures = json.loads(out)["reports"][0]["failures"]
+        assert {tuple(f["input"]) for f in failures} == {(1,) * 7}
 
     @pytest.mark.parametrize("flag, value", [
         ("--max-len", "0"), ("--max-len", "-1"),

@@ -19,12 +19,14 @@ from paradd.core import (
 )
 from paradd.errors import DigitOutOfAlphabetError, LimitExceededError
 from paradd.local import DEFAULT_TABLE_BUDGET, apply_rule, rule_from_json
-from paradd.rules import gde_negative_integer, gde_rational_neg
+from paradd.rules import gde_negative_integer, gde_pisot_minus, gde_rational_neg
 
 # every system `paradd verify` checks, plus two mixed-sign alphabets whose
-# plans alternate top and bottom passes
+# plans alternate top and bottom passes, and base 10, whose ten passes
+# need int16 digits
 _SYSTEMS = [f"{b} {a}" for b, a in _VERIFY_CATALOG] + ["-2 -1..1",
-                                                       "-3/2 -2..2"]
+                                                       "-3/2 -2..2",
+                                                       "10 0..10"]
 
 
 @lru_cache(maxsize=None)
@@ -95,6 +97,7 @@ def test_batch_columns_match_1d_runs(name, data):
             assert (out[:, k] == kernel.apply(rule, D[:, k])).all()
 
 
+@lru_cache(maxsize=None)
 def _table_form(rule):
     data = rule.to_json()
     del data["carry"]
@@ -105,8 +108,9 @@ def _table_form(rule):
     return rule_from_json(data)
 
 
+# 5**7 = 78 125 windows for pisot-:4, so its table takes int32 codes
 @pytest.mark.parametrize("rule", [gde_negative_integer(2),
-                                  gde_rational_neg(3, 2)],
+                                  gde_rational_neg(3, 2), gde_pisot_minus(4)],
                          ids=lambda rule: rule.name)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 5),
@@ -122,6 +126,64 @@ def test_table_rule_matches_scalar(rule, seed, rows, length):
         want = apply_rule(table_rule, DigitString(tuple(row.tolist())))
         assert normalize(DigitString(tuple(got.tolist()),
                                      -rule.anticipation)) == want
+
+
+def _reach(rule):
+    # the most one pass of the rule adds to a digit: sum |gamma| * max |q|
+    if rule.carry is None:
+        q = [rule.phi(w) - w[rule.anticipation] for w in itertools.product(
+            rule.input_alphabet, repeat=rule.window_length)]
+        return max(map(abs, q))
+    return (sum(abs(g) for _, g in rule.carry.placements)
+            * max(map(abs, rule.selector_table)))
+
+
+def _static_bound(rules, lo, hi):
+    # digits start in [lo, hi] and each pass adds its reach; the clamped
+    # digits and their codes 0 .. |A| - 1 must fit as well
+    codes = max(max(-a.m, a.M, a.size - 1)
+                for a in (rule.input_alphabet for rule in rules))
+    return max(max(-lo, hi) + sum(map(_reach, rules)), codes)
+
+
+@pytest.mark.parametrize("name", _SYSTEMS)
+def test_dtype_holds_static_bound(name):
+    pipe = _pipeline(name)
+    rules = [rule for _, rule in pipe.plan]
+    lo, hi = pipe.input_range
+    bound = _static_bound(rules, lo, hi)
+    dtype = kernel.run_plan(pipe, [hi]).dtype
+    assert dtype == kernel._dtype(rules, lo, hi)
+    assert np.iinfo(dtype).max >= bound
+    assert dtype == np.int8 or np.iinfo(np.int8).max < bound
+    if name == "10 0..10":
+        assert (bound, dtype) == (130, np.int16)
+    # sound: no pass over extreme strings, run in int64, goes past it
+    for Z in ([hi] * 40, [lo] * 40, [lo, hi] * 20, [hi, hi, lo] * 13):
+        Z = np.array(Z, dtype=np.int64)
+        for rule in rules:
+            Z = kernel._pass(rule, Z)
+            assert np.abs(Z).max() <= bound
+    # exact: digits up to 127 - reach take int8, one more takes int16
+    edge = 127 - sum(map(_reach, rules))
+    assert _static_bound(rules, 0, edge) == 127
+    assert kernel._dtype(rules, 0, edge) == np.int8
+    assert kernel._dtype(rules, 0, edge + 1) == np.int16
+
+
+@pytest.mark.parametrize("m, dtype", [(-63, np.int8), (-64, np.int16)])
+def test_codes_set_the_dtype_at_int8_edge(m, dtype):
+    # a one-digit rule over {m..64} that lowers 64 by 1: its digits fit in
+    # int8, and its codes 0 .. 64 - m only while they stay below 128
+    rule = rule_from_json({
+        "anticipation": 0, "memory": 0,
+        "input_alphabet": {"m": m, "M": 64},
+        "output_alphabet": {"m": m, "M": 64},
+        "table": {str(d): d - (d == 64) for d in range(m, 65)}})
+    Z = np.arange(m, 65)
+    out = kernel.apply(rule, Z)
+    assert out.dtype == dtype
+    assert out.tolist() == list(range(m, 64)) + [63]
 
 
 @pytest.mark.parametrize("name", ["-2 -1..1", "-1+i 0..4"])
