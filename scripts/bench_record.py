@@ -113,7 +113,8 @@ def main(argv=None) -> int:
     ap.add_argument("--root", action="append", type=Path,
                     help="source checkout to run; repeat to alternate "
                          "(default: this checkout)")
-    ap.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
+    ap.add_argument("--seeds", type=int, nargs="+",
+                    default=list(range(1, 11)))
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS,
                     default=list(WORKLOADS))
     ap.add_argument("--seconds", type=int, default=20)

@@ -68,10 +68,10 @@ def run_pipeline_flat(pipeline: AdderPipeline, digits, workers: int = 1):
 
     Returns the output digits, msd first, least significant digit at
     exponent -(total anticipation): a list of ints for a list, else an
-    array in the kernel's digit dtype.  ``workers`` > 1 cuts the output into one slice per
-    thread (see ``worker_count``); each runs the whole plan once on its
-    input slice plus a halo of the plan's window.  A plan whose selector
-    tables exceed ``local.DEFAULT_TABLE_BUDGET`` is refused with
+    array of the kernel's dtype.  ``workers`` > 1 cuts the output into one
+    slice per thread (see ``worker_count``); each runs the whole plan once
+    on its input slice plus a halo of the plan's window.  A plan whose
+    selector tables exceed ``local.DEFAULT_TABLE_BUDGET`` is refused with
     ``LimitExceededError``.
     """
     threads = worker_count(workers, len(digits))

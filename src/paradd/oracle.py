@@ -116,11 +116,11 @@ def values_zero_batch(C: np.ndarray, base: BaseSpec) -> np.ndarray:
     by the minimal polynomial on int64 rows, or that scalar test column
     by column when ``_growth_bound`` says int64 could overflow.
     """
-    return _zero_columns(C.astype(np.int64), base)
+    return _zero_columns(C.copy(), base)
 
 
 def _zero_columns(C: np.ndarray, base: BaseSpec) -> np.ndarray:
-    """``values_zero_batch`` on int64 coefficients, dividing C in place."""
+    """``values_zero_batch``, dividing C in place when it is int64."""
     divisor = base.minimal_poly
     W, N = C.shape
     row_max = np.abs(C).max(axis=1).tolist() if N else [0] * W
@@ -136,12 +136,13 @@ def _zero_columns(C: np.ndarray, base: BaseSpec) -> np.ndarray:
     d = len(divisor) - 1
     if W <= d:
         return (C == 0).all(axis=0)
+    R = C.astype(np.int64, copy=False)
     tail = divisor[1:]
     for i in range(W - d):
-        lead = C[i]
+        lead = R[i]
         for j in range(d):
-            C[i + 1 + j] -= lead * tail[j]
-    return (C[W - d:] == 0).all(axis=0)
+            R[i + 1 + j] -= lead * tail[j]
+    return (R[W - d:] == 0).all(axis=0)
 
 
 # --- conversion verification ----------------------------------------------

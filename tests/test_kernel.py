@@ -19,7 +19,9 @@ from paradd.core import (
 )
 from paradd.errors import DigitOutOfAlphabetError, LimitExceededError
 from paradd.local import DEFAULT_TABLE_BUDGET, apply_rule, rule_from_json
-from paradd.rules import gde_negative_integer, gde_pisot_minus, gde_rational_neg
+from paradd.rules import (
+    gde_negative_integer, gde_pisot_minus, gde_rational_neg,
+)
 
 # every system `paradd verify` checks, plus two mixed-sign alphabets whose
 # plans alternate top and bottom passes, and base 10, whose ten passes
