@@ -41,11 +41,11 @@ def tag(root: Path) -> str:
                                   "perfbench") else "")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     """One untraced run: its last line (the result) and its provenance."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", "20", "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{root}: {workload} seed {seed} exited "
@@ -64,7 +64,7 @@ def summary(values: list) -> dict:
             "max": max(values), "runs": values}
 
 
-def record(runs: dict, seeds: list, seconds: int) -> dict:
+def record(runs: dict, seeds: list) -> dict:
     """The BENCH document of one checkout from its runs[workload]."""
     first = next(iter(runs.values()))[0]
     provenance = {k: v for k, v in first["provenance"].items()
@@ -82,7 +82,7 @@ def record(runs: dict, seeds: list, seconds: int) -> dict:
             "failed": sum(r["failed"] for r in results),
             "metrics": metrics}
     return {"command": "python3 perfbench/run.py --workload W --seed S "
-                       f"--seconds {seconds} --trace 0",
+                       "--seconds 20 --trace 0",
             "seeds": seeds, "provenance": provenance,
             "workloads": workloads}
 
@@ -117,7 +117,6 @@ def main(argv=None) -> int:
                     default=list(range(1, 11)))
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS,
                     default=list(WORKLOADS))
-    ap.add_argument("--seconds", type=int, default=20)
     args = ap.parse_args(argv)
     roots = [r.resolve() for r in args.root or
              [Path(__file__).resolve().parent.parent]]
@@ -126,7 +125,7 @@ def main(argv=None) -> int:
         order = roots if k % 2 == 0 else roots[::-1]
         for workload in args.workloads:
             for root in order:
-                result = run_once(root, workload, seed, args.seconds)
+                result = run_once(root, workload, seed)
                 runs[root][workload].append(result)
                 value = result["metrics"].get("verify_instances_per_s", {})
                 print(f"seed {seed} {workload:8s} {root.name}: correct "
@@ -134,7 +133,7 @@ def main(argv=None) -> int:
                       f"verify {value.get('value', 0):.4g}/s", flush=True)
     docs = {}
     for root in roots:
-        docs[root] = record(runs[root], args.seeds, args.seconds)
+        docs[root] = record(runs[root], args.seeds)
         path = root / f"BENCH_{tag(root)}.json"
         path.write_text(json.dumps(docs[root], indent=1) + "\n")
         print(f"wrote {path}")
