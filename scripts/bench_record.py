@@ -14,9 +14,11 @@ checkout gets ``BENCH_<short-sha>.json`` at its root (``-dirty`` is
 appended when ``src`` or ``perfbench`` has uncommitted changes).  It
 holds, per workload and end-to-end metric, the median, quartiles, min,
 max and every run's value in seed order; the correct and failed counts;
-and the provenance block of the first run, less its seed.  With two
-checkouts the last one is compared with the first: per workload and
-metric, the ratio of medians and how many seeds it read better.
+and the provenance block of the first run, less its seed, plus
+``src_lines``, the total lines of the checkout's ``src/paradd/*.py``.
+With two checkouts the last one is compared with the first: the change
+in ``src_lines``, and per workload and metric, the ratio of medians and
+how many seeds it read better.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ def tag(root: Path) -> str:
     sha = git("rev-parse", "--short", "HEAD")
     return sha + ("-dirty" if git("status", "--porcelain", "--", "src",
                                   "perfbench") else "")
+
+
+def src_lines(root: Path) -> int:
+    """Total lines of the checkout's ``src/paradd/*.py``, as ``wc -l``."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (root / "src" / "paradd").glob("*.py"))
 
 
 def run_once(root: Path, workload: str, seed: int) -> dict:
@@ -64,11 +72,12 @@ def summary(values: list) -> dict:
             "max": max(values), "runs": values}
 
 
-def record(runs: dict, seeds: list) -> dict:
+def record(root: Path, runs: dict, seeds: list) -> dict:
     """The BENCH document of one checkout from its runs[workload]."""
     first = next(iter(runs.values()))[0]
     provenance = {k: v for k, v in first["provenance"].items()
                   if k != "seed"}
+    provenance["src_lines"] = src_lines(root)
     workloads = {}
     for workload, results in runs.items():
         metrics = {}
@@ -93,8 +102,11 @@ def better_unit(unit: str) -> bool:
 
 
 def compare(base: dict, new: dict) -> list:
-    """Lines comparing two BENCH documents seed by seed."""
-    lines = []
+    """Lines comparing two BENCH documents: their source lines, then
+    each metric seed by seed."""
+    old, now = (doc["provenance"].get("src_lines") for doc in (base, new))
+    lines = [f"src_lines {old} -> {now}"
+             + (f"  ({now - old:+d})" if None not in (old, now) else "")]
     for workload, w in new["workloads"].items():
         for name, m in w["metrics"].items():
             b = base["workloads"][workload]["metrics"][name]
@@ -133,7 +145,7 @@ def main(argv=None) -> int:
                       f"verify {value.get('value', 0):.4g}/s", flush=True)
     docs = {}
     for root in roots:
-        docs[root] = record(runs[root], args.seeds)
+        docs[root] = record(root, runs[root], args.seeds)
         path = root / f"BENCH_{tag(root)}.json"
         path.write_text(json.dumps(docs[root], indent=1) + "\n")
         print(f"wrote {path}")

@@ -4,8 +4,8 @@ Output digit j of a rule is z_j + sum(gamma * q_{j-delta}) over its
 placements (delta, gamma); the carry q_i is the rule's selector table
 (``LocalRule.selector_table``) at the base-|A| code of the sub-window
 around position i.  A pass is then a few shifted slices, one ``take``
-and one shifted add per placement.  A rule with only a ``table`` (a table-form
-rule file) compiles as q = Phi - center on its whole window, at (0, 1).
+and one shifted add per placement; a rule read from a table of Phi has
+the same form, with q = Phi - centre on its whole window, at (0, 1).
 Arrays hold digits msd first along the first axis: a 1-D string, or a
 2-D batch of shape (positions, strings) whose every digit row is one
 contiguous block.  A ``run_plan``/``apply`` call's digits are int8, or a
@@ -15,7 +15,6 @@ int16, or int32 above 2**15 table entries.  Importing this module loads numpy.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache
@@ -35,29 +34,24 @@ _POOL = ThreadPoolExecutor(max_workers=os.cpu_count())
 def compiled(rule: LocalRule) -> tuple:
     """(carry table, least digit, |A|, sub-window length, placements as
     (window index of the sub-window, gamma), reach = sum |gamma| * max |q|)
-    once per rule; the table, in the narrowest dtype holding reach, is a
-    carry rule's ``selector_table``, a table-form rule's Phi minus centre.
+    once per rule; the table is the rule's ``selector_table`` in the
+    narrowest dtype holding reach.  Rules are equal only when they are
+    one rule, so the cache never serves one rule's table to another.
 
-    A table above ``local.DEFAULT_TABLE_BUDGET`` entries is refused with
-    ``LimitExceededError`` before anything is tabulated.
+    A table above ``local.DEFAULT_TABLE_BUDGET`` entries, which a derived
+    or composed rule leaves unbuilt, is refused with ``LimitExceededError``.
     """
     size = rule.selector_table_size
     if size > DEFAULT_TABLE_BUDGET:
         raise LimitExceededError(
             f"rule {rule.name!r} needs a selector table of {size} entries, "
             f"above {DEFAULT_TABLE_BUDGET}", entries=size)
-    a, t, cr = rule.input_alphabet, rule.anticipation, rule.carry
-    if cr is not None:  # within the budget, derivation built the table
-        width, q, placements = (cr.selector_window, rule.selector_table,
-                                cr.reads(t))
-    else:
-        width = rule.window_length
-        q = [rule.phi(w) - w[t] for w in itertools.product(a, repeat=width)]
-        placements = [(0, 1)]
+    a, cr, q = rule.input_alphabet, rule.carry, rule.selector_table
+    placements = cr.reads(rule.anticipation)
     reach = sum(abs(g) for _, g in placements) * max(map(abs, q))
     # a table of zeros places nothing, so no gamma need fit its dtype
     return (np.array(q, dtype=np.min_scalar_type(-reach - 1)), a.m, a.size,
-            width, placements if reach else [], reach)
+            cr.selector_window, placements if reach else [], reach)
 
 
 def _dtype(rules, lo: int, hi: int) -> np.dtype:

@@ -7,17 +7,20 @@ Applying a rule to a digit string therefore needs no carry propagation:
 every output position is computed independently, which is what makes the
 resulting addition algorithms parallel.
 
-Most rules come from a :class:`CarryRule`: a digit selector Q examined on
-a sub-window around each position, whose value is added back at fixed
-offsets with fixed coefficients.  Such a rule preserves represented
-values exactly when its offset/coefficient pattern is a multiple of the
-base's minimal polynomial; :func:`derive_local_rule` checks that and the
-closure of the output alphabet.  It tabulates the selector once, over
-the |A|**sw sub-windows, and proves closure from that table with one
-exact sweep (:func:`closure_range`) instead of evaluating Phi on all
-|A|**p windows; only a selector table above ``DEFAULT_TABLE_BUDGET``
-entries is left untabulated, and its closure is checked on
-``SAMPLE_COUNT`` random windows.
+Every rule has one form, a :class:`CarryRule`: a digit selector Q
+examined on a sub-window around each position, whose value is added back
+at fixed offsets with fixed coefficients.  A rule given as a table of
+Phi (a table-form rule file, or a composition of rules) is the carry rule
+whose selector reads the whole window and returns q = Phi - centre,
+placed once at (0, 1).  A carry rule preserves represented values exactly
+when its offset/coefficient pattern is a multiple of the base's minimal
+polynomial; :func:`derive_local_rule` checks that and the closure of the
+output alphabet.  It tabulates the selector once, over the |A|**sw
+sub-windows, and proves closure from that table with one exact sweep
+(:func:`closure_range`) instead of evaluating Phi on all |A|**p windows;
+only a selector table above ``DEFAULT_TABLE_BUDGET`` entries is left
+untabulated, and its closure is checked on ``SAMPLE_COUNT`` random
+windows.
 """
 
 from __future__ import annotations
@@ -87,19 +90,6 @@ class CarryRule:
         return [(t + delta - self.selector_anticipation, gamma)
                 for delta, gamma in self.placements]
 
-    def window_fn(self, t: int) -> Callable:
-        """Phi on windows with anticipation t: z_j plus placed carries."""
-        width = self.selector_window
-
-        def phi(window, _sel=self.selector, _reads=self.reads(t)):
-            # window[i] holds the digit at position j + t - i
-            out = window[t]
-            for i0, gamma in _reads:
-                out += gamma * _sel(window[i0:i0 + width])
-            return out
-
-        return phi
-
     def shifted(self, h: int) -> "CarryRule":
         """Selector conjugated by digit shift -h (same placements)."""
         inner = self.selector
@@ -124,13 +114,16 @@ class CarryRule:
 
 @dataclass(frozen=True)
 class LocalRule:
-    """A verified sliding-window digit-set conversion.
+    """A verified sliding-window digit-set conversion, in carry form.
 
-    A carry rule keeps its ``selector_table``: q for every sub-window of
-    the selector, indexed by the sub-window's base-|A| code, msd first,
-    with the least digit as code 0 (``None`` above
-    ``DEFAULT_TABLE_BUDGET`` entries).  A table-form rule keeps ``table``,
-    Phi for every window.
+    ``carry`` is the rule's :class:`CarryRule`; a table of Phi, as read
+    from a table-form file, is the carry rule q = Phi - centre over the
+    whole window, placed at (0, 1).  ``selector_table`` holds q for every
+    sub-window of the selector, indexed by the sub-window's base-|A| code,
+    msd first, with the least digit as code 0 (``None`` above
+    ``DEFAULT_TABLE_BUDGET`` entries).  ``window_fn`` is Phi, a closure
+    built per rule by ``_carry_rule``, so two rules are equal only when
+    they are one rule.
     """
 
     input_alphabet: Alphabet
@@ -138,8 +131,7 @@ class LocalRule:
     anticipation: int  # t
     memory: int        # r
     window_fn: Callable
-    table: Optional[dict] = field(default=None, repr=False, compare=False)
-    carry: Optional[CarryRule] = field(default=None, repr=False, compare=False)
+    carry: CarryRule = field(repr=False, compare=False)
     name: str = ""
     selector_table: Optional[tuple] = field(default=None, repr=False,
                                             compare=False)
@@ -150,28 +142,23 @@ class LocalRule:
 
     @property
     def selector_table_size(self) -> int:
-        """Entries of the kernel's table: one per (sub-)window."""
-        width = (self.carry.selector_window if self.carry is not None
-                 else self.window_length)
-        return self.input_alphabet.size ** width
+        """Entries of the selector table: one per sub-window."""
+        return self.input_alphabet.size ** self.carry.selector_window
 
     def phi(self, window) -> int:
         """Output digit for one window (msd-first tuple of length p)."""
-        if self.table is not None:
-            return self.table[tuple(window)]
         return self.window_fn(tuple(window))
 
     def to_json(self) -> dict:
-        data = {
+        """The rule in carry form, whichever form it was read from."""
+        cr = self.carry
+        return {
             "name": self.name,
             "anticipation": self.anticipation,
             "memory": self.memory,
             "input_alphabet": self.input_alphabet.to_json(),
             "output_alphabet": self.output_alphabet.to_json(),
-        }
-        if self.carry is not None:
-            cr = self.carry
-            data["carry"] = {
+            "carry": {
                 "selector_anticipation": cr.selector_anticipation,
                 "selector_memory": cr.selector_memory,
                 "placements": [list(pl) for pl in cr.placements],
@@ -181,12 +168,8 @@ class LocalRule:
                         list(self.input_alphabet),
                         repeat=cr.selector_window)
                 },
-            }
-        elif self.table is not None:
-            data["table"] = {
-                " ".join(map(str, w)): out for w, out in sorted(self.table.items())
-            }
-        return data
+            },
+        }
 
 
 def _complete(table: dict, alphabet: Alphabet, width: int) -> dict:
@@ -203,9 +186,11 @@ def _complete(table: dict, alphabet: Alphabet, width: int) -> dict:
 
 
 def rule_from_json(data: dict) -> LocalRule:
-    """Rebuild a rule from its JSON export (table or carry form).
+    """Rebuild a rule from its JSON export (carry form), or from a table of
+    Phi on every window (table form), read as the carry rule q = Phi -
+    centre over the whole window, placed at (0, 1).
 
-    A table must hold every window over the input alphabet.  No other
+    A table must hold every (sub-)window over the input alphabet.  No other
     verification happens here; feed the result to the oracle.
     """
     in_alpha = Alphabet.from_json(data["input_alphabet"])
@@ -215,33 +200,27 @@ def rule_from_json(data: dict) -> LocalRule:
         raise RuleFileError("anticipation and memory must be at least 0")
     if "carry" in data:
         cd = data["carry"]
-        sel_table = _complete(
-            {tuple(int(x) for x in key.split()): int(v)
-             for key, v in cd["selector_table"].items()},
-            in_alpha, cd["selector_anticipation"] + cd["selector_memory"] + 1)
+        sa, sm, entries = (cd["selector_anticipation"], cd["selector_memory"],
+                           cd["selector_table"])
+        placements = tuple(tuple(pl) for pl in cd["placements"])
+    else:
+        sa, sm, entries, placements = t, r, data["table"], ((0, 1),)
+    sel_table = _complete({tuple(int(x) for x in key.split()): int(v)
+                           for key, v in entries.items()},
+                          in_alpha, sa + sm + 1)
+    if "carry" not in data:
+        sel_table = {w: v - w[t] for w, v in sel_table.items()}
 
-        def selector(sub, _tab=sel_table):
-            return _tab[tuple(sub)]
+    def selector(sub, _tab=sel_table):
+        return _tab[tuple(sub)]
 
-        carry = CarryRule(selector, cd["selector_anticipation"],
-                          cd["selector_memory"],
-                          tuple(tuple(pl) for pl in cd["placements"]),
-                          name=data.get("name", ""))
-        if any(not 0 <= i0 <= t + r + 1 - carry.selector_window
-               for i0, _ in carry.reads(t)):
-            raise RuleFileError("a carry placement reads outside the window")
-        q = tuple(sel_table[w] for w in itertools.product(
-            in_alpha, repeat=carry.selector_window))
-        return _carry_rule(carry, in_alpha, out_alpha, t, r, q)
-    table = _complete({tuple(int(x) for x in key.split()): int(v)
-                       for key, v in data["table"].items()},
-                      in_alpha, t + r + 1)
-
-    def window_fn(window, _tab=table):
-        return _tab[tuple(window)]
-
-    return LocalRule(in_alpha, out_alpha, t, r, window_fn,
-                     table=table, carry=None, name=data.get("name", ""))
+    carry = CarryRule(selector, sa, sm, placements, name=data.get("name", ""))
+    if any(not 0 <= i0 <= t + r + 1 - carry.selector_window
+           for i0, _ in carry.reads(t)):
+        raise RuleFileError("a carry placement reads outside the window")
+    q = tuple(sel_table[w] for w in itertools.product(
+        in_alpha, repeat=carry.selector_window))
+    return _carry_rule(carry, in_alpha, out_alpha, t, r, q)
 
 
 def derive_local_rule(carry: CarryRule, base: BaseSpec,
@@ -265,30 +244,43 @@ def derive_local_rule(carry: CarryRule, base: BaseSpec,
             f"base {base.describe()}")
     t, r = carry.window()
     p = t + r + 1
-    q = None
-    if input_alphabet.size ** carry.selector_window <= DEFAULT_TABLE_BUDGET:
-        q = tuple(map(carry.selector, itertools.product(
-            input_alphabet, repeat=carry.selector_window)))
+    q = _tabulate(carry, input_alphabet)
     rule = _carry_rule(carry, input_alphabet, output_alphabet, t, r, q)
     if q is None:
         _refuse_escape(rule, _sampled_windows(list(input_alphabet), p))
     elif any(x not in output_alphabet for x in closure_range(rule)):
         _refuse_escape(rule, itertools.product(input_alphabet, repeat=p))
-    zero = carry.window_fn(t)((0,) * p)
+    zero = rule.window_fn((0,) * p)
     if zero != 0:
         raise ZeroNotFixedError(f"all-zero window maps to {zero}, expected 0")
     return rule
 
 
+def _tabulate(carry: CarryRule, alphabet: Alphabet) -> Optional[tuple]:
+    """The selector on every sub-window over the alphabet, in code order;
+    ``None`` above ``DEFAULT_TABLE_BUDGET`` entries."""
+    if alphabet.size ** carry.selector_window > DEFAULT_TABLE_BUDGET:
+        return None
+    return tuple(map(carry.selector, itertools.product(
+        alphabet, repeat=carry.selector_window)))
+
+
 def _carry_rule(carry: CarryRule, in_alpha: Alphabet, out_alpha: Alphabet,
                 t: int, r: int, selector_table: Optional[tuple],
                 name: Optional[str] = None) -> LocalRule:
-    """The LocalRule of a carry rule; Phi reads the selector table when
-    there is one, and calls the selector otherwise."""
+    """The LocalRule of a carry rule, and the one place its Phi is built:
+    z_j plus the placed carries, read from the selector table when there
+    is one, and from the selector otherwise."""
+    width = carry.selector_window
     if selector_table is None:
-        window_fn = carry.window_fn(t)
+        def window_fn(window, _sel=carry.selector, _reads=carry.reads(t)):
+            # window[i] holds the digit at position j + t - i
+            out = window[t]
+            for i0, gamma in _reads:
+                out += gamma * _sel(window[i0:i0 + width])
+            return out
     else:
-        size, width = in_alpha.size, carry.selector_window
+        size = in_alpha.size
         # a sub-window's code counts from the least digit m: the code of
         # its digits d, read in base |A|, minus the code of (m, ..., m)
         offset = in_alpha.m * sum(size ** k for k in range(width))
@@ -308,7 +300,7 @@ def _carry_rule(carry: CarryRule, in_alpha: Alphabet, out_alpha: Alphabet,
 
 
 def closure_range(rule: LocalRule) -> tuple:
-    """Exact (least, greatest) output of a carry rule over all windows.
+    """Exact (least, greatest) output of a rule over all windows.
 
     Reads the rule's selector table q.  Phi(w) = w[t] + sum of gamma *
     q(sub-window at i0) is swept across the p window positions, msd
@@ -408,10 +400,8 @@ def apply_rule(rule: LocalRule, ds: DigitString,
 
 
 def carries(rule: LocalRule, ds: DigitString) -> dict:
-    """Per-position selector values q_j (for tracing); carry rules only."""
+    """Per-position selector values q_j (for tracing)."""
     cr = rule.carry
-    if cr is None:
-        return {}
     result = {}
     lo = ds.lsd_exponent - cr.selector_anticipation
     hi = ds.msd_exponent + cr.selector_memory
@@ -443,55 +433,33 @@ def shift_alphabet(rule: LocalRule, h: int) -> LocalRule:
             f"digit {h} is not fixed by rule {rule.name!r}", digit=h)
     in_alpha = rule.input_alphabet.shifted(h)
     out_alpha = rule.output_alphabet.shifted(h)
-    name = f"{rule.name} on {in_alpha}"
-    if rule.carry is not None:
-        # codes count from the least digit: the selector table is unchanged
-        return _carry_rule(rule.carry.shifted(h), in_alpha, out_alpha,
-                           rule.anticipation, rule.memory,
-                           rule.selector_table, name)
-    inner = rule.window_fn
-
-    def window_fn(window, _inner=inner, _h=h):
-        return _inner(tuple(d + _h for d in window)) - _h
-
-    table = None
-    if rule.table is not None:
-        table = {tuple(d - h for d in w): out - h
-                 for w, out in rule.table.items()}
-    return LocalRule(in_alpha, out_alpha, rule.anticipation, rule.memory,
-                     window_fn, table=table, name=name)
+    # codes count from the least digit: the selector table is unchanged
+    return _carry_rule(rule.carry.shifted(h), in_alpha, out_alpha,
+                       rule.anticipation, rule.memory, rule.selector_table,
+                       f"{rule.name} on {in_alpha}")
 
 
 def negate_rule(rule: LocalRule) -> LocalRule:
     """Mirror the rule through digit negation: Phi~(w) = -Phi(-w)."""
     in_alpha, out_alpha = (rule.input_alphabet.negated(),
                            rule.output_alphabet.negated())
-    name = f"{rule.name} negated"
-    if rule.carry is not None:
-        # negating the digits of a sub-window turns code c into N - 1 - c
-        q = rule.selector_table
-        if q is not None:
-            q = tuple(-x for x in reversed(q))
-        return _carry_rule(rule.carry.negated(), in_alpha, out_alpha,
-                           rule.anticipation, rule.memory, q, name)
-    inner = rule.window_fn
-
-    def window_fn(window, _inner=inner):
-        return -_inner(tuple(-d for d in window))
-
-    table = None
-    if rule.table is not None:
-        table = {tuple(-d for d in w): -out for w, out in rule.table.items()}
-    return LocalRule(in_alpha, out_alpha, rule.anticipation, rule.memory,
-                     window_fn, table=table, name=name)
+    # negating the digits of a sub-window turns code c into N - 1 - c
+    q = rule.selector_table
+    if q is not None:
+        q = tuple(-x for x in reversed(q))
+    return _carry_rule(rule.carry.negated(), in_alpha, out_alpha,
+                       rule.anticipation, rule.memory, q,
+                       f"{rule.name} negated")
 
 
-def compose_rules(outer: LocalRule, inner: LocalRule,
-                  *, table_budget: int = DEFAULT_TABLE_BUDGET) -> LocalRule:
+def compose_rules(outer: LocalRule, inner: LocalRule) -> LocalRule:
     """Rule equal to applying ``inner`` first, then ``outer``.
 
     Window parameters add: t = t_o + t_i, r = r_o + r_i.  The inner
-    output alphabet must embed in the outer input alphabet.
+    output alphabet must embed in the outer input alphabet.  As a
+    composition of sliding block codes is one, the result is the carry
+    rule q = Phi - centre over its whole window, placed at (0, 1); its
+    selector is tabulated when the table fits ``DEFAULT_TABLE_BUDGET``.
     """
     if not (outer.input_alphabet.m <= inner.output_alphabet.m
             and inner.output_alphabet.M <= outer.input_alphabet.M):
@@ -500,22 +468,17 @@ def compose_rules(outer: LocalRule, inner: LocalRule,
             f"input {outer.input_alphabet}")
     t = outer.anticipation + inner.anticipation
     r = outer.memory + inner.memory
-    ti, ri = inner.anticipation, inner.memory
+    ti = inner.anticipation
     pi = inner.window_length
 
-    def window_fn(window, _outer=outer, _inner=inner, _t=t):
+    def selector(window, _outer=outer, _inner=inner, _t=t):
         mid = []
         for off in range(_outer.anticipation, -_outer.memory - 1, -1):
             i0 = _t - (off + ti)
             mid.append(_inner.phi(window[i0:i0 + pi]))
-        return _outer.phi(tuple(mid))
+        return _outer.phi(tuple(mid)) - window[_t]
 
-    size = inner.input_alphabet.size
-    p = t + r + 1
-    table = None
-    if size ** p <= table_budget:
-        table = {w: window_fn(w)
-                 for w in itertools.product(list(inner.input_alphabet), repeat=p)}
-    return LocalRule(inner.input_alphabet, outer.output_alphabet, t, r,
-                     window_fn, table=table, carry=None,
-                     name=f"{inner.name} then {outer.name}")
+    carry = CarryRule(selector, t, r, ((0, 1),),
+                      name=f"{inner.name} then {outer.name}")
+    return _carry_rule(carry, inner.input_alphabet, outer.output_alphabet,
+                       t, r, _tabulate(carry, inner.input_alphabet))

@@ -18,7 +18,9 @@ from paradd.core import (
     DigitString, digitwise_negate, digitwise_sum, make_system, normalize,
 )
 from paradd.errors import DigitOutOfAlphabetError, LimitExceededError
-from paradd.local import DEFAULT_TABLE_BUDGET, apply_rule, rule_from_json
+from paradd.local import (
+    DEFAULT_TABLE_BUDGET, apply_rule, closure_range, rule_from_json,
+)
 from paradd.rules import (
     gde_negative_integer, gde_pisot_minus, gde_rational_neg,
 )
@@ -111,15 +113,17 @@ def _table_form(rule):
 
 
 # 5**7 = 78 125 windows for pisot-:4, so its table takes int32 codes
-@pytest.mark.parametrize("rule", [gde_negative_integer(2),
-                                  gde_rational_neg(3, 2), gde_pisot_minus(4)],
-                         ids=lambda rule: rule.name)
+_TABLE_RULES = [gde_negative_integer(2), gde_rational_neg(3, 2),
+                gde_pisot_minus(4)]
+
+
+@pytest.mark.parametrize("rule", _TABLE_RULES, ids=lambda rule: rule.name)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 5),
        length=st.integers(0, 12))
 def test_table_rule_matches_scalar(rule, seed, rows, length):
     table_rule = _table_form(rule)
-    assert table_rule.carry is None
+    assert table_rule.carry.placements == ((0, 1),)
     a = rule.input_alphabet
     Z = np.random.default_rng(seed).integers(a.m, a.M + 1, (rows, length))
     out = kernel.apply(table_rule, Z.T).T
@@ -130,12 +134,24 @@ def test_table_rule_matches_scalar(rule, seed, rows, length):
                                      -rule.anticipation)) == want
 
 
+@pytest.mark.parametrize("rule", _TABLE_RULES, ids=lambda rule: rule.name)
+def test_table_rule_is_proved_and_round_trips(rule):
+    # read as q = Phi - centre at (0, 1), a table file is proved closed by
+    # the same sweep as its carry rule, and exports in carry form
+    table_rule = _table_form(rule)
+    windows = list(itertools.product(rule.input_alphabet,
+                                     repeat=rule.window_length))
+    outs = [rule.phi(w) for w in windows]
+    assert closure_range(table_rule) == closure_range(rule) == \
+        (min(outs), max(outs))
+    data = table_rule.to_json()
+    assert "table" not in data
+    again = rule_from_json(data)
+    assert [again.phi(w) for w in windows] == outs
+
+
 def _reach(rule):
     # the most one pass of the rule adds to a digit: sum |gamma| * max |q|
-    if rule.carry is None:
-        q = [rule.phi(w) - w[rule.anticipation] for w in itertools.product(
-            rule.input_alphabet, repeat=rule.window_length)]
-        return max(map(abs, q))
     return (sum(abs(g) for _, g in rule.carry.placements)
             * max(map(abs, rule.selector_table)))
 

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,6 @@ from paradd.errors import (
 )
 from paradd.local import (
     CarryRule,
-    LocalRule,
     apply_rule,
     carries,
     closure_range,
@@ -48,6 +48,7 @@ from paradd.rules import (
     rules_for_alphabet,
 )
 from test_acceptance import _SWEEP
+from test_kernel import _TABLE_RULES, _table_form
 
 
 class TestDerivation:
@@ -79,7 +80,7 @@ class TestDerivation:
                               Alphabet(0, 3), Alphabet(0, 1))
         details = info.value.details
         t, _ = carry.window()
-        assert carry.window_fn(t)(tuple(details["window"])) \
+        assert _selector_phi(carry, t)(tuple(details["window"])) \
             == details["output"]
         assert details["output"] not in Alphabet(0, 1)
 
@@ -119,9 +120,17 @@ class TestDerivation:
         assert time.process_time() - start < 0.1
 
 
+def _selector_phi(carry, t):
+    """Phi on windows with anticipation t, calling the selector: the
+    centre digit plus gamma * q of each placed sub-window."""
+    width = carry.selector_window
+    return lambda w: w[t] + sum(gamma * carry.selector(w[i0:i0 + width])
+                                for i0, gamma in carry.reads(t))
+
+
 def _brute_range(rule):
     """min and max of the selector-calling Phi over every window."""
-    phi = rule.carry.window_fn(rule.anticipation)
+    phi = _selector_phi(rule.carry, rule.anticipation)
     outs = list(map(phi, itertools.product(rule.input_alphabet,
                                            repeat=rule.window_length)))
     return min(outs), max(outs)
@@ -160,8 +169,7 @@ class TestClosureRange:
             itertools.product(alphabet, repeat=width))}
         carry = CarryRule(lambda sub: q[codes[sub]], ta, tm, placements)
         t, r = carry.window()
-        rule = LocalRule(alphabet, alphabet, t, r, carry.window_fn(t),
-                         carry=carry, selector_table=q)
+        rule = local._carry_rule(carry, alphabet, alphabet, t, r, q)
         assert closure_range(rule) == _brute_range(rule)
 
     def test_catalog_rules_equal_brute_force(self):
@@ -201,6 +209,38 @@ class TestApplication:
         g = gde_negative_integer(2)
         qs = carries(g, parse_digit_string("3 ."))
         assert qs and all(q in (-1, 1) for q in qs.values())
+
+
+@lru_cache(maxsize=None)
+def _window_rules():
+    """The catalog rules, and the table-form copies of the kernel tests."""
+    return _catalog_rules() + [_table_form(rule) for rule in _TABLE_RULES]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_output_shifts_with_the_radix_point_and_reads_only_its_window(data):
+    # output j is Phi of inputs j+t .. j-r: moving the radix point by delta
+    # moves the output by delta, and a digit changed at exponent e changes
+    # outputs e-t .. e+r at most
+    rule = data.draw(st.sampled_from(_window_rules()))
+    letters = list(rule.input_alphabet)
+    t, r = rule.anticipation, rule.memory
+    digits = data.draw(st.lists(st.sampled_from(letters), min_size=1,
+                                max_size=t + r + 8))
+    delta = data.draw(st.integers(-5, 5))
+    out = apply_rule(rule, DigitString(tuple(digits), 0))
+    assert apply_rule(rule, DigitString(tuple(digits), delta)) == \
+        normalize(out.shifted(delta))
+    pos = data.draw(st.integers(0, len(digits) - 1))  # index from msd
+    mutated = list(digits)
+    mutated[pos] = data.draw(st.sampled_from(
+        [d for d in letters if d != digits[pos]]))
+    changed = apply_rule(rule, DigitString(tuple(mutated), 0))
+    e = len(digits) - 1 - pos
+    for j in range(-t, len(digits) + r):
+        if not e - t <= j <= e + r:
+            assert out.digit_at(j) == changed.digit_at(j), (rule.name, j)
 
 
 class TestConjugation:

@@ -160,6 +160,30 @@ class TestFaultInjection:
         assert not rep.passed
 
 
+@pytest.mark.parametrize("corrupted_first", [False, True])
+def test_same_named_rules_keep_their_own_tables(corrupted_first):
+    # the kernel caches each rule's compiled table: a table-form copy of
+    # gde(-2) with the entry of 1 1 1 raised by 1, under the same name and
+    # alphabets, must still be checked with its own table
+    rule = gde_negative_integer(2)
+    data = rule.to_json()
+    del data["carry"]
+    data["table"] = {" ".join(map(str, w)): rule.phi(w) + (w == (1, 1, 1))
+                     for w in itertools.product(rule.input_alphabet,
+                                                repeat=rule.window_length)}
+    bad = rule_from_json(data)
+    assert (bad.name, bad.input_alphabet, bad.output_alphabet) == \
+        (rule.name, rule.input_alphabet, rule.output_alphabet)
+    base = negative_integer_base(2)
+    for subject in ([bad, rule] if corrupted_first else [rule, bad]):
+        rep = verify_conversion(subject, base, max_len=4)
+        assert rep.passed == (subject is rule)
+    rep = verify_conversion(bad, base, max_len=4)
+    inputs = [" ".join(map(str, f["input"])) for f in rep.failures]
+    assert "1 1 1" in inputs
+    assert all("1 1 1" in x for x in inputs)
+
+
 class TestAdditionAndProperties:
     def test_addition_closure(self):
         pl = build_pipeline(make_system(negative_integer_base(2),
