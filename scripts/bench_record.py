@@ -15,7 +15,10 @@ appended when ``src`` or ``perfbench`` has uncommitted changes).  It
 holds, per workload and end-to-end metric, the median, quartiles, min,
 max and every run's value in seed order; the correct and failed counts;
 and the provenance block of the first run, less its seed, plus
-``src_lines``, the total lines of the checkout's ``src/paradd/*.py``.
+``src_lines``, the total lines of the checkout's ``src/paradd/*.py``, and
+``dont_write_bytecode``, this interpreter's ``sys.flags`` entry.  Set by
+``PYTHONDONTWRITEBYTECODE``, which the child runs inherit, it decides
+whether each one-shot process compiles ``paradd`` afresh.
 With two checkouts the last one is compared with the first: the change
 in ``src_lines``, and per workload and metric, the ratio of medians and
 how many seeds it read better.
@@ -78,6 +81,7 @@ def record(root: Path, runs: dict, seeds: list) -> dict:
     provenance = {k: v for k, v in first["provenance"].items()
                   if k != "seed"}
     provenance["src_lines"] = src_lines(root)
+    provenance["dont_write_bytecode"] = bool(sys.flags.dont_write_bytecode)
     workloads = {}
     for workload, results in runs.items():
         metrics = {}

@@ -38,11 +38,6 @@ class LaurentPoly:
     def msd_exponent(self) -> int:
         return self.lsd_exponent + len(self.coeffs) - 1
 
-    def coeff_at(self, exponent: int) -> int:
-        if self.lsd_exponent <= exponent <= self.msd_exponent:
-            return self.coeffs[self.msd_exponent - exponent]
-        return 0
-
 
 def laurent(coeffs, lsd_exponent: int = 0) -> LaurentPoly:
     """Normalized Laurent polynomial from msd-first coefficients."""
@@ -182,11 +177,6 @@ class ComplexEnclosure:
     def contains(self, z: complex, slack: float = 0.0) -> bool:
         return (self.re_lo - slack <= z.real <= self.re_hi + slack
                 and self.im_lo - slack <= z.imag <= self.im_hi + slack)
-
-    @property
-    def midpoint(self) -> complex:
-        return complex((self.re_lo + self.re_hi) / 2,
-                       (self.im_lo + self.im_hi) / 2)
 
     @property
     def is_real(self) -> bool:

@@ -251,32 +251,31 @@ def _negative_root_reducible(b: int, k: int) -> bool:
 # -- base factories ---------------------------------------------------
 
 
-def _check_b(b: int) -> None:
-    if not isinstance(b, int) or b < 2:
-        raise ParameterRangeError(f"parameter b must be an integer >= 2, got {b!r}")
+def _check_int(name: str, value, least: int) -> None:
+    if not isinstance(value, int) or value < least:
+        raise ParameterRangeError(
+            f"parameter {name} must be an integer >= {least}, got {value!r}")
 
 
 def integer_base(b: int) -> BaseSpec:
-    _check_b(b)
+    _check_int("b", b, 2)
     return BaseSpec(INTEGER, (("b", b),))
 
 
 def negative_integer_base(b: int) -> BaseSpec:
-    _check_b(b)
+    _check_int("b", b, 2)
     return BaseSpec(NEGATIVE_INTEGER, (("b", b),))
 
 
 def root_base(b: int, k: int) -> BaseSpec:
-    _check_b(b)
-    if not isinstance(k, int) or k < 1:
-        raise ParameterRangeError(f"parameter k must be an integer >= 1, got {k!r}")
+    _check_int("b", b, 2)
+    _check_int("k", k, 1)
     return BaseSpec(ROOT, (("b", b), ("k", k)))
 
 
 def negative_root_base(b: int, k: int) -> BaseSpec:
-    _check_b(b)
-    if not isinstance(k, int) or k < 1:
-        raise ParameterRangeError(f"parameter k must be an integer >= 1, got {k!r}")
+    _check_int("b", b, 2)
+    _check_int("k", k, 1)
     if (b, k) != (4, 4) and _negative_root_reducible(b, k):
         raise UnsupportedBaseError(
             f"X^{k} + {b} is reducible, so {b}**(1/{k})*exp(i*pi/{k}) has "
@@ -285,14 +284,12 @@ def negative_root_base(b: int, k: int) -> BaseSpec:
 
 
 def pisot_minus_base(a: int) -> BaseSpec:
-    if not isinstance(a, int) or a < 3:
-        raise ParameterRangeError(f"parameter a must be an integer >= 3, got {a!r}")
+    _check_int("a", a, 3)
     return BaseSpec(PISOT_MINUS, (("a", a),))
 
 
 def pisot_plus_base(a: int) -> BaseSpec:
-    if not isinstance(a, int) or a < 2:
-        raise ParameterRangeError(f"parameter a must be an integer >= 2, got {a!r}")
+    _check_int("a", a, 2)
     return BaseSpec(PISOT_PLUS, (("a", a),))
 
 
@@ -396,10 +393,6 @@ class DigitString:
     @classmethod
     def zero(cls) -> "DigitString":
         return cls((), 0)
-
-    @classmethod
-    def from_digits(cls, digits, lsd_exponent: int = 0) -> "DigitString":
-        return cls(tuple(int(d) for d in digits), lsd_exponent)
 
     @property
     def is_zero(self) -> bool:

@@ -37,6 +37,7 @@ from .errors import (
     AlphabetMismatchError,
     DigitOutOfAlphabetError,
     LetterNotFixedError,
+    LimitExceededError,
     OutputEscapesAlphabetError,
     PatternNotMultipleError,
     RuleFileError,
@@ -150,8 +151,14 @@ class LocalRule:
         return self.window_fn(tuple(window))
 
     def to_json(self) -> dict:
-        """The rule in carry form, whichever form it was read from."""
-        cr = self.carry
+        """The rule in carry form, whichever form it was read from; a
+        selector table above ``DEFAULT_TABLE_BUDGET`` entries is refused
+        with ``LimitExceededError`` before any entry is computed."""
+        cr, size = self.carry, self.selector_table_size
+        if size > DEFAULT_TABLE_BUDGET:
+            raise LimitExceededError(f"rule {self.name!r} needs a selector "
+                                     f"table of {size} entries, above "
+                                     f"{DEFAULT_TABLE_BUDGET}", entries=size)
         return {
             "name": self.name,
             "anticipation": self.anticipation,

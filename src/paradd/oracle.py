@@ -7,14 +7,17 @@ against the definition: a conversion must preserve represented values
 exactly, keep outputs inside the declared alphabet, and map zero to
 zero.  Translation invariance and locality need no check: every output
 of ``apply_rule`` is a function of its window alone.  Value preservation
-is decided by exact divisibility by beta's minimal polynomial (vectorized
-with numpy, with automatic fallback to the scalar arbitrary-precision
-test when 64-bit growth bounds would be exceeded).
+is decided exactly modulo beta's minimal polynomial f: a column of digits
+maps to its remainder by one integer product (``_value_form``), in int32
+or int64 as a bound on its partial sums allows, or by the scalar
+arbitrary-precision test above int64.  The checks read only the input
+digits, the output digits and f, never the rule's carries.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -32,7 +35,7 @@ DEFAULT_BUDGET = 10 ** 7
 DEFAULT_SAMPLES = 10 ** 5
 
 # Sweep sizes are checked against these before anything is allocated.
-# Enumeration codes are int32, and 10**9 strings take minutes to check.
+# At 2-3 * 10**7 strings/s on one CPU, 10**9 strings take most of a minute.
 MAX_BUDGET = 10 ** 9
 # Digits per batch: 625 000 pairs of 8 digits on -1+i peaked at 0.87 GB.
 MAX_BATCH_DIGITS = 5 * 10 ** 6
@@ -89,103 +92,111 @@ def _timed(verify):
 # --- vectorized exact value test -----------------------------------------
 
 
-def _growth_bound(col_max, divisor) -> int:
-    """Upper bound on any intermediate during the batch zero-value test."""
-    if divisor[0] != 1:
-        b, c = divisor
-        acc = 0
-        for j, x in enumerate(col_max):
-            acc = acc * abs(c) + x * b ** j
-        return acc
-    col_max = list(col_max)
-    d = len(divisor) - 1
-    tail = [abs(x) for x in divisor[1:]]
-    for i in range(max(0, len(col_max) - d)):
-        lead = col_max[i]
-        for j in range(d):
-            col_max[i + 1 + j] += lead * tail[j]
-    return max(col_max) if col_max else 0
+@functools.lru_cache(maxsize=1024)
+def _value_form(f: tuple, W: int, digit_max: int) -> Optional[np.ndarray]:
+    """The d x W matrix V for which V @ c, c a column of W digits msd
+    first, is zero exactly when c represents 0 modulo beta's minimal
+    polynomial f: column k of V is X**(W-1-k) mod f for monic f of degree
+    d, and b**k * (-c)**(W-1-k) for f = b*X + c (b**(W-1) times the
+    value).  V is int32 when no partial sum with digits of magnitude up
+    to ``digit_max`` reaches 2**31, int64 below 2**63, and None above.
+    """
+    if f[0] != 1:
+        b, c = f
+        V = [[b ** k * (-c) ** (W - 1 - k) for k in range(W)]]
+    else:
+        V, r = [[0] * W for _ in f[1:]], [0] * (len(f) - 2) + [1]
+        for k in reversed(range(W)):  # r = X**(W-1-k) mod f, msd first
+            for row, x in zip(V, r):
+                row[k] = x
+            r = [x - r[0] * a for x, a in zip(r[1:] + [0], f[1:])]
+    bound = max(1, digit_max) * max(sum(map(abs, row)) for row in V)
+    return (np.array(V, dtype=np.int32 if bound < 2 ** 31 else np.int64)
+            if bound < 2 ** 63 else None)
+
+
+def _values(V: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """V @ C in V's dtype, or C's if wider."""
+    return np.einsum("jk,kn->jn", V, C,
+                     dtype=np.promote_types(V.dtype, C.dtype))
+
+
+def _digit_max(C: np.ndarray) -> int:
+    return max(-int(C.min()), int(C.max())) if C.size else 0
 
 
 def values_zero_batch(C: np.ndarray, base: BaseSpec) -> np.ndarray:
     """Columns of C, position-major coefficients (W positions msd first,
-    N strings), that represent the value 0; C is left as it is.
-
-    The batched form of ``algebra.reduce_mod_base``: the same division
-    by the minimal polynomial on int64 rows, or that scalar test column
-    by column when ``_growth_bound`` says int64 could overflow.
+    N strings), that represent the value 0: ``algebra.represents_zero``
+    as one product with ``_value_form``, or column by column above int64.
     """
-    return _zero_columns(C.copy(), base)
-
-
-def _zero_columns(C: np.ndarray, base: BaseSpec) -> np.ndarray:
-    """``values_zero_batch``, dividing C in place when it is int64."""
-    divisor = base.minimal_poly
-    W, N = C.shape
-    row_max = np.abs(C).max(axis=1).tolist() if N else [0] * W
-    if _growth_bound(row_max, divisor) >= 2 ** 62:
+    V = _value_form(base.minimal_poly, len(C), _digit_max(C))
+    if V is None:
         return np.array([represents_zero(DigitString(tuple(map(int, col))),
                                          base) for col in C.T], dtype=bool)
-    if divisor[0] != 1:
-        b, c = divisor
-        acc = np.zeros(N, dtype=np.int64)
-        for j in range(W):
-            acc = acc * (-c) + C[j] * b ** j
-        return acc == 0
-    d = len(divisor) - 1
-    if W <= d:
-        return (C == 0).all(axis=0)
-    R = C.astype(np.int64, copy=False)
-    tail = divisor[1:]
-    for i in range(W - d):
-        lead = R[i]
-        for j in range(d):
-            R[i + 1 + j] -= lead * tail[j]
-    return (R[W - d:] == 0).all(axis=0)
+    return ~_values(V, C).any(axis=0)
 
 
 # --- conversion verification ----------------------------------------------
 
 
-def _failing_strings(Z: np.ndarray, out: np.ndarray, memory: int,
-                     alphabet, base: BaseSpec) -> tuple:
+def _failing_strings(Z: np.ndarray, out: np.ndarray, memory: int, alphabet,
+                     base: BaseSpec, fixed: int, cache: dict) -> tuple:
     """Columns of ``out``, the image of Z's columns with Z's msd at row
     ``memory``, holding a digit outside the alphabet, and columns whose
-    value differs from Z's; at most 10 of each."""
-    bad = ((out < alphabet.m) | (out > alphabet.M)).any(axis=0)
-    C = np.negative(out, dtype=np.int64)
-    C[memory:memory + len(Z)] += Z
-    ok = _zero_columns(C, base)
-    return np.flatnonzero(bad)[:10], np.flatnonzero(~ok)[:10]
+    value differs from Z's.  Z's first ``fixed`` rows are constant, and
+    their value is read from column 0; ``cache`` keeps the value of the
+    other rows, by dtype, for calls on the same rows."""
+    lo, hi = int(out.min()), int(out.max())
+    outside = () if alphabet.m <= lo and hi <= alphabet.M else (
+        np.flatnonzero(((out < alphabet.m) | (out > alphabet.M)).any(axis=0)))
+    V = _value_form(base.minimal_poly, len(out), max(-lo, hi, _digit_max(Z)))
+    if V is None:
+        C = np.negative(out, dtype=np.int64)
+        C[memory:memory + len(Z)] += Z
+        return outside, np.flatnonzero(~values_zero_batch(C, base))
+    Vz = V[:, memory:memory + len(Z)]
+    if V.dtype not in cache:
+        cache[V.dtype] = _values(Vz[:, fixed:], Z[fixed:])
+    value = cache[V.dtype] + _values(Vz[:, :fixed], Z[:fixed, :1])
+    return outside, np.flatnonzero((_values(V, out) != value).any(axis=0))
 
 
-def _check_batch(rule: LocalRule, base: BaseSpec, D: np.ndarray,
-                 report: VerificationReport) -> None:
-    """Alphabet closure + exact value preservation for D's columns,
-    checked in chunks of ``_CHUNK_DIGITS`` digits."""
-    found = {"output-alphabet": [], "value-preservation": []}
-    step = max(1, _CHUNK_DIGITS // len(D))
-    for start in range(0, D.shape[1], step):
-        part = D[:, start:start + step]
-        out = kernel.apply(rule, part)
-        for witnesses, cols in zip(found.values(), _failing_strings(
-                part, out, rule.memory, rule.output_alphabet, base)):
-            witnesses += [{"input": part[:, i].tolist(),
-                           "output": out[:, i].tolist()} for i in cols]
-    for check, witnesses in found.items():  # the first 10 of each
-        for witness in witnesses[:10]:
-            report.fail(check, **witness)
-    n = D.shape[1]
-    report.instances_checked += n
-    report.note("alphabet-closure", n)
-    report.note("value-preservation", n)
+def _check_block(rule: LocalRule, base: BaseSpec, D: np.ndarray, start: int,
+                 span: int, found: dict, fixed: int, cache: dict) -> None:
+    """Alphabet closure and value preservation for D's columns, strings
+    numbered from ``start``: of each ``span`` numbers, the first 10
+    failing strings of each check go to ``found[(number // span, check)]``."""
+    out = kernel.apply(rule, D)
+    for j, cols in enumerate(_failing_strings(
+            D, out, rule.memory, rule.output_alphabet, base, fixed, cache)):
+        ranges = (start + np.asarray(cols, dtype=np.int64)) // span
+        for r in np.unique(ranges).tolist() if len(cols) else ():
+            kept = found.setdefault((r, j), [])
+            kept += [{"input": D[:, i].tolist(), "output": out[:, i].tolist()}
+                     for i in cols[ranges == r][:10 - len(kept)].tolist()]
 
 
-# Strings per enumerated int32 batch; enumerating per chunk read no faster.
+def _blocks(S: int, m: int, L: int, dtype):
+    """(first code, constant rows, block, cache) for the strings of length
+    L over {m .. m+S-1} in code order: each prefix in turn above all S**k
+    suffixes, for the least k with S**k >= _BLOCK, or k = L."""
+    k = next(k for k in range(1, L + 1) if S ** k >= _BLOCK or k == L)
+    D = np.empty((L, S ** k), dtype=dtype)
+    D[L - k:] = np.indices((S,) * k, dtype=dtype).reshape(k, -1) + m
+    cache = {}
+    for p, prefix in enumerate(itertools.product(range(m, m + S),
+                                                 repeat=L - k)):
+        D[:L - k] = np.array(prefix, dtype=dtype)[:, None]
+        yield p * S ** k, L - k, D, cache
+
+
+# Witnesses are kept per range of this many string codes: 10 per check.
 _CHUNK = 1 << 19
-# Digits per checked chunk, about 10 900 strings of 6 digits: on a 2-CPU host
-# (2 MB L2 per core) 2**12-2**16 such strings per chunk all beat 2**19.
-_CHUNK_DIGITS = 1 << 16
+# Strings per block, at least; samples go in blocks of _BLOCK.  The verify
+# workload's 24 sweeps to length 6 on one CPU of a 2-CPU Xeon (2 MB L2 per
+# core), best of 6: 0.73 s at 2**10, 0.38 s at 2**11-2**13, 0.46 at 2**15.
+_BLOCK = 1 << 12
 
 
 @_timed
@@ -196,44 +207,47 @@ def verify_conversion(rule: LocalRule, base: BaseSpec, max_len: int = 6,
     """Check a conversion rule on every input string up to a length budget.
 
     Lengths whose exhaustive count S**L fits the remaining budget are
-    enumerated completely, as (L, strings) int32 batches; if the budget
-    runs out before ``max_len``, ``samples`` random strings of length
-    ``max_len`` are checked instead.  Also checks zero stability.  Sizes
-    that check no string or pass ``MAX_BUDGET`` or ``MAX_BATCH_DIGITS``
-    raise ``LimitExceededError``.
+    enumerated completely, in code order, as (L, strings) blocks in the
+    kernel's dtype (``_blocks``); if the budget runs out before
+    ``max_len``, ``samples`` random strings of length ``max_len`` are
+    checked instead.  Also checks zero stability.  Sizes that check no
+    string or pass ``MAX_BUDGET`` or ``MAX_BATCH_DIGITS`` are refused.
     """
-    S = rule.input_alphabet.size
-    m = rule.input_alphabet.m
+    S, m = rule.input_alphabet.size, rule.input_alphabet.m
     within("max_len", max_len, 1, MAX_BATCH_DIGITS)
     within("samples x max_len", samples * max_len, 0, MAX_BATCH_DIGITS)
     # with no samples, a budget below S would check no string at all
     within("budget", budget, 0 if samples else S, MAX_BUDGET)
     report = VerificationReport(subject=rule.name or "rule")
-    nprng = np.random.default_rng(seed)
-
     if not apply_rule(rule, DigitString.zero()).is_zero:
         report.fail("zero-to-zero")
     report.note("zero-to-zero")
 
-    spent = 0
+    dtype = kernel._dtype([rule], m, m + S - 1)
+    spent, groups = 0, []
     for L in range(1, max_len + 1):
-        total = S ** L
-        if spent + total > budget:
+        spent += S ** L
+        if spent > budget:
             break
         report.exhaustive_lengths.append(L)
-        for start in range(0, total, _CHUNK):
-            codes = np.arange(start, min(start + _CHUNK, total),
-                              dtype=np.int32)
-            D = np.empty((L, len(codes)), dtype=np.int32)
-            for row in D[::-1]:  # lsd first: code = sum D[k] S**(L-1-k)
-                np.divmod(codes, S, out=(codes, row))
-            D += m
-            _check_batch(rule, base, D, report)
-        spent += total
+        groups.append((S ** L, _CHUNK, _blocks(S, m, L, dtype)))
     if len(report.exhaustive_lengths) < max_len and samples:
-        D = nprng.integers(m, m + S, size=(samples, max_len), dtype=np.int64)
-        _check_batch(rule, base, np.ascontiguousarray(D.T), report)
+        D = np.ascontiguousarray(np.random.default_rng(seed).integers(
+            m, m + S, size=(samples, max_len), dtype=np.int64).T, dtype=dtype)
+        groups.append((samples, samples, ((i, 0, D[:, i:i + _BLOCK], {})
+                                          for i in range(0, samples, _BLOCK))))
         report.sampled = samples
+    for n, span, blocks in groups:  # witnesses by range, then by check
+        found = {}
+        for start, fixed, block, cache in blocks:
+            _check_block(rule, base, block, start, span, found, fixed, cache)
+        for (_, j), witnesses in sorted(found.items()):
+            for witness in witnesses:
+                report.fail(("output-alphabet", "value-preservation")[j],
+                            **witness)
+        report.instances_checked += n
+        report.note("alphabet-closure", n)
+        report.note("value-preservation", n)
     return report
 
 
@@ -253,25 +267,22 @@ def verify_addition(pipeline: AdderPipeline, n_pairs: int = 10 ** 4,
     within("n_pairs", n_pairs, 1, MAX_BATCH_DIGITS)
     within("max_len", max_len, 1, MAX_BATCH_DIGITS)
     within("n_pairs x max_len", n_pairs * max_len, 1, MAX_BATCH_DIGITS)
-    system = pipeline.system
-    alphabet = system.alphabet
+    system, alphabet = pipeline.system, pipeline.system.alphabet
     report = VerificationReport(subject=f"addition over {alphabet} "
                                         f"base {system.base.describe()}")
     nprng = np.random.default_rng(seed)
     X, Y = (np.ascontiguousarray(nprng.integers(
                 alphabet.m, alphabet.M + 1, size=(n_pairs, max_len),
                 dtype=np.int64).T) for _ in range(2))
-    if subtraction is None:
-        subtraction = alphabet.m < 0 < alphabet.M
     jobs = [("add", X + Y)]
-    if subtraction:
+    if subtraction or subtraction is None and alphabet.m < 0 < alphabet.M:
         jobs.append(("subtract", X - Y))
     for label, Z in jobs:
         out = kernel.run_plan(pipeline, Z)
-        closure, value = _failing_strings(
-            Z, out, pipeline.effective_window[1], alphabet, system.base)
-        for check, cols in (("closure", closure), ("value", value)):
-            for i in cols:
+        failing = _failing_strings(Z, out, pipeline.effective_window[1],
+                                   alphabet, system.base, 0, {})
+        for check, cols in zip(("closure", "value"), failing):
+            for i in cols[:10]:
                 report.fail(f"{label}-{check}", x=X[:, i].tolist(),
                             y=Y[:, i].tolist(), result=out[:, i].tolist())
         report.note(f"{label}-closure", n_pairs)
@@ -320,8 +331,7 @@ def verify_boundary(rule: LocalRule, base: BaseSpec) -> VerificationReport:
     report = VerificationReport(subject=f"boundary {rule.name}")
     lam, Lam = rule.input_alphabet.m, rule.input_alphabet.M
     p = rule.window_length
-    top = rule.phi((Lam,) * p)
-    bot = rule.phi((lam,) * p)
+    top, bot = rule.phi((Lam,) * p), rule.phi((lam,) * p)
     if top in (lam, Lam):
         report.fail("top-window", output=top)
     if bot == Lam:

@@ -31,7 +31,7 @@ from paradd.core import (
     root_base,
 )
 from paradd.errors import UnsupportedBaseError
-from paradd.oracle import _growth_bound, values_zero_batch
+from paradd.oracle import _value_form, values_zero_batch
 
 BASES = [
     integer_base(10),
@@ -104,7 +104,7 @@ class TestValueEquality:
             assert values_zero_batch(row.T, base)[0] == represents_zero(ds, base)
 
     def test_batch_fallback_matches_exact(self):
-        # a leading 2**62 pushes the int64 growth bound over, so the batch
+        # a leading 2**62 pushes the int64 bound over, so the batch
         # answers through the scalar test; a multiple of the minimal
         # polynomial still reads 0 there
         for base in BASES:
@@ -113,11 +113,45 @@ class TestValueEquality:
                     [2 ** 62] + [0] * (len(f) - 1) + [1],
                     [0] * len(f) + [1]]
             C = np.array(rows, dtype=np.int64)
-            col_max = [int(x) for x in np.abs(C).max(axis=0)]
-            assert _growth_bound(col_max, f) >= 2 ** 62
+            assert _value_form(f, len(f) + 1, int(np.abs(C).max())) is None
             want = [represents_zero(DigitString(tuple(r)), base) for r in rows]
             assert want == [True, False, False], base.describe()
             assert list(values_zero_batch(C.T, base)) == want, base.describe()
+
+    @pytest.mark.parametrize("base", BASES, ids=lambda b: b.describe())
+    def test_each_bound_picks_its_path(self, base):
+        # digits of 2**3, 2**32 and 2**62 on 8 positions: int32, int64 and
+        # the scalar fallback, which the property test below draws from
+        f = base.minimal_poly
+        assert _value_form(f, 8, 2 ** 3).dtype == np.int32
+        assert _value_form(f, 8, 2 ** 32).dtype == np.int64
+        assert _value_form(f, 8, 2 ** 62) is None
+
+    @given(st.sampled_from(BASES), st.sampled_from([3, 32, 62]),
+           st.integers(1, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_exact_on_every_path(self, base, bits, width, data):
+        # columns of at most 2**bits in magnitude, half of them multiples
+        # of the minimal polynomial f (which represent 0)
+        f = base.minimal_poly
+        digit = st.integers(-2 ** bits, 2 ** bits)
+        cols = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            if width > len(f) and data.draw(st.booleans()):
+                q = data.draw(st.lists(st.integers(-3, 3),
+                                       min_size=width - len(f) + 1,
+                                       max_size=width - len(f) + 1))
+                col = [sum(q[i] * f[k - i] for i in range(len(q))
+                           if 0 <= k - i < len(f)) for k in range(width)]
+                scale = max(1, 2 ** bits // (3 * sum(map(abs, f)) * width))
+                col = [c * scale for c in col]
+            else:
+                col = data.draw(st.lists(digit, min_size=width,
+                                         max_size=width))
+            cols.append(col)
+        C = np.array(cols, dtype=np.int64).T
+        want = [represents_zero(DigitString(tuple(c)), base) for c in cols]
+        assert list(values_zero_batch(C, base)) == want
 
 
 class TestMinimalPolynomial:

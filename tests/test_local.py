@@ -23,6 +23,7 @@ from paradd.core import (
 from paradd.errors import (
     DigitOutOfAlphabetError,
     LetterNotFixedError,
+    LimitExceededError,
     OutputEscapesAlphabetError,
     PatternNotMultipleError,
 )
@@ -304,3 +305,13 @@ class TestSerialization:
         assert (g2.anticipation, g2.memory) == (0, 2)
         for w in itertools.product(range(4), repeat=3):
             assert g2.phi(w) == g.phi(w)
+
+    def test_export_above_the_table_budget_is_refused(self):
+        # pisot-:100 would enumerate 1.05 * 10**10 selector entries
+        rule = gde_pisot_minus(100)
+        start = time.perf_counter()
+        with pytest.raises(LimitExceededError) as err:
+            rule.to_json()
+        assert time.perf_counter() - start < 1
+        assert err.value.details["entries"] == rule.selector_table_size
+        assert rule.selector_table_size > local.DEFAULT_TABLE_BUDGET

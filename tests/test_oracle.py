@@ -13,9 +13,11 @@ from paradd.core import (
     DigitString,
     make_system,
     negative_integer_base,
+    negative_rational_base,
     negative_root_base,
     normalize,
     pisot_minus_base,
+    pisot_plus_base,
     rational_base,
 )
 from paradd.errors import LimitExceededError
@@ -31,8 +33,11 @@ from paradd.oracle import (
     verify_conversion,
 )
 from paradd.rules import (
+    doubling_reducer,
     gde_negative_integer,
     gde_pisot_minus,
+    gde_pisot_plus,
+    gde_rational_neg,
     gde_rational_pos,
     gde_root,
 )
@@ -49,20 +54,21 @@ class TestConversionSweep:
         assert rep.sampled == 0
 
     def test_enumeration_yields_every_string_once(self, monkeypatch):
-        # a signed alphabet {-1..2}, and chunks that split every length
+        # a signed alphabet {-1..2}, and blocks that split every length
         rule = build_pipeline(make_system(negative_integer_base(2),
                                           Alphabet(-1, 1))).plan[0][1]
         letters = list(rule.input_alphabet)
         seen = []
-        check_batch = oracle._check_batch
 
-        def record(rule, base, D, report):
-            assert D.dtype == np.int32 and D.flags.c_contiguous
+        def record(rule, D):
+            out = apply(rule, D)
+            # D is in the kernel's dtype, so the kernel copies nothing
+            assert out.dtype == D.dtype and D.flags.c_contiguous
             seen.extend(tuple(col) for col in D.T.tolist())
-            check_batch(rule, base, D, report)
+            return out
 
-        monkeypatch.setattr(oracle, "_CHUNK", 7)
-        monkeypatch.setattr(oracle, "_check_batch", record)
+        monkeypatch.setattr(oracle, "_BLOCK", 1)
+        monkeypatch.setattr(oracle.kernel, "apply", record)
         rep = verify_conversion(rule, negative_integer_base(2), max_len=4)
         assert rep.passed
         want = [w for L in range(1, 5)
@@ -158,6 +164,77 @@ class TestFaultInjection:
         bad = rule_from_json(data)
         rep = verify_conversion(bad, negative_integer_base(2), max_len=3)
         assert not rep.passed
+
+
+def _brute_force_failures(rule, base, max_len, span):
+    """The failures ``verify_conversion`` must report, found string by
+    string with the scalar ``apply_rule``: per length and per ``span``
+    string codes, the first 10 outside the alphabet, then the first 10
+    of changed value."""
+    t, r = rule.anticipation, rule.memory
+    out_alphabet = rule.output_alphabet
+    failures = []
+    for L in range(1, max_len + 1):
+        strings = itertools.product(list(rule.input_alphabet), repeat=L)
+        for _, group in itertools.groupby(
+                enumerate(strings), key=lambda item: item[0] // span):
+            found = {"output-alphabet": [], "value-preservation": []}
+            for _, digits in group:
+                x = DigitString(digits)
+                y = apply_rule(rule, x)
+                witness = {"input": list(digits),
+                           "output": [y.digit_at(e)
+                                      for e in range(L - 1 + r, -t - 1, -1)]}
+                if any(d not in out_alphabet for d in y.digits):
+                    found["output-alphabet"].append(witness)
+                if not values_equal(x, y, base):
+                    found["value-preservation"].append(witness)
+            for check, witnesses in found.items():
+                failures += [{"check": check, **w} for w in witnesses[:10]]
+    return failures
+
+
+@pytest.mark.parametrize("block, chunk", [(None, None), (1, None), (5, 7)])
+@pytest.mark.parametrize("form", ["carry", "table"])
+@pytest.mark.parametrize("make, base, max_len", [
+    (lambda: gde_negative_integer(2), negative_integer_base(2), 4),
+    (lambda: gde_rational_pos(3, 2), rational_base(3, 2), 4),
+    (lambda: doubling_reducer(3), pisot_minus_base(3), 4),
+    (lambda: gde_pisot_plus(2), pisot_plus_base(2), 4),
+    (lambda: gde_rational_neg(7, 4), negative_rational_base(7, 4), 3),
+])
+def test_witnesses_match_brute_force(monkeypatch, make, base, max_len, form,
+                                     block, chunk):
+    # one selector entry raised by 1, of the carry form (whose carries keep
+    # the value, so only the alphabet breaks) or of the table form (whose
+    # entry is Phi - centre); blocks of 1 split every length, and ranges of
+    # 7 codes straddle blocks of 5 or more strings
+    rule = make()
+    data = rule.to_json()
+    if form == "table":
+        del data["carry"]
+        data["table"] = {" ".join(map(str, w)): rule.phi(w) for w in
+                         itertools.product(list(rule.input_alphabet),
+                                           repeat=rule.window_length)}
+        table = data["table"]
+    else:
+        table = data["carry"]["selector_table"]
+    # the window (m, M, ..., M), or (M) one digit wide: its M ... M lies
+    # whole in short strings, and the zero window stays fixed
+    a, width = rule.input_alphabet, len(next(iter(table)).split())
+    window = (a.m,) * (width > 1) + (a.M,) * max(1, width - 1)
+    table[" ".join(map(str, window))] += 1
+    bad = rule_from_json(data)
+    if block:
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+    if chunk:
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    rep = verify_conversion(bad, base, max_len=max_len)
+    want = _brute_force_failures(bad, base, max_len, oracle._CHUNK)
+    assert want
+    assert rep.failures == want
+    assert rep.instances_checked == sum(bad.input_alphabet.size ** L
+                                        for L in range(1, max_len + 1))
 
 
 @pytest.mark.parametrize("corrupted_first", [False, True])
