@@ -195,7 +195,7 @@ def _brute_force_failures(rule, base, max_len, span):
 
 
 @pytest.mark.parametrize("block, chunk", [(None, None), (1, None), (5, 7)])
-@pytest.mark.parametrize("form", ["carry", "table"])
+@pytest.mark.parametrize("form", ["carry", "table", "two"])
 @pytest.mark.parametrize("make, base, max_len", [
     (lambda: gde_negative_integer(2), negative_integer_base(2), 4),
     (lambda: gde_rational_pos(3, 2), rational_base(3, 2), 4),
@@ -207,11 +207,12 @@ def test_witnesses_match_brute_force(monkeypatch, make, base, max_len, form,
                                      block, chunk):
     # one selector entry raised by 1, of the carry form (whose carries keep
     # the value, so only the alphabet breaks) or of the table form (whose
-    # entry is Phi - centre); blocks of 1 split every length, and ranges of
-    # 7 codes straddle blocks of 5 or more strings
+    # entry is Phi - centre), or two entries of the table form, the second
+    # on the window of code 1; blocks of 1 split every length, and ranges
+    # of 7 codes straddle blocks of 5 or more strings
     rule = make()
     data = rule.to_json()
-    if form == "table":
+    if form != "carry":
         del data["carry"]
         data["table"] = {" ".join(map(str, w)): rule.phi(w) for w in
                          itertools.product(list(rule.input_alphabet),
@@ -224,6 +225,8 @@ def test_witnesses_match_brute_force(monkeypatch, make, base, max_len, form,
     a, width = rule.input_alphabet, len(next(iter(table)).split())
     window = (a.m,) * (width > 1) + (a.M,) * max(1, width - 1)
     table[" ".join(map(str, window))] += 1
+    if form == "two":
+        table[list(table)[1]] += 1
     bad = rule_from_json(data)
     if block:
         monkeypatch.setattr(oracle, "_BLOCK", block)
