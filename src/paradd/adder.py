@@ -76,8 +76,7 @@ class AdderPipeline:
         }
 
 
-def build_pipeline(system: NumerationSystem, *,
-                   fast_paths: bool = True) -> AdderPipeline:
+def build_pipeline(system: NumerationSystem) -> AdderPipeline:
     """Choose and fix the pass plan for a system.
 
     Generic plan: max(M, -m) rounds, each eliminating one unit of excess
@@ -87,8 +86,7 @@ def build_pipeline(system: NumerationSystem, *,
     """
     base, alphabet = system.base, system.alphabet
     pair = rules_for_alphabet(base, alphabet)
-    if (fast_paths and base.kind == PISOT_MINUS
-            and alphabet.m == 0):
+    if base.kind == PISOT_MINUS and alphabet.m == 0:
         a = base.param("a")
         plan = ((MAP, doubling_reducer(a)), (MAP, gde_pisot_minus(a)))
         return AdderPipeline(system, plan, pair)

@@ -2,10 +2,11 @@
 
 Output digit j of a rule is z_j + sum(gamma * q_{j-delta}) over its
 placements (delta, gamma); the carry q_i is the rule's selector table
-(``LocalRule.selector_table``) at the base-|A| code of the sub-window
-around position i.  A pass is then a few shifted slices, one ``take``
-and one shifted add per placement; a rule read from a table of Phi has
-the same form, with q = Phi - centre on its whole window, at (0, 1).
+spread over digits (``LocalRule.digit_table``) at the base-|A| code of
+the sw digits the selector reads around position i, every k-th for
+stride k.  A pass is then a few shifted slices, one ``take`` and one
+shifted add per placement; a rule read from a table of Phi has the same
+form, with q = Phi - centre on its whole window, at (0, 1).
 Arrays hold digits msd first along the first axis: a 1-D string, or a
 2-D batch of shape (positions, strings) whose every digit row is one
 contiguous block.  A ``run_plan``/``apply`` call's digits are int8, or a
@@ -32,26 +33,29 @@ _POOL = ThreadPoolExecutor(max_workers=os.cpu_count())
 
 @lru_cache(maxsize=256)
 def compiled(rule: LocalRule) -> tuple:
-    """(carry table, least digit, |A|, sub-window length, placements as
+    """(carry table, least digit, |A|, digits read, stride, placements as
     (window index of the sub-window, gamma), reach = sum |gamma| * max |q|)
-    once per rule; the table is the rule's ``selector_table`` in the
-    narrowest dtype holding reach.  Rules are equal only when they are
-    one rule, so the cache never serves one rule's table to another.
+    once per rule; the table is ``rule.digit_table(1)``, q on each
+    |A|**sw digits the selector reads, in the narrowest dtype holding
+    reach.  Rules are equal only when they are one rule, so the cache
+    never serves one rule's table to another.
 
-    A table above ``local.DEFAULT_TABLE_BUDGET`` entries, which a derived
-    or composed rule leaves unbuilt, is refused with ``LimitExceededError``.
+    A rule whose selector spans more than ``local.DEFAULT_TABLE_BUDGET``
+    digit sub-windows (``selector_table_size``), such as ``pisot-:100``'s,
+    is refused with ``LimitExceededError``, as its rule file is.
     """
     size = rule.selector_table_size
     if size > DEFAULT_TABLE_BUDGET:
         raise LimitExceededError(
             f"rule {rule.name!r} needs a selector table of {size} entries, "
             f"above {DEFAULT_TABLE_BUDGET}", entries=size)
-    a, cr, q = rule.input_alphabet, rule.carry, rule.selector_table
+    a, cr, q = rule.input_alphabet, rule.carry, rule.digit_table(1)
     placements = cr.reads(rule.anticipation)
     reach = sum(abs(g) for _, g in placements) * max(map(abs, q))
     # a table of zeros places nothing, so no gamma need fit its dtype
     return (np.array(q, dtype=np.min_scalar_type(-reach - 1)), a.m, a.size,
-            cr.selector_window, placements if reach else [], reach)
+            cr.selector_window, cr.stride, placements if reach else [],
+            reach)
 
 
 def _dtype(rules, lo: int, hi: int) -> np.dtype:
@@ -59,7 +63,7 @@ def _dtype(rules, lo: int, hi: int) -> np.dtype:
     of ``rules`` on digits in [lo, hi]: each pass adds at most its reach
     to the unclamped digits, and clamps them into its rule's input
     alphabet A, coded 0 .. |A| - 1."""
-    bound = max([max(-lo, hi) + sum(compiled(rule)[5] for rule in rules)]
+    bound = max([max(-lo, hi) + sum(compiled(rule)[6] for rule in rules)]
                 + [max(-a.m, a.M, a.M - a.m)
                    for a in (rule.input_alphabet for rule in rules)])
     return np.min_scalar_type(-bound - 1)
@@ -73,7 +77,7 @@ def _pass(rule: LocalRule, Z: np.ndarray) -> np.ndarray:
     carries over, plus the placed carries.  The output is t + r digits
     wider than Z: output index ``rule.memory`` lines up with Z's msd.
     """
-    q_table, m, size, width, placements, _ = compiled(rule)
+    q_table, m, size, width, k, placements, _ = compiled(rule)
     t, r = rule.anticipation, rule.memory
     pad = t + r
     n, rest = len(Z), Z.shape[1:]
@@ -81,9 +85,9 @@ def _pass(rule: LocalRule, Z: np.ndarray) -> np.ndarray:
     np.clip(Z, m, m + size - 1, out=P[pad:pad + n])
     if m:
         P[pad:pad + n] -= m  # codes count from the least digit
-    span = n + 2 * pad - width + 1
+    span = n + 2 * pad - (width - 1) * k
     code = P[:span].astype(np.int16 if q_table.size <= 1 << 15 else np.int32)
-    for j in range(1, width):
+    for j in range(k, width * k, k):
         code *= size
         code += P[j:j + span]
     q = q_table.take(code)

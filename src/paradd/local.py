@@ -7,28 +7,29 @@ Applying a rule to a digit string therefore needs no carry propagation:
 every output position is computed independently, which is what makes the
 resulting addition algorithms parallel.
 
-Every rule has one form, a :class:`CarryRule`: a digit selector Q
-examined on a sub-window around each position, whose value is added back
-at fixed offsets with fixed coefficients.  A rule given as a table of
-Phi (a table-form rule file, or a composition of rules) is the carry rule
-whose selector reads the whole window and returns q = Phi - centre,
-placed once at (0, 1).  A carry rule preserves represented values exactly
-when its offset/coefficient pattern is a multiple of the base's minimal
-polynomial; :func:`derive_local_rule` checks that and the closure of the
-output alphabet.  It tabulates the selector once, over the |A|**sw
-sub-windows, and proves closure from that table with one exact sweep
-(:func:`closure_range`) instead of evaluating Phi on all |A|**p windows;
-only a selector table above ``DEFAULT_TABLE_BUDGET`` entries is left
-untabulated, and its closure is checked on ``SAMPLE_COUNT`` random
-windows.
+Every rule but a composition has one form, a :class:`CarryRule`: a carry
+q read from one small exact table and added back at fixed offsets with
+fixed coefficients.  The selector reads every k-th digit (its stride) of
+a sub-window around each position and compares each digit with a few cut
+points, so q depends only on the digits' classes, the runs of the
+alphabet between cuts; the table holds q once per window of classes.  A
+table of Phi (a table-form rule file) is the carry rule q = Phi - centre
+over the whole window, placed once at (0, 1), with one class per digit.
+A carry rule preserves represented values exactly when its
+offset/coefficient pattern is a multiple of the base's minimal
+polynomial; :func:`derive_local_rule` checks that, tabulates the
+selector on the least digit of each class, and proves the closure of the
+output alphabet from that table by one exact sweep
+(:func:`closure_range`).  Nothing is sampled.  A composition of rules
+(:func:`compose_rules`) evaluates its two rules and is not proved.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
+from bisect import bisect_right
 from operator import add
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .core import Alphabet, BaseSpec, DigitString, normalize
@@ -45,86 +46,78 @@ from .errors import (
 )
 
 DEFAULT_TABLE_BUDGET = 10 ** 5
-SAMPLE_COUNT = 20000
 
 
 @dataclass(frozen=True)
 class CarryRule:
     """Digit selector + reinjection pattern defining a windowed conversion.
 
-    ``selector(sub)`` reads the sub-window (z_{j+ta}, ..., z_{j-tm}) most
-    significant first and returns the carry q_j.  Each placement
-    ``(delta, gamma)`` adds ``gamma * q_{j-delta}`` to output position j,
-    i.e. carry q_i is weighted by gamma at position i + delta.
+    With stride k, ``selector(sub)`` reads the digits (z_{j+k*ta},
+    z_{j+k*(ta-1)}, ..., z_{j-k*tm}) most significant first and returns
+    the carry q_j.  It compares each digit only with the ``cuts``, the
+    digits where a class of the alphabet begins (``None``: every digit is
+    a class), so it is one value on each window of classes.  Each
+    placement ``(delta, gamma)`` adds ``gamma * q_{j-k*delta}`` to output
+    position j.  ta, tm and delta count strides.  A carry rule read from
+    a file, shifted or negated has no selector: its table is its form.
     """
 
-    selector: Callable
-    selector_anticipation: int  # ta: how far ahead the selector looks
-    selector_memory: int        # tm: how far behind
+    selector: Optional[Callable]
+    selector_anticipation: int  # ta: how many strides ahead it looks
+    selector_memory: int        # tm: how many behind
     placements: tuple           # ((delta, gamma), ...)
     name: str = ""
+    cuts: Optional[tuple] = None
+    stride: int = 1
 
     @property
     def selector_window(self) -> int:
+        """Digits the selector reads."""
         return self.selector_anticipation + self.selector_memory + 1
+
+    @property
+    def selector_span(self) -> int:
+        """Digits from the first the selector reads to the last."""
+        return (self.selector_window - 1) * self.stride + 1
 
     def pattern_poly(self):
         """Value shift caused by a unit carry, as a Laurent polynomial."""
         if not self.placements:
             return laurent([])
-        lo = min(d for d, _ in self.placements)
-        hi = max(d for d, _ in self.placements)
+        k = self.stride
+        lo = min(d for d, _ in self.placements) * k
+        hi = max(d for d, _ in self.placements) * k
         coeffs = [0] * (hi - lo + 1)
         for delta, gamma in self.placements:
-            coeffs[hi - delta] += gamma
+            coeffs[hi - delta * k] += gamma
         return laurent(coeffs, lo)
 
     def window(self) -> tuple:
         """(t, r): the least anticipation and memory covering every read."""
-        ta, tm = self.selector_anticipation, self.selector_memory
-        return (max([0] + [ta - delta for delta, _ in self.placements]),
-                max([0] + [tm + delta for delta, _ in self.placements]))
+        ta, tm, k = (self.selector_anticipation, self.selector_memory,
+                     self.stride)
+        return (k * max([0] + [ta - delta for delta, _ in self.placements]),
+                k * max([0] + [tm + delta for delta, _ in self.placements]))
 
     def reads(self, t: int) -> list:
         """(window index where the sub-window starts, gamma) per placement,
         in windows with anticipation t."""
-        return [(t + delta - self.selector_anticipation, gamma)
-                for delta, gamma in self.placements]
-
-    def shifted(self, h: int) -> "CarryRule":
-        """Selector conjugated by digit shift -h (same placements)."""
-        inner = self.selector
-
-        def selector(sub, _inner=inner, _h=h):
-            return _inner(tuple(d + _h for d in sub))
-
-        return CarryRule(selector, self.selector_anticipation,
-                         self.selector_memory, self.placements,
-                         name=f"{self.name} shifted by {h}")
-
-    def negated(self) -> "CarryRule":
-        inner = self.selector
-
-        def selector(sub, _inner=inner):
-            return -_inner(tuple(-d for d in sub))
-
-        return CarryRule(selector, self.selector_anticipation,
-                         self.selector_memory, self.placements,
-                         name=f"{self.name} negated")
+        return [(t + (delta - self.selector_anticipation) * self.stride,
+                 gamma) for delta, gamma in self.placements]
 
 
 @dataclass(frozen=True)
 class LocalRule:
     """A verified sliding-window digit-set conversion, in carry form.
 
-    ``carry`` is the rule's :class:`CarryRule`; a table of Phi, as read
-    from a table-form file, is the carry rule q = Phi - centre over the
-    whole window, placed at (0, 1).  ``selector_table`` holds q for every
-    sub-window of the selector, indexed by the sub-window's base-|A| code,
-    msd first, with the least digit as code 0 (``None`` above
-    ``DEFAULT_TABLE_BUDGET`` entries).  ``window_fn`` is Phi, a closure
-    built per rule by ``_carry_rule``, so two rules are equal only when
-    they are one rule.
+    ``carry`` is the rule's :class:`CarryRule`, its cuts one sorted digit
+    per class but the first; a table of Phi, as read from a table-form
+    file, is the carry rule q = Phi - centre over the whole window,
+    placed at (0, 1).  ``selector_table`` holds q for every window of
+    classes, indexed by its code: the classes (0 for the least digits)
+    read in base ``len(cuts) + 1``, msd first.  ``window_fn`` is Phi, a
+    closure built per rule by ``_carry_rule``, so two rules are equal only
+    when they are one rule.  A composition has no carry and no table.
     """
 
     input_alphabet: Alphabet
@@ -132,7 +125,8 @@ class LocalRule:
     anticipation: int  # t
     memory: int        # r
     window_fn: Callable
-    carry: CarryRule = field(repr=False, compare=False)
+    carry: Optional[CarryRule] = field(default=None, repr=False,
+                                       compare=False)
     name: str = ""
     selector_table: Optional[tuple] = field(default=None, repr=False,
                                             compare=False)
@@ -143,22 +137,41 @@ class LocalRule:
 
     @property
     def selector_table_size(self) -> int:
-        """Entries of the selector table: one per sub-window."""
-        return self.input_alphabet.size ** self.carry.selector_window
+        """Entries of the selector table by digits: one per sub-window of
+        the digits it spans, as a rule file holds it."""
+        return self.input_alphabet.size ** self.carry.selector_span
 
     def phi(self, window) -> int:
         """Output digit for one window (msd-first tuple of length p)."""
         return self.window_fn(tuple(window))
 
+    def digit_table(self, step: int) -> list:
+        """q by digits: on each sub-window of (sw - 1) * step + 1 digits
+        over the input alphabet, in base-|A| code order counted from the
+        least digit, where the selector reads every step-th digit.  With
+        the carry's stride that is a rule file's table; with 1, the
+        kernel's, over the sw digits read."""
+        cr = self.carry
+        n, classes = len(cr.cuts) + 1, [bisect_right(cr.cuts, d)
+                                        for d in self.input_alphabet]
+        codes = [0]
+        for i in range((cr.selector_window - 1) * step + 1):
+            codes = ([c * n + x for c in codes for x in classes]
+                     if i % step == 0 else
+                     [c for c in codes for _ in classes])
+        return [self.selector_table[c] for c in codes]
+
     def to_json(self) -> dict:
-        """The rule in carry form, whichever form it was read from; a
-        selector table above ``DEFAULT_TABLE_BUDGET`` entries is refused
-        with ``LimitExceededError`` before any entry is computed."""
-        cr, size = self.carry, self.selector_table_size
+        """The rule in carry form at stride 1, whichever form it was read
+        from; a selector table above ``DEFAULT_TABLE_BUDGET`` entries is
+        refused with ``LimitExceededError`` before any entry is computed."""
+        cr, size, k = self.carry, self.selector_table_size, self.carry.stride
         if size > DEFAULT_TABLE_BUDGET:
             raise LimitExceededError(f"rule {self.name!r} needs a selector "
                                      f"table of {size} entries, above "
                                      f"{DEFAULT_TABLE_BUDGET}", entries=size)
+        subs = itertools.product(list(self.input_alphabet),
+                                 repeat=cr.selector_span)
         return {
             "name": self.name,
             "anticipation": self.anticipation,
@@ -166,15 +179,13 @@ class LocalRule:
             "input_alphabet": self.input_alphabet.to_json(),
             "output_alphabet": self.output_alphabet.to_json(),
             "carry": {
-                "selector_anticipation": cr.selector_anticipation,
-                "selector_memory": cr.selector_memory,
-                "placements": [list(pl) for pl in cr.placements],
-                "selector_table": {
-                    " ".join(map(str, sub)): cr.selector(sub)
-                    for sub in itertools.product(
-                        list(self.input_alphabet),
-                        repeat=cr.selector_window)
-                },
+                "selector_anticipation": cr.selector_anticipation * k,
+                "selector_memory": cr.selector_memory * k,
+                "placements": [[delta * k, gamma]
+                               for delta, gamma in cr.placements],
+                "selector_table": {" ".join(map(str, sub)): q
+                                   for sub, q in zip(subs,
+                                                     self.digit_table(k))},
             },
         }
 
@@ -195,7 +206,8 @@ def _complete(table: dict, alphabet: Alphabet, width: int) -> dict:
 def rule_from_json(data: dict) -> LocalRule:
     """Rebuild a rule from its JSON export (carry form), or from a table of
     Phi on every window (table form), read as the carry rule q = Phi -
-    centre over the whole window, placed at (0, 1).
+    centre over the whole window, placed at (0, 1).  Each digit is a
+    class of its own.
 
     A table must hold every (sub-)window over the input alphabet.  No other
     verification happens here; feed the result to the oracle.
@@ -217,11 +229,8 @@ def rule_from_json(data: dict) -> LocalRule:
                           in_alpha, sa + sm + 1)
     if "carry" not in data:
         sel_table = {w: v - w[t] for w, v in sel_table.items()}
-
-    def selector(sub, _tab=sel_table):
-        return _tab[tuple(sub)]
-
-    carry = CarryRule(selector, sa, sm, placements, name=data.get("name", ""))
+    carry = CarryRule(None, sa, sm, placements, name=data.get("name", ""),
+                      cuts=tuple(range(in_alpha.m + 1, in_alpha.M + 1)))
     if any(not 0 <= i0 <= t + r + 1 - carry.selector_window
            for i0, _ in carry.reads(t)):
         raise RuleFileError("a carry placement reads outside the window")
@@ -238,68 +247,57 @@ def derive_local_rule(carry: CarryRule, base: BaseSpec,
     Checks, in order: the placement pattern represents 0 in the base (so
     the conversion preserves values); the window parameters (t, r) cover
     every read; all outputs stay inside ``output_alphabet``; the all-zero
-    window maps to 0.  The selector is tabulated once, over its |A|**sw
-    sub-windows, and closure is proved from that table by the exact sweep
-    of :func:`closure_range`; a window is enumerated only to name one that
-    escapes.  A selector table above ``DEFAULT_TABLE_BUDGET`` entries is
-    not built, and closure is then checked on ``SAMPLE_COUNT`` random
-    windows.
+    window maps to 0.  The selector is tabulated once, on the least digit
+    of each class, over the c**sw windows of c classes, and closure is
+    proved from that table by the exact sweep of :func:`closure_range`; a
+    window is enumerated only to name one that escapes.
     """
     if not reduce_mod_base(carry.pattern_poly(), base).is_zero:
         raise PatternNotMultipleError(
             f"carry placements {carry.placements} do not represent 0 in "
             f"base {base.describe()}")
+    m, M = input_alphabet.m, input_alphabet.M
+    carry = replace(carry, cuts=tuple(sorted(
+        {c for c in (input_alphabet if carry.cuts is None else carry.cuts)
+         if m < c <= M})))
+    q = tuple(map(carry.selector, itertools.product(
+        (m,) + carry.cuts, repeat=carry.selector_window)))
     t, r = carry.window()
-    p = t + r + 1
-    q = _tabulate(carry, input_alphabet)
     rule = _carry_rule(carry, input_alphabet, output_alphabet, t, r, q)
-    if q is None:
-        _refuse_escape(rule, _sampled_windows(list(input_alphabet), p))
-    elif any(x not in output_alphabet for x in closure_range(rule)):
-        _refuse_escape(rule, itertools.product(input_alphabet, repeat=p))
-    zero = rule.window_fn((0,) * p)
+    if any(x not in output_alphabet for x in closure_range(rule)):
+        for w in itertools.product(input_alphabet, repeat=t + r + 1):
+            out = rule.window_fn(w)
+            if out not in output_alphabet:
+                raise OutputEscapesAlphabetError(
+                    f"window {w} maps to {out}, outside {output_alphabet}",
+                    window=list(w), output=out)
+    zero = rule.window_fn((0,) * (t + r + 1))
     if zero != 0:
         raise ZeroNotFixedError(f"all-zero window maps to {zero}, expected 0")
     return rule
 
 
-def _tabulate(carry: CarryRule, alphabet: Alphabet) -> Optional[tuple]:
-    """The selector on every sub-window over the alphabet, in code order;
-    ``None`` above ``DEFAULT_TABLE_BUDGET`` entries."""
-    if alphabet.size ** carry.selector_window > DEFAULT_TABLE_BUDGET:
-        return None
-    return tuple(map(carry.selector, itertools.product(
-        alphabet, repeat=carry.selector_window)))
-
-
 def _carry_rule(carry: CarryRule, in_alpha: Alphabet, out_alpha: Alphabet,
-                t: int, r: int, selector_table: Optional[tuple],
+                t: int, r: int, selector_table: tuple,
                 name: Optional[str] = None) -> LocalRule:
-    """The LocalRule of a carry rule, and the one place its Phi is built:
-    z_j plus the placed carries, read from the selector table when there
-    is one, and from the selector otherwise."""
-    width = carry.selector_window
-    if selector_table is None:
-        def window_fn(window, _sel=carry.selector, _reads=carry.reads(t)):
-            # window[i] holds the digit at position j + t - i
-            out = window[t]
-            for i0, gamma in _reads:
-                out += gamma * _sel(window[i0:i0 + width])
-            return out
-    else:
-        size = in_alpha.size
-        # a sub-window's code counts from the least digit m: the code of
-        # its digits d, read in base |A|, minus the code of (m, ..., m)
-        offset = in_alpha.m * sum(size ** k for k in range(width))
+    """The LocalRule of a carry rule with sorted cuts inside the input
+    alphabet, and the one place its Phi is built: z_j plus the placed
+    carries, each read from the selector table at the class code of its
+    sub-window's every stride-th digit."""
+    n, span, k = len(carry.cuts) + 1, carry.selector_span, carry.stride
+    classes = [0] * in_alpha.size
+    for d in in_alpha:  # indexed by the digit, as m <= 0: d < 0 wraps
+        classes[d] = bisect_right(carry.cuts, d)
 
-        def window_fn(window, _q=selector_table, _reads=carry.reads(t)):
-            out = window[t]
-            for i0, gamma in _reads:
-                code = 0
-                for d in window[i0:i0 + width]:
-                    code = code * size + d
-                out += gamma * _q[code - offset]
-            return out
+    def window_fn(window, _q=selector_table, _cls=classes,
+                  _reads=[(i0, i0 + span, g) for i0, g in carry.reads(t)]):
+        out = window[t]
+        for i0, i1, gamma in _reads:
+            code = 0
+            for d in window[i0:i1:k]:
+                code = code * n + _cls[d]
+            out += gamma * _q[code]
+        return out
 
     return LocalRule(in_alpha, out_alpha, t, r, window_fn, carry=carry,
                      selector_table=selector_table,
@@ -309,63 +307,51 @@ def _carry_rule(carry: CarryRule, in_alpha: Alphabet, out_alpha: Alphabet,
 def closure_range(rule: LocalRule) -> tuple:
     """Exact (least, greatest) output of a rule over all windows.
 
-    Reads the rule's selector table q.  Phi(w) = w[t] + sum of gamma *
-    q(sub-window at i0) is swept across the p window positions, msd
-    first.  The state after position s is the code of the last sw digits
-    read, holding the least and the greatest partial sum over the digits
-    before them; position s adds the centre digit when s = t and
-    gamma * q when a placement's sub-window ends at s.  That is p *
-    |A|**sw steps where enumerating the windows costs |A|**p calls of Phi.
+    Reads the rule's selector table q, with c classes.  Phi(w) = w[t] +
+    sum of gamma * q(sub-window at i0) depends only on every k-th digit,
+    k the stride, and is swept across those positions, msd first.  The
+    state after position s is the class code of the last sw digits read,
+    holding the least and the greatest partial sum over the digits before
+    them; position s adds the centre digit, the least or the greatest of
+    its class, when s = t, and gamma * q when a placement's sub-window
+    ends at s.  That is p/k * c**sw steps where enumerating the windows
+    costs |A|**p calls of Phi.
     """
     a, cr, q = rule.input_alphabet, rule.carry, rule.selector_table
-    size, width, t = a.size, cr.selector_window, rule.anticipation
-    reads = cr.reads(t)
+    n, width, k = len(cr.cuts) + 1, cr.selector_window, cr.stride
+    t, reads = rule.anticipation // k, cr.reads(rule.anticipation)
     if not reads:  # Phi is the centre digit
         return a.m, a.M
-    n = len(q)
-    block = n // size
+    size = len(q)
+    block = size // n
 
     def advance(values, pick):
-        # a state at s has one predecessor per digit leaving the window:
-        # those whose last sw - 1 digits are its first sw - 1
-        best = map(pick, *(values[x * block:(x + 1) * block]
-                           for x in range(size)))
-        return [v for v in best for _ in range(size)]
+        # a state at s has one predecessor per class leaving the window:
+        # those whose last sw - 1 classes are its first sw - 1
+        best = map(pick, zip(*(values[x * block:(x + 1) * block]
+                               for x in range(n))))
+        return [v for v in best for _ in range(n)]
 
+    least, greatest = (a.m,) + cr.cuts, [c - 1 for c in cr.cuts] + [a.M]
     lo = hi = None
-    for s in range(width - 1, rule.window_length):
-        gain = [0] * n
-        if s == max(t, width - 1):  # the centre digit, at power s - t
-            run = size ** (s - t)
-            gain = [d for d in a for _ in range(run)] * (n // (run * size))
+    for s in range(width - 1, (rule.window_length - 1) // k + 1):
+        placed = [0] * size
         for i0, gamma in reads:
-            if i0 + width - 1 == s:
-                gain = [g + gamma * x for g, x in zip(gain, q)]
+            if i0 // k + width - 1 == s:
+                placed = [g + gamma * x for g, x in zip(placed, q)]
+        low = high = placed
+        if s == max(t, width - 1):  # the centre digit's class, at power s - t
+            run = n ** (s - t)
+            low = list(map(add, placed, itertools.cycle(
+                [d for d in least for _ in range(run)])))
+            high = list(map(add, placed, itertools.cycle(
+                [d for d in greatest for _ in range(run)])))
         if lo is None:
-            lo = hi = gain
+            lo, hi = low, high
         else:
-            lo = list(map(add, advance(lo, min), gain))
-            hi = list(map(add, advance(hi, max), gain))
+            lo = list(map(add, advance(lo, min), low))
+            hi = list(map(add, advance(hi, max), high))
     return min(lo), max(hi)
-
-
-def _sampled_windows(letters: list, p: int):
-    """SAMPLE_COUNT random windows of p digits, from a fixed seed."""
-    rng = random.Random(0xC0FFEE)
-    for _ in range(SAMPLE_COUNT):
-        yield tuple(rng.choice(letters) for _ in range(p))
-
-
-def _refuse_escape(rule: LocalRule, windows) -> None:
-    """Raise OutputEscapesAlphabetError for the first of ``windows`` that
-    Phi maps outside the output alphabet."""
-    alphabet = rule.output_alphabet
-    for w in windows:
-        out = rule.window_fn(w)
-        if out not in alphabet:
-            raise OutputEscapesAlphabetError(
-                f"window {w} maps to {out}, outside {alphabet}",
-                window=list(w), output=out)
 
 
 def apply_rule(rule: LocalRule, ds: DigitString,
@@ -409,13 +395,16 @@ def apply_rule(rule: LocalRule, ds: DigitString,
 def carries(rule: LocalRule, ds: DigitString) -> dict:
     """Per-position selector values q_j (for tracing)."""
     cr = rule.carry
+    n, k, ta = len(cr.cuts) + 1, cr.stride, cr.selector_anticipation
     result = {}
-    lo = ds.lsd_exponent - cr.selector_anticipation
-    hi = ds.msd_exponent + cr.selector_memory
+    lo = ds.lsd_exponent - k * ta
+    hi = ds.msd_exponent + k * cr.selector_memory
     for j in range(hi, lo - 1, -1):
-        sub = tuple(ds.digit_at(j + cr.selector_anticipation - i)
-                    for i in range(cr.selector_window))
-        q = cr.selector(sub)
+        code = 0
+        for i in range(cr.selector_window):
+            code = code * n + bisect_right(cr.cuts,
+                                           ds.digit_at(j + k * (ta - i)))
+        q = rule.selector_table[code]
         if q:
             result[j] = q
     return result
@@ -440,9 +429,11 @@ def shift_alphabet(rule: LocalRule, h: int) -> LocalRule:
             f"digit {h} is not fixed by rule {rule.name!r}", digit=h)
     in_alpha = rule.input_alphabet.shifted(h)
     out_alpha = rule.output_alphabet.shifted(h)
-    # codes count from the least digit: the selector table is unchanged
-    return _carry_rule(rule.carry.shifted(h), in_alpha, out_alpha,
-                       rule.anticipation, rule.memory, rule.selector_table,
+    # the cuts move with the digits; the class table is unchanged
+    carry = replace(rule.carry, selector=None,
+                    cuts=tuple(c - h for c in rule.carry.cuts))
+    return _carry_rule(carry, in_alpha, out_alpha, rule.anticipation,
+                       rule.memory, rule.selector_table,
                        f"{rule.name} on {in_alpha}")
 
 
@@ -450,12 +441,13 @@ def negate_rule(rule: LocalRule) -> LocalRule:
     """Mirror the rule through digit negation: Phi~(w) = -Phi(-w)."""
     in_alpha, out_alpha = (rule.input_alphabet.negated(),
                            rule.output_alphabet.negated())
-    # negating the digits of a sub-window turns code c into N - 1 - c
-    q = rule.selector_table
-    if q is not None:
-        q = tuple(-x for x in reversed(q))
-    return _carry_rule(rule.carry.negated(), in_alpha, out_alpha,
-                       rule.anticipation, rule.memory, q,
+    # a class [c, c'] becomes [1 - c', -c], so the cuts c become 1 - c;
+    # the classes come in reverse order, which turns code x into N - 1 - x
+    carry = replace(rule.carry, selector=None,
+                    cuts=tuple(sorted(1 - c for c in rule.carry.cuts)))
+    return _carry_rule(carry, in_alpha, out_alpha, rule.anticipation,
+                       rule.memory,
+                       tuple(-x for x in reversed(rule.selector_table)),
                        f"{rule.name} negated")
 
 
@@ -463,29 +455,24 @@ def compose_rules(outer: LocalRule, inner: LocalRule) -> LocalRule:
     """Rule equal to applying ``inner`` first, then ``outer``.
 
     Window parameters add: t = t_o + t_i, r = r_o + r_i.  The inner
-    output alphabet must embed in the outer input alphabet.  As a
-    composition of sliding block codes is one, the result is the carry
-    rule q = Phi - centre over its whole window, placed at (0, 1); its
-    selector is tabulated when the table fits ``DEFAULT_TABLE_BUDGET``.
+    output alphabet must embed in the outer input alphabet.  Phi is
+    outer's Phi of inner's outputs, evaluated on each call: a composition
+    has no carry form and no table, so neither the closure sweep nor the
+    kernel reads it, and it is not proved itself; its outputs lie in
+    outer's output alphabet as far as the two rules are proved.
     """
     if not (outer.input_alphabet.m <= inner.output_alphabet.m
             and inner.output_alphabet.M <= outer.input_alphabet.M):
         raise AlphabetMismatchError(
             f"inner output {inner.output_alphabet} not contained in outer "
             f"input {outer.input_alphabet}")
-    t = outer.anticipation + inner.anticipation
-    r = outer.memory + inner.memory
-    ti = inner.anticipation
-    pi = inner.window_length
+    # outer's window of inner outputs starts at each of its p_o positions
+    po, pi = outer.window_length, inner.window_length
 
-    def selector(window, _outer=outer, _inner=inner, _t=t):
-        mid = []
-        for off in range(_outer.anticipation, -_outer.memory - 1, -1):
-            i0 = _t - (off + ti)
-            mid.append(_inner.phi(window[i0:i0 + pi]))
-        return _outer.phi(tuple(mid)) - window[_t]
+    def window_fn(window, _outer=outer.window_fn, _inner=inner.window_fn):
+        return _outer(tuple(_inner(window[i:i + pi]) for i in range(po)))
 
-    carry = CarryRule(selector, t, r, ((0, 1),),
-                      name=f"{inner.name} then {outer.name}")
-    return _carry_rule(carry, inner.input_alphabet, outer.output_alphabet,
-                       t, r, _tabulate(carry, inner.input_alphabet))
+    return LocalRule(inner.input_alphabet, outer.output_alphabet,
+                     outer.anticipation + inner.anticipation,
+                     outer.memory + inner.memory, window_fn,
+                     name=f"{inner.name} then {outer.name}")

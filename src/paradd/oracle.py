@@ -1,8 +1,8 @@
 """Independent verification of conversion rules and addition pipelines.
 
 The engine computes digits -- the array kernel (``paradd.kernel``) on
-(positions, strings) batches for the sweeps, the scalar
-``local.apply_rule`` for the zero check -- and this module checks them
+(positions, strings) batches for the sweeps, the rule's Phi on the
+all-zero window for the zero check -- and this module checks them
 against the definition: a conversion must preserve represented values
 exactly, keep outputs inside the declared alphabet, and map zero to
 zero.  Translation invariance and locality need no check: every output
@@ -28,7 +28,7 @@ from .adder import AdderPipeline
 from .algebra import represents_zero
 from .core import BaseSpec, DigitString
 from .errors import NotApplicableError, within
-from .local import LocalRule, apply_rule
+from .local import LocalRule
 from . import bounds, kernel
 
 DEFAULT_BUDGET = 10 ** 7
@@ -210,8 +210,9 @@ def verify_conversion(rule: LocalRule, base: BaseSpec, max_len: int = 6,
     enumerated completely, in code order, as (L, strings) blocks in the
     kernel's dtype (``_blocks``); if the budget runs out before
     ``max_len``, ``samples`` random strings of length ``max_len`` are
-    checked instead.  Also checks zero stability.  Sizes that check no
-    string or pass ``MAX_BUDGET`` or ``MAX_BATCH_DIGITS`` are refused.
+    checked instead.  Also checks that Phi maps the all-zero window to
+    0.  Sizes that check no string or pass ``MAX_BUDGET`` or
+    ``MAX_BATCH_DIGITS`` are refused.
     """
     S, m = rule.input_alphabet.size, rule.input_alphabet.m
     within("max_len", max_len, 1, MAX_BATCH_DIGITS)
@@ -219,7 +220,7 @@ def verify_conversion(rule: LocalRule, base: BaseSpec, max_len: int = 6,
     # with no samples, a budget below S would check no string at all
     within("budget", budget, 0 if samples else S, MAX_BUDGET)
     report = VerificationReport(subject=rule.name or "rule")
-    if not apply_rule(rule, DigitString.zero()).is_zero:
+    if rule.phi((0,) * rule.window_length) != 0:
         report.fail("zero-to-zero")
     report.note("zero-to-zero")
 

@@ -6,11 +6,16 @@ K+1 is the minimal alphabet size for the base.  Mixed-sign alphabets are
 handled by translating these rules to shifted alphabets (when the shift
 amount is a fixed letter) and by the mirrored rules that eliminate the
 bottom digit instead; see :func:`rules_for_alphabet`.
+
+Each selector compares digits with base-dependent thresholds, its
+``cuts``, so its table holds one entry per window of digit classes: at
+most 4**5 = 1 024 (pisot-), whatever the parameter.  The root-base rules
+are the integer-base rules at stride k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -52,7 +57,8 @@ def gde_negative_integer(b: int) -> LocalRule:
             return -1
         return 0
 
-    carry = CarryRule(q, 0, 1, ((0, -b), (1, -1)), name=f"gde(-{b})")
+    carry = CarryRule(q, 0, 1, ((0, -b), (1, -1)), name=f"gde(-{b})",
+                      cuts=(1, b, b + 1))
     return derive_local_rule(carry, negative_integer_base(b),
                              Alphabet(0, b + 1), Alphabet(0, b))
 
@@ -63,33 +69,27 @@ def gde_negative_integer(b: int) -> LocalRule:
 def gde_root(b: int, k: int, negative: bool) -> LocalRule:
     """Eliminate digit b+1 over beta with beta**k = +-b.
 
-    {0..b+1} -> {0..b}, (t,r) = (0, 2k).  Identical in shape to the
-    integer-base rules but with every interaction k positions apart
-    (digit positions split into k independent residue classes mod k).
+    {0..b+1} -> {0..b}, (t,r) = (0, 2k): the integer-base rule for -b
+    (``gde_negative_integer``) or +b (k = 1) at stride k, every
+    interaction k positions apart (digit positions split into k
+    independent residue classes mod k).
     """
-    if negative:
-        def q(sub, _b=b, _k=k):
-            zj, zjk = sub[0], sub[_k]
-            if zj == _b + 1 or (zj == _b and zjk == 0):
-                return 1
-            if zj == 0 and zjk >= _b:
-                return -1
-            return 0
+    if negative or k > 1:
+        inner = gde_negative_integer(b) if negative else gde_root(b, 1, False)
+        carry = replace(inner.carry, stride=k, name=f"gde(root "
+                        f"{'-' if negative else ''}{b}, k={k})")
+        return derive_local_rule(
+            carry, (negative_root_base if negative else root_base)(b, k),
+            inner.input_alphabet, inner.output_alphabet)
 
-        carry = CarryRule(q, 0, k, ((0, -b), (k, -1)),
-                          name=f"gde(root -{b}, k={k})")
-        base = negative_root_base(b, k)
-    else:
-        def q(sub, _b=b, _k=k):
-            zj, zjk = sub[0], sub[_k]
-            if zj == _b + 1 or (zj == _b and zjk >= _b):
-                return 1
-            return 0
+    def q(sub, _b=b):
+        zj, zj1 = sub
+        return 1 if zj == _b + 1 or (zj == _b and zj1 >= _b) else 0
 
-        carry = CarryRule(q, 0, k, ((0, -b), (k, 1)),
-                          name=f"gde(root {b}, k={k})")
-        base = root_base(b, k)
-    return derive_local_rule(carry, base, Alphabet(0, b + 1), Alphabet(0, b))
+    carry = CarryRule(q, 0, 1, ((0, -b), (1, 1)), name=f"gde(root {b}, k=1)",
+                      cuts=(b, b + 1))
+    return derive_local_rule(carry, root_base(b, 1), Alphabet(0, b + 1),
+                             Alphabet(0, b))
 
 
 # --- quadratic Pisot units -----------------------------------------------
@@ -114,7 +114,7 @@ def doubling_reducer(a: int) -> LocalRule:
         return 0
 
     carry = CarryRule(q, 1, 1, ((0, -a), (-1, 1), (1, 1)),
-                      name=f"doubling reducer (a={a})")
+                      name=f"doubling reducer (a={a})", cuts=(a - 1, a))
     return derive_local_rule(carry, pisot_minus_base(a),
                              Alphabet(0, 2 * a - 2), Alphabet(0, a))
 
@@ -149,7 +149,7 @@ def gde_pisot_minus(a: int) -> LocalRule:
         return 0
 
     carry = CarryRule(q, 2, 2, ((0, -a), (-1, 1), (1, 1)),
-                      name=f"gde(pisot- a={a})")
+                      name=f"gde(pisot- a={a})", cuts=(a - 2, a - 1, a))
     return derive_local_rule(carry, pisot_minus_base(a),
                              Alphabet(0, a), Alphabet(0, a - 1))
 
@@ -178,7 +178,7 @@ def gde_pisot_plus(a: int) -> LocalRule:
         return 0
 
     carry = CarryRule(q, 1, 1, ((0, -a), (-1, -1), (1, 1)),
-                      name=f"gde(pisot+ a={a})")
+                      name=f"gde(pisot+ a={a})", cuts=(1, a, a + 1, a + 2))
     return derive_local_rule(carry, pisot_plus_base(a),
                              Alphabet(0, a + 2), Alphabet(0, a + 1))
 
@@ -195,7 +195,8 @@ def gde_rational_pos(a: int, b: int) -> LocalRule:
     def q(sub, _a=a, _b=b):
         return 1 if _a <= sub[0] <= _a + _b else 0
 
-    carry = CarryRule(q, 0, 0, ((0, -a), (1, b)), name=f"gde({a}/{b})")
+    carry = CarryRule(q, 0, 0, ((0, -a), (1, b)), name=f"gde({a}/{b})",
+                      cuts=(a,))
     return derive_local_rule(carry, rational_base(a, b),
                              Alphabet(0, a + b), Alphabet(0, a + b - 1))
 
@@ -217,7 +218,8 @@ def gde_rational_neg(a: int, b: int) -> LocalRule:
             return -1
         return 0
 
-    carry = CarryRule(q, 0, 1, ((0, -a), (1, -b)), name=f"gde(-{a}/{b})")
+    carry = CarryRule(q, 0, 1, ((0, -a), (1, -b)), name=f"gde(-{a}/{b})",
+                      cuts=(b, a, a + b))
     return derive_local_rule(carry, negative_rational_base(a, b),
                              Alphabet(0, a + b), Alphabet(0, a + b - 1))
 

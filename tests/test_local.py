@@ -44,6 +44,8 @@ from paradd.rules import (
     doubling_reducer,
     gde_negative_integer,
     gde_pisot_minus,
+    gde_pisot_plus,
+    gde_rational_neg,
     gde_rational_pos,
     gde_root,
     rules_for_alphabet,
@@ -85,30 +87,25 @@ class TestDerivation:
             == details["output"]
         assert details["output"] not in Alphabet(0, 1)
 
-    def test_quartic_rule_closure_is_exact(self, monkeypatch):
-        # -1+i: 6**5 selector entries fit the budget, so its 6**9 windows
-        # are covered by the sweep, never by sampling
-        def sampled(letters, p):
-            raise AssertionError("closure was sampled")
-
-        monkeypatch.setattr(local, "_sampled_windows", sampled)
+    def test_quartic_rule_closure_is_exact(self):
+        # -1+i: the rule for -4 at stride 4 has 4 classes over the 2 digits
+        # it reads, so its 6**9 windows are proved from 4**2 entries
         rule = gde_root.__wrapped__(4, 4, True)
-        assert len(rule.selector_table) == 6 ** 5
+        assert len(rule.selector_table) == 4 ** 2
         assert closure_range(rule) == (0, 4)
 
-    def test_oversized_selector_is_sampled(self, monkeypatch):
-        # pisot-:100 needs 101**5 selector entries: none are tabulated
-        seen = []
-
-        def sampled(letters, p):
-            seen.append(p)
-            yield (0,) * p
-
-        monkeypatch.setattr(local, "_sampled_windows", sampled)
-        rule = gde_pisot_minus.__wrapped__(100)
-        assert rule.selector_table is None and seen == [7]
+    def test_oversized_selector_is_proved(self):
+        # by digits, pisot-:100 spans 101**5 sub-windows, root:2,10,+
+        # 4**11 and -1000 1002**2: each is proved from its class table
+        for rule, entries in ((gde_pisot_minus(100), 4 ** 5),
+                              (gde_root(2, 10, False), 3 ** 2),
+                              (gde_negative_integer(1000), 4 ** 2)):
+            assert rule.selector_table_size > local.DEFAULT_TABLE_BUDGET
+            assert len(rule.selector_table) == entries
+            lo, hi = closure_range(rule)
+            assert rule.output_alphabet.m <= lo <= hi <= rule.output_alphabet.M
         # q = 1 at the centre and both neighbours: 100 - 100 + 1 + 1
-        assert rule.phi((0, 0, 99, 100, 99, 0, 0)) == 2
+        assert gde_pisot_minus(100).phi((0, 0, 99, 100, 99, 0, 0)) == 2
 
     def test_derivation_cpu_time(self):
         # the three largest catalog derivations: 7**7, 11**5 and 6**9
@@ -123,17 +120,17 @@ class TestDerivation:
 
 def _selector_phi(carry, t):
     """Phi on windows with anticipation t, calling the selector: the
-    centre digit plus gamma * q of each placed sub-window."""
-    width = carry.selector_window
-    return lambda w: w[t] + sum(gamma * carry.selector(w[i0:i0 + width])
+    centre digit plus gamma * q of each placed sub-window's every
+    stride-th digit."""
+    span, k = carry.selector_span, carry.stride
+    return lambda w: w[t] + sum(gamma * carry.selector(w[i0:i0 + span:k])
                                 for i0, gamma in carry.reads(t))
 
 
 def _brute_range(rule):
-    """min and max of the selector-calling Phi over every window."""
-    phi = _selector_phi(rule.carry, rule.anticipation)
-    outs = list(map(phi, itertools.product(rule.input_alphabet,
-                                           repeat=rule.window_length)))
+    """min and max of Phi over every window."""
+    outs = list(map(rule.phi, itertools.product(rule.input_alphabet,
+                                                repeat=rule.window_length)))
     return min(outs), max(outs)
 
 
@@ -152,26 +149,45 @@ def _catalog_rules():
             rule.input_alphabet.size ** rule.window_length <= 10 ** 6]
 
 
+def _class_code(cuts, digits):
+    """The code of a window of classes: the cuts at or below each digit,
+    read in base len(cuts) + 1."""
+    code = 0
+    for d in digits:
+        code = code * (len(cuts) + 1) + sum(c <= d for c in cuts)
+    return code
+
+
 class TestClosureRange:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_equals_brute_force(self, data):
         m = data.draw(st.integers(-3, 0))
         alphabet = Alphabet(m, data.draw(st.integers(max(m + 1, 0), m + 3)))
+        cuts = tuple(sorted(data.draw(st.sets(
+            st.integers(m + 1, alphabet.M)))))
+        k = data.draw(st.integers(1, 3))
         ta, tm = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
         width = ta + tm + 1
         q = tuple(data.draw(st.lists(st.integers(-3, 3),
-                                     min_size=alphabet.size ** width,
-                                     max_size=alphabet.size ** width)))
+                                     min_size=(len(cuts) + 1) ** width,
+                                     max_size=(len(cuts) + 1) ** width)))
+        # windows of at most 7 digits keep the brute force small
+        reach = min(2, (6 // k - ta - tm) // 2)
         placements = tuple(data.draw(st.lists(
-            st.tuples(st.integers(-2, 2), st.integers(-3, 3)),
+            st.tuples(st.integers(-reach, reach), st.integers(-3, 3)),
             min_size=1, max_size=3)))
-        codes = {w: i for i, w in enumerate(
-            itertools.product(alphabet, repeat=width))}
-        carry = CarryRule(lambda sub: q[codes[sub]], ta, tm, placements)
+        carry = CarryRule(None, ta, tm, placements, cuts=cuts, stride=k)
         t, r = carry.window()
         rule = local._carry_rule(carry, alphabet, alphabet, t, r, q)
-        assert closure_range(rule) == _brute_range(rule)
+        span = carry.selector_span
+        outs = []
+        for w in itertools.product(alphabet, repeat=t + r + 1):
+            want = w[t] + sum(gamma * q[_class_code(cuts, w[i0:i0 + span:k])]
+                              for i0, gamma in carry.reads(t))
+            assert rule.phi(w) == want
+            outs.append(want)
+        assert closure_range(rule) == (min(outs), max(outs))
 
     def test_catalog_rules_equal_brute_force(self):
         checked = _catalog_rules()
@@ -180,6 +196,36 @@ class TestClosureRange:
             assert closure_range(rule) == _brute_range(rule), rule.name
             assert closure_range(rule)[1] <= rule.output_alphabet.M
             assert closure_range(rule)[0] >= rule.output_alphabet.m
+
+
+_CLASS_RULES = (
+    [gde_negative_integer(b) for b in range(2, 9)]
+    + [gde_root(b, 1, False) for b in range(2, 9)]
+    + [doubling_reducer(a) for a in range(3, 9)]
+    + [gde_pisot_minus(a) for a in range(3, 9)]
+    + [gde_pisot_plus(a) for a in range(2, 9)]
+    + [make(a, b) for make in (gde_rational_pos, gde_rational_neg)
+       for a, b in ((3, 2), (5, 2), (5, 3), (7, 4))])
+
+
+@pytest.mark.parametrize("rule", _CLASS_RULES, ids=lambda rule: rule.name)
+def test_selector_is_constant_on_classes(rule):
+    # the selector on every digit sub-window equals its class-table entry
+    carry = rule.carry
+    for sub in itertools.product(rule.input_alphabet,
+                                 repeat=carry.selector_window):
+        assert carry.selector(sub) == \
+            rule.selector_table[_class_code(carry.cuts, sub)], sub
+
+
+@pytest.mark.parametrize("b, k, negative", [
+    (2, 2, True), (4, 2, True), (2, 3, True), (2, 2, False), (3, 3, False)])
+def test_root_rule_is_the_integer_rule_at_stride_k(b, k, negative):
+    rule = gde_root(b, k, negative)
+    inner = gde_negative_integer(b) if negative else gde_root(b, 1, False)
+    assert (rule.anticipation, rule.memory) == (0, 2 * k)
+    for w in itertools.product(rule.input_alphabet, repeat=2 * k + 1):
+        assert rule.phi(w) == inner.phi(w[::k])
 
 
 class TestApplication:

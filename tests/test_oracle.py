@@ -165,6 +165,15 @@ class TestFaultInjection:
         rep = verify_conversion(bad, negative_integer_base(2), max_len=3)
         assert not rep.passed
 
+    def test_zero_window_fault_is_reported(self):
+        # q(0) = 1 makes Phi(0, 0) = -3 + 2; the scalar apply_rule maps
+        # the zero string to zero without reading Phi, the check does not
+        data = gde_rational_pos(3, 2).to_json()
+        data["carry"]["selector_table"]["0"] += 1
+        rep = verify_conversion(rule_from_json(data), rational_base(3, 2),
+                                max_len=2)
+        assert {"check": "zero-to-zero"} in rep.failures
+
 
 def _brute_force_failures(rule, base, max_len, span):
     """The failures ``verify_conversion`` must report, found string by
