@@ -11,32 +11,37 @@ current string is clamped into the eliminator's input range, the clipped
 excess is carried over unchanged, and the eliminator output absorbs one
 unit of excess per pass.  For beta**2 = a*beta - 1 with the canonical
 alphabet a faster two-stage pipeline applies the rules to the whole
-digit range directly.
+digit range directly; its passes clamp alike, and clip nothing.  Pass
+kinds only label the passes, in exports and traces.
 
 ``add`` and ``subtract`` run the plan with the array kernel
-(``paradd.kernel``) on operands of at least ``MIN_ARRAY_DIGITS`` digits.
+(``paradd.kernel``) on operands of at least ``MIN_ARRAY_DIGITS`` digits,
+through the pipeline's compiled plan (``AdderPipeline.kernel_plan``).
 The scalar loop here (``reduce_to_alphabet``: ``local.apply_rule`` plus
 ``_clamp_split``) is the reference the kernel is tested against, and it
 serves traces, short operands (so a short one-shot command never loads
-numpy) and plans whose selector tables exceed the kernel's budget.
+numpy) and plans whose selector tables the kernel refuses to compile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     Alphabet, DigitString, NumerationSystem, PISOT_MINUS, digitwise_negate,
     digitwise_sum, normalize,
 )
-from .errors import AlphabetLacksNegativesError, DigitOutOfAlphabetError
-from .local import DEFAULT_TABLE_BUDGET, apply_rule
+from .errors import (
+    AlphabetLacksNegativesError, DigitOutOfAlphabetError, LimitExceededError,
+)
+from .local import apply_rule, carries
 from .rules import RulePair, doubling_reducer, gde_pisot_minus, rules_for_alphabet
 
-# pass kinds
-MAP = "map"          # apply rule to the whole string, no clamping
-TOP_PASS = "top"     # clamp into {m..M+1}, eliminate the top digit
-BOTTOM_PASS = "bottom"  # clamp into {m-1..M}, eliminate the bottom digit
+# pass kinds, as labels
+MAP = "map"          # a pass of the two-stage direct plan
+TOP_PASS = "top"     # rule on {m..M+1}: eliminates the top digit
+BOTTOM_PASS = "bottom"  # rule on {m-1..M}: eliminates the bottom digit
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,7 @@ class AdderPipeline:
     system: NumerationSystem
     plan: tuple  # ((kind, rule), ...)
     rules: RulePair
+    input_range: tuple  # (lo, hi): digits the plan provably reduces to A
 
     @property
     def effective_window(self) -> tuple:
@@ -54,16 +60,13 @@ class AdderPipeline:
         r = sum(rule.memory for _, rule in self.plan)
         return (t, r)
 
-    @property
-    def input_range(self) -> tuple:
-        """Digit range the plan provably reduces to the alphabet."""
-        m, M = self.system.alphabet.m, self.system.alphabet.M
-        n_top = sum(1 for kind, _ in self.plan if kind == TOP_PASS)
-        n_bot = sum(1 for kind, _ in self.plan if kind == BOTTOM_PASS)
-        if any(kind == MAP for kind, _ in self.plan):
-            return (self.plan[0][1].input_alphabet.m,
-                    self.plan[0][1].input_alphabet.M)
-        return (m - n_bot, M + n_top)
+    @cached_property
+    def kernel_plan(self):
+        """The plan compiled for the array kernel (``kernel.Plan``), built
+        on first use and kept; this loads numpy.  A rule whose table
+        exceeds the kernel's budget raises ``LimitExceededError``."""
+        from .kernel import Plan
+        return Plan([rule for _, rule in self.plan], *self.input_range)
 
     def to_json(self) -> dict:
         return {
@@ -89,30 +92,30 @@ def build_pipeline(system: NumerationSystem) -> AdderPipeline:
     if base.kind == PISOT_MINUS and alphabet.m == 0:
         a = base.param("a")
         plan = ((MAP, doubling_reducer(a)), (MAP, gde_pisot_minus(a)))
-        return AdderPipeline(system, plan, pair)
+        first = plan[0][1].input_alphabet
+        return AdderPipeline(system, plan, pair, (first.m, first.M))
     m, M = alphabet.m, alphabet.M
+    rounds = max(M, -m)
     steps = []
-    for _ in range(max(M, -m)):
+    for _ in range(rounds):
         if pair.gde is not None:
             steps.append((TOP_PASS, pair.gde))
         if pair.sde is not None:
             steps.append((BOTTOM_PASS, pair.sde))
-    return AdderPipeline(system, tuple(steps), pair)
+    return AdderPipeline(system, tuple(steps), pair,
+                         (m - rounds * (pair.sde is not None),
+                          M + rounds * (pair.gde is not None)))
 
 
 def _clamp_split(z: DigitString, lo: int, hi: int):
-    """z = u + v with u digitwise clamped into [lo, hi]."""
-    u = []
-    v = []
-    nonzero = False
-    for d in z.digits:
-        c = min(max(d, lo), hi)
-        u.append(c)
-        v.append(d - c)
-        nonzero = nonzero or d != c
-    u_ds = DigitString(tuple(u), z.lsd_exponent)
-    v_ds = DigitString(tuple(v), z.lsd_exponent) if nonzero else None
-    return u_ds, v_ds
+    """z = u + v with u digitwise clamped into [lo, hi]; v is None, and u
+    is z, when no digit is clipped."""
+    if lo <= min(z.digits, default=lo) and max(z.digits, default=hi) <= hi:
+        return z, None
+    u = tuple(min(max(d, lo), hi) for d in z.digits)
+    return (DigitString(u, z.lsd_exponent),
+            DigitString(tuple(d - c for d, c in zip(z.digits, u)),
+                        z.lsd_exponent))
 
 
 def reduce_to_alphabet(z: DigitString, pipeline: AdderPipeline,
@@ -120,28 +123,20 @@ def reduce_to_alphabet(z: DigitString, pipeline: AdderPipeline,
     """Run the fixed pass plan on a digit string.
 
     The input digits must lie within the pipeline's provable input range
-    (alphabet sum A+A always qualifies).  Appends (pass-kind, string)
-    snapshots to ``trace`` when given.
+    (alphabet sum A+A always qualifies).  Each pass clamps into its
+    rule's input alphabet.  Appends (pass-kind, string) snapshots to
+    ``trace`` when given.
     """
     lo, hi = pipeline.input_range
     for d in z.digits:
         if not lo <= d <= hi:
             raise DigitOutOfAlphabetError(
                 f"digit {d} outside reducible range [{lo}, {hi}]", digit=d)
-    m, M = pipeline.system.alphabet.m, pipeline.system.alphabet.M
     for kind, rule in pipeline.plan:
-        if kind == MAP:
-            u = z
-            z = apply_rule(rule, z)
-        else:
-            if kind == TOP_PASS:
-                u, v = _clamp_split(z, m, M + 1)
-            else:
-                u, v = _clamp_split(z, m - 1, M)
-            w = apply_rule(rule, u)
-            z = digitwise_sum(w, v) if v is not None else w
+        u, v = _clamp_split(z, rule.input_alphabet.m, rule.input_alphabet.M)
+        w = apply_rule(rule, u)
+        z = digitwise_sum(w, v) if v is not None else w
         if trace is not None:
-            from .local import carries
             trace.append({"kind": kind, "string": z,
                           "carries": carries(rule, u)})
     return normalize(z)
@@ -168,12 +163,15 @@ MIN_ARRAY_DIGITS = 1_000
 def _combine(x: DigitString, y: DigitString, pipeline: AdderPipeline,
              trace: list, negate: bool) -> DigitString:
     """x + y, or x - y with ``negate``: digitwise, then the pass plan."""
-    if (trace is None
-            and max(len(x.digits), len(y.digits)) >= MIN_ARRAY_DIGITS
-            and all(rule.selector_table_size <= DEFAULT_TABLE_BUDGET
-                    for _, rule in pipeline.plan)):
-        from .kernel import add_strings
-        return add_strings(x, y, pipeline, negate)
+    longest = max(len(x.digits), len(y.digits))
+    if trace is None and longest >= MIN_ARRAY_DIGITS:
+        try:
+            pipeline.kernel_plan  # built on first use
+        except LimitExceededError:  # a table over the kernel's budget
+            pass
+        else:
+            from .kernel import add_strings
+            return add_strings(x, y, pipeline, negate)
     alphabet = pipeline.system.alphabet
     _check_digits(x, alphabet)
     _check_digits(y, alphabet)

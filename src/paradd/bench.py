@@ -6,8 +6,8 @@ be cut into slices, one per worker thread, each computed by the array
 kernel (``paradd.kernel``) from its input slice plus a halo of T + R
 digits.  The one-thread run is the reference, and all runs must agree
 digit for digit.  Workers are capped at the CPUs this process may run
-on, and short inputs are not sliced.  numpy loads only when a function
-here runs the kernel.
+on, and short inputs are not sliced.  numpy loads, and the pipeline's
+kernel plan is built, only when a function here runs the kernel.
 
 As an independent cross-check, a classical sequential ripple-carry adder
 (digit d = v mod a with a propagating carry, available for integer and
@@ -36,11 +36,12 @@ from .errors import LimitExceededError, UnsupportedBaseError, WorkerCountError
 # 3/2 {0..4}.  So a second thread starts at 200 000 digits.
 MIN_SHARD_DIGITS = 100_000
 
-# Calls per worker count, alternating between the counts; a timing is the
-# fastest.  A call on 10**6 digits takes 5-20 ms, and a first call also
-# pays for heap growth and thread start, so one wall time on a shared
-# host moves by more than a second thread gains.
-TIMED_CALLS = 3
+# Timed calls per worker count, alternating between the counts after one
+# untimed round that pays for thread start and each thread's heap growth;
+# a timing is the fastest.  In 40 processes on a 2-CPU host (bases -2,
+# 3/2, 10**6 digits), 8 workers over 1 read up to 1.10 as the fastest of
+# the first 3 calls, and up to 0.78 as the fastest of 11 after that round.
+TIMED_CALLS = 11
 
 # Operand lengths run_benchmark accepts.  At 10**7 digits a run of
 # 3/2 {0..4} peaked at about 1 GB of memory and took 7 s, most of it the
@@ -68,11 +69,11 @@ def run_pipeline_flat(pipeline: AdderPipeline, digits, workers: int = 1):
 
     Returns the output digits, msd first, least significant digit at
     exponent -(total anticipation): a list of ints for a list, else an
-    array of the kernel's dtype.  ``workers`` > 1 cuts the output into one
+    array of the plan's dtype.  ``workers`` > 1 cuts the output into one
     slice per thread (see ``worker_count``); each runs the whole plan once
     on its input slice plus a halo of the plan's window.  A plan whose
     selector tables exceed ``local.DEFAULT_TABLE_BUDGET`` is refused with
-    ``LimitExceededError``.
+    ``LimitExceededError`` when its kernel plan is built, on first use.
     """
     threads = worker_count(workers, len(digits))
     from .kernel import run_plan
@@ -138,7 +139,7 @@ def values_equal_mod_primes(x_digits, x_lsd, y_digits, y_lsd,
 class BenchResult:
     system: NumerationSystem
     length: int
-    timings: dict            # requested workers -> fastest seconds (plan only)
+    timings: dict            # requested workers -> fastest of TIMED_CALLS s
     workers_used: dict       # requested workers -> threads used
     ripple_seconds: float
     outputs_identical: bool  # across worker counts
@@ -170,9 +171,10 @@ def run_benchmark(pipeline: AdderPipeline, length: int = 10 ** 6,
     classical ripple adder recomputes the sum, whose value must equal
     the output's exactly.  The operands are drawn as arrays before any
     timing starts, and each count's timing is the fastest of
-    ``TIMED_CALLS`` calls.  Worker counts below 1 and lengths outside
+    ``TIMED_CALLS`` calls of the plan alone, after one untimed call of
+    each count.  Worker counts below 1 and lengths outside
     [MIN_LENGTH, MAX_LENGTH] are refused before anything is allocated,
-    oversized rule tables before the plan runs.
+    oversized rule tables when the first call builds the kernel plan.
     """
     used = {w: worker_count(w, length) for w in worker_counts}
     if not MIN_LENGTH <= length <= MAX_LENGTH:
@@ -188,12 +190,13 @@ def run_benchmark(pipeline: AdderPipeline, length: int = 10 ** 6,
     z = x + y
     timings = dict.fromkeys(worker_counts, float("inf"))
     outputs = {}
-    for _ in range(TIMED_CALLS):
+    for call in range(TIMED_CALLS + 1):
         for workers in worker_counts:
             t0 = time.perf_counter()
             outputs[workers] = run_pipeline_flat(pipeline, z, workers=workers)
-            timings[workers] = min(timings[workers],
-                                   time.perf_counter() - t0)
+            if call:
+                timings[workers] = min(timings[workers],
+                                       time.perf_counter() - t0)
     first = outputs[worker_counts[0]]
     identical = all(np.array_equal(outputs[w], first)
                     for w in worker_counts[1:])

@@ -1,4 +1,4 @@
-"""Whole-array pass-plan kernel: one compiled rule form, one runner.
+"""Whole-array pass-plan kernel: one compiled plan per pipeline, one runner.
 
 Output digit j of a rule is z_j + sum(gamma * q_{j-delta}) over its
 placements (delta, gamma); the carry q_i is the rule's selector table
@@ -6,23 +6,24 @@ spread over digits (``LocalRule.digit_table``) at the base-|A| code of
 the sw digits the selector reads around position i, every k-th for
 stride k.  A pass is then a few shifted slices, one ``take`` and one
 shifted add per placement; a rule read from a table of Phi has the same
-form, with q = Phi - centre on its whole window, at (0, 1).
+form, with q = Phi - centre on its whole window, at (0, 1).  A
+:class:`Plan` holds these facts for a pipeline, built once
+(``AdderPipeline.kernel_plan``), and ``Plan.run`` runs every pass alike.
 Arrays hold digits msd first along the first axis: a 1-D string, or a
 2-D batch of shape (positions, strings) whose every digit row is one
-contiguous block.  A ``run_plan``/``apply`` call's digits are int8, or a
-wider signed dtype where its static bound (``_dtype``) needs; codes are
-int16, or int32 above 2**15 table entries.  Importing this module loads numpy.
+contiguous block.  A plan's digits are int8, or a wider signed dtype
+where its static bound needs; codes are int16, or int32 above 2**15
+table entries.  Importing this module loads numpy.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from functools import lru_cache
 
 import numpy as np
 
-from .adder import MAP, AdderPipeline
+from .adder import AdderPipeline
 from .core import DigitString
 from .errors import DigitOutOfAlphabetError, LimitExceededError
 from .local import DEFAULT_TABLE_BUDGET, LocalRule
@@ -31,71 +32,83 @@ from .local import DEFAULT_TABLE_BUDGET, LocalRule
 _POOL = ThreadPoolExecutor(max_workers=os.cpu_count())
 
 
-@lru_cache(maxsize=256)
-def compiled(rule: LocalRule) -> tuple:
-    """(carry table, least digit, |A|, digits read, stride, placements as
-    (window index of the sub-window, gamma), reach = sum |gamma| * max |q|)
-    once per rule; the table is ``rule.digit_table(1)``, q on each
-    |A|**sw digits the selector reads, in the narrowest dtype holding
-    reach.  Rules are equal only when they are one rule, so the cache
-    never serves one rule's table to another.
+class Pass:
+    """One rule, compiled: its carry table q by the code of the ``width``
+    digits read every ``stride``-th from the input clamped into the clamp
+    range [lo, hi], the rule's input alphabet; the placements (window
+    index of the sub-window, gamma) that add q; its window (t, r); its
+    reach, sum |gamma| * max |q|.  A rule whose selector spans more than
+    ``local.DEFAULT_TABLE_BUDGET`` digit sub-windows
+    (``selector_table_size``), such as ``pisot-:100``'s, is refused with
+    ``LimitExceededError``, as its rule file is."""
 
-    A rule whose selector spans more than ``local.DEFAULT_TABLE_BUDGET``
-    digit sub-windows (``selector_table_size``), such as ``pisot-:100``'s,
-    is refused with ``LimitExceededError``, as its rule file is.
+    def __init__(self, rule: LocalRule):
+        size = rule.selector_table_size
+        if size > DEFAULT_TABLE_BUDGET:
+            raise LimitExceededError(
+                f"rule {rule.name!r} needs a selector table of {size} "
+                f"entries, above {DEFAULT_TABLE_BUDGET}", entries=size)
+        a, cr, q = rule.input_alphabet, rule.carry, rule.digit_table(1)
+        self.lo, self.hi, self.t, self.r = (a.m, a.M, rule.anticipation,
+                                            rule.memory)
+        self.width, self.stride = cr.selector_window, cr.stride
+        placements = cr.reads(self.t)
+        self.reach = sum(abs(g) for _, g in placements) * max(map(abs, q))
+        # a table of zeros places nothing, so no gamma need fit its dtype
+        self.placements = placements if self.reach else []
+        self.table = np.array(q, dtype=np.min_scalar_type(-self.reach - 1))
+
+    def run(self, Z: np.ndarray) -> np.ndarray:
+        """The pass, its carries read from Z clamped into [lo, hi], in Z's
+        dtype.  Each output digit is z_j, unclamped so that the clipped
+        excess carries over, plus the placed carries.  The output is t +
+        r digits wider than Z: output index r lines up with Z's msd."""
+        k, r, pad = self.stride, self.r, self.t + self.r
+        n, rest = len(Z), Z.shape[1:]
+        P = np.full((n + 2 * pad,) + rest, -self.lo, dtype=Z.dtype)
+        np.clip(Z, self.lo, self.hi, out=P[pad:pad + n])
+        if self.lo:
+            P[pad:pad + n] -= self.lo  # codes count from the least digit
+        span = n + 2 * pad - (self.width - 1) * k
+        code = P[:span].astype(np.int16 if self.table.size <= 1 << 15
+                               else np.int32)
+        for j in range(k, self.width * k, k):
+            code *= self.hi - self.lo + 1
+            code += P[j:j + span]
+        q = self.table.take(code)
+        out = np.zeros((n + pad,) + rest, dtype=Z.dtype)
+        out[r:r + n] = Z
+        for i0, gamma in self.placements:
+            out += gamma * q[i0:i0 + n + pad]
+        return out
+
+
+class Plan:
+    """The passes of ``rules``, each distinct rule compiled once, run in
+    turn on digits in the input range [lo, hi]; the output is (T, R) =
+    ``window`` digits wider, and each of its digits reads ``halo`` + 1 =
+    T + R + 1 inputs.  ``dtype`` is the narrowest signed one holding
+    every digit and code: each pass adds at most its reach to the
+    unclamped digits, and clamps them into A, coded 0 .. |A| - 1.
     """
-    size = rule.selector_table_size
-    if size > DEFAULT_TABLE_BUDGET:
-        raise LimitExceededError(
-            f"rule {rule.name!r} needs a selector table of {size} entries, "
-            f"above {DEFAULT_TABLE_BUDGET}", entries=size)
-    a, cr, q = rule.input_alphabet, rule.carry, rule.digit_table(1)
-    placements = cr.reads(rule.anticipation)
-    reach = sum(abs(g) for _, g in placements) * max(map(abs, q))
-    # a table of zeros places nothing, so no gamma need fit its dtype
-    return (np.array(q, dtype=np.min_scalar_type(-reach - 1)), a.m, a.size,
-            cr.selector_window, cr.stride, placements if reach else [],
-            reach)
 
+    def __init__(self, rules, lo: int, hi: int):
+        compiled = {rule: Pass(rule) for rule in dict.fromkeys(rules)}
+        self.passes = [compiled[rule] for rule in rules]
+        self.lo, self.hi = lo, hi
+        self.window = (sum(p.t for p in self.passes),
+                       sum(p.r for p in self.passes))
+        self.halo = sum(self.window)
+        bound = max([max(-lo, hi) + sum(p.reach for p in self.passes)]
+                    + [max(-p.lo, p.hi, p.hi - p.lo) for p in self.passes])
+        self.dtype = np.min_scalar_type(-bound - 1)
 
-def _dtype(rules, lo: int, hi: int) -> np.dtype:
-    """The narrowest signed dtype holding every digit and code of a run
-    of ``rules`` on digits in [lo, hi]: each pass adds at most its reach
-    to the unclamped digits, and clamps them into its rule's input
-    alphabet A, coded 0 .. |A| - 1."""
-    bound = max([max(-lo, hi) + sum(compiled(rule)[6] for rule in rules)]
-                + [max(-a.m, a.M, a.M - a.m)
-                   for a in (rule.input_alphabet for rule in rules)])
-    return np.min_scalar_type(-bound - 1)
-
-
-def _pass(rule: LocalRule, Z: np.ndarray) -> np.ndarray:
-    """One pass of a rule, its carries read from Z clamped into the
-    rule's input alphabet, in Z's dtype.
-
-    Each output digit is z_j, unclamped so that the clipped excess
-    carries over, plus the placed carries.  The output is t + r digits
-    wider than Z: output index ``rule.memory`` lines up with Z's msd.
-    """
-    q_table, m, size, width, k, placements, _ = compiled(rule)
-    t, r = rule.anticipation, rule.memory
-    pad = t + r
-    n, rest = len(Z), Z.shape[1:]
-    P = np.full((n + 2 * pad,) + rest, -m, dtype=Z.dtype)
-    np.clip(Z, m, m + size - 1, out=P[pad:pad + n])
-    if m:
-        P[pad:pad + n] -= m  # codes count from the least digit
-    span = n + 2 * pad - (width - 1) * k
-    code = P[:span].astype(np.int16 if q_table.size <= 1 << 15 else np.int32)
-    for j in range(k, width * k, k):
-        code *= size
-        code += P[j:j + span]
-    q = q_table.take(code)
-    out = np.zeros((n + pad,) + rest, dtype=Z.dtype)
-    out[r:r + n] = Z
-    for i0, gamma in placements:
-        out += gamma * q[i0:i0 + n + pad]
-    return out
+    def run(self, Z: np.ndarray) -> np.ndarray:
+        """Every pass on the unchecked digits of Z, in Z's dtype, lsd at
+        exponent 0; the output covers exponents msd + R .. -T."""
+        for p in self.passes:
+            Z = p.run(Z)
+        return Z
 
 
 def _check(Z: np.ndarray, lo: int, hi: int, where: str) -> None:
@@ -105,34 +118,16 @@ def _check(Z: np.ndarray, lo: int, hi: int, where: str) -> None:
         raise DigitOutOfAlphabetError(f"digit {d} outside {where}", digit=d)
 
 
-def _digits(Z, lo: int, hi: int, rules, where: str) -> np.ndarray:
-    """Z in ``_dtype(rules, lo, hi)``; its first digit outside [lo, hi],
-    one beyond int32 included, is refused by ``_check`` before any table
-    is built.  A sequence converts through int32."""
+def _digits(Z, lo: int, hi: int, dtype, where: str) -> np.ndarray:
+    """Z in ``dtype``, once ``_check`` finds no digit outside [lo, hi],
+    one beyond int32 included; a sequence converts through int32."""
     if not isinstance(Z, np.ndarray):
         try:
             Z = np.array(Z, dtype=np.int32)
         except OverflowError:  # _check names the first digit out of range
             Z = np.array(Z, dtype=object)
     _check(Z, lo, hi, where)
-    return Z.astype(_dtype(rules, lo, hi), copy=False)
-
-
-def apply(rule: LocalRule, Z) -> np.ndarray:
-    """``local.apply_rule`` on every string along the first axis of Z,
-    lsd at exponent 0; the output covers exponents msd + r .. -t."""
-    a = rule.input_alphabet
-    return _pass(rule, _digits(Z, a.m, a.M, [rule], f"input alphabet {a}"))
-
-
-def _run(pipeline: AdderPipeline, Z: np.ndarray) -> np.ndarray:
-    # a top (bottom) pass's rule takes {m..M+1} ({m-1..M}), its clamp range
-    for kind, rule in pipeline.plan:
-        if kind == MAP:
-            a = rule.input_alphabet
-            _check(Z, a.m, a.M, f"input alphabet {a}")
-        Z = _pass(rule, Z)
-    return Z
+    return Z.astype(dtype, copy=False)
 
 
 def shard_cuts(width: int, shards: int) -> list:
@@ -149,9 +144,9 @@ def plan_slice(pipeline: AdderPipeline, Z: np.ndarray, cut) -> np.ndarray:
     adds nothing, since every rule maps the zero window to 0), so the
     slice's outputs equal those of the run over all digits.
     """
-    a, b = cut
-    lo = max(0, a - sum(pipeline.effective_window))
-    return _run(pipeline, Z[lo:b])[a - lo:b - lo]
+    plan, (a, b) = pipeline.kernel_plan, cut
+    lo = max(0, a - plan.halo)
+    return plan.run(Z[lo:b])[a - lo:b - lo]
 
 
 def _slice_on(cpu: int, pipeline: AdderPipeline, Z: np.ndarray, cut):
@@ -171,12 +166,12 @@ def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
     output into slices (``plan_slice``) run on threads, as numpy releases
     the interpreter lock inside array operations.
     """
-    lo, hi = pipeline.input_range
-    Z = _digits(Z, lo, hi, [rule for _, rule in pipeline.plan],
-                f"reducible range [{lo}, {hi}]")
+    plan = pipeline.kernel_plan
+    Z = _digits(Z, plan.lo, plan.hi, plan.dtype,
+                f"reducible range [{plan.lo}, {plan.hi}]")
     if workers == 1:
-        return _run(pipeline, Z)
-    cuts = shard_cuts(len(Z) + sum(pipeline.effective_window), workers)
+        return plan.run(Z)
+    cuts = shard_cuts(len(Z) + plan.halo, workers)
     cpus = sorted(os.sched_getaffinity(0))
     parts = [_POOL.submit(_slice_on, cpus[k % len(cpus)], pipeline, Z, cut)
              for k, cut in enumerate(cuts)]
@@ -191,16 +186,15 @@ def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
     The array form of ``adder.add``/``subtract`` without a trace: the
     same digits and the same ``DigitOutOfAlphabetError``s.
     """
-    alphabet = pipeline.system.alphabet
-    rules = [rule for _, rule in pipeline.plan]
-    X, Y = (_digits(s.digits, alphabet.m, alphabet.M, rules,
+    plan, alphabet = pipeline.kernel_plan, pipeline.system.alphabet
+    X, Y = (_digits(s.digits, alphabet.m, alphabet.M, plan.dtype,
                     f"alphabet {alphabet}") for s in (x, y))
     msd = max(x.msd_exponent, y.msd_exponent)
     lsd = min(x.lsd_exponent, y.lsd_exponent)
-    Z = np.zeros(msd - lsd + 1, _dtype(rules, *pipeline.input_range))
+    Z = np.zeros(msd - lsd + 1, plan.dtype)
     for D, s in ((X, x), (-Y if negate else Y, y)):
         Z[msd - s.msd_exponent:][:D.size] += D
-    out = run_plan(pipeline, Z)
+    out = plan.run(Z)  # A + A, or A - A, lies in the plan's input range
     nonzero = np.flatnonzero(out)
     if not nonzero.size:
         return DigitString.zero()
@@ -208,5 +202,4 @@ def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
     digits = out[first:last + 1]
     _check(digits, alphabet.m, alphabet.M, f"alphabet {alphabet}")
     return DigitString(tuple(digits.tolist()),
-                       lsd - pipeline.effective_window[0] + len(out) - 1
-                       - last)
+                       lsd - plan.window[0] + len(out) - 1 - last)

@@ -1,7 +1,8 @@
 """Independent verification of conversion rules and addition pipelines.
 
 The engine computes digits -- the array kernel (``paradd.kernel``) on
-(positions, strings) batches for the sweeps, the rule's Phi on the
+(positions, strings) batches for the sweeps, a conversion's rule as a
+one-pass plan (``kernel.Plan``), the rule's Phi on the
 all-zero window for the zero check -- and this module checks them
 against the definition: a conversion must preserve represented values
 exactly, keep outputs inside the declared alphabet, and map zero to
@@ -162,12 +163,14 @@ def _failing_strings(Z: np.ndarray, out: np.ndarray, memory: int, alphabet,
     return outside, np.flatnonzero((_values(V, out) != value).any(axis=0))
 
 
-def _check_block(rule: LocalRule, base: BaseSpec, D: np.ndarray, start: int,
-                 span: int, found: dict, fixed: int, cache: dict) -> None:
+def _check_block(plan: kernel.Plan, rule: LocalRule, base: BaseSpec,
+                 D: np.ndarray, start: int, span: int, found: dict,
+                 fixed: int, cache: dict) -> None:
     """Alphabet closure and value preservation for D's columns, strings
-    numbered from ``start``: of each ``span`` numbers, the first 10
-    failing strings of each check go to ``found[(number // span, check)]``."""
-    out = kernel.apply(rule, D)
+    numbered from ``start``, under the rule's one-pass ``plan``: of each
+    ``span`` numbers, the first 10 failing strings of each check go to
+    ``found[(number // span, check)]``."""
+    out = plan.run(D)
     for j, cols in enumerate(_failing_strings(
             D, out, rule.memory, rule.output_alphabet, base, fixed, cache)):
         ranges = (start + np.asarray(cols, dtype=np.int64)) // span
@@ -208,9 +211,9 @@ def verify_conversion(rule: LocalRule, base: BaseSpec, max_len: int = 6,
 
     Lengths whose exhaustive count S**L fits the remaining budget are
     enumerated completely, in code order, as (L, strings) blocks in the
-    kernel's dtype (``_blocks``); if the budget runs out before
-    ``max_len``, ``samples`` random strings of length ``max_len`` are
-    checked instead.  Also checks that Phi maps the all-zero window to
+    dtype of the rule's one-pass plan (``_blocks``), which runs them; if
+    the budget runs out before ``max_len``, ``samples`` random strings of
+    length ``max_len`` are checked instead.  Also checks that Phi maps the all-zero window to
     0.  Sizes that check no string or pass ``MAX_BUDGET`` or
     ``MAX_BATCH_DIGITS`` are refused.
     """
@@ -224,8 +227,8 @@ def verify_conversion(rule: LocalRule, base: BaseSpec, max_len: int = 6,
         report.fail("zero-to-zero")
     report.note("zero-to-zero")
 
-    dtype = kernel._dtype([rule], m, m + S - 1)
-    spent, groups = 0, []
+    plan = kernel.Plan([rule], m, m + S - 1)
+    dtype, spent, groups = plan.dtype, 0, []
     for L in range(1, max_len + 1):
         spent += S ** L
         if spent > budget:
@@ -241,7 +244,8 @@ def verify_conversion(rule: LocalRule, base: BaseSpec, max_len: int = 6,
     for n, span, blocks in groups:  # witnesses by range, then by check
         found = {}
         for start, fixed, block, cache in blocks:
-            _check_block(rule, base, block, start, span, found, fixed, cache)
+            _check_block(plan, rule, base, block, start, span, found, fixed,
+                         cache)
         for (_, j), witnesses in sorted(found.items()):
             for witness in witnesses:
                 report.fail(("output-alphabet", "value-preservation")[j],

@@ -1,5 +1,7 @@
 """Command-line front end: worked examples and exit codes."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -9,10 +11,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paradd
 
-from paradd.cli import MAX_DIGITS, main, parse_alphabet, parse_base
+from paradd.cli import (
+    _VERIFY_CATALOG, MAX_DIGITS, main, parse_alphabet, parse_base,
+)
 from paradd.core import Alphabet, negative_root_base, rational_base
 
 
@@ -348,3 +353,50 @@ class TestErrors:
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
+
+
+# catalog bases, their neighbours and texts that are not bases at all
+_FUZZ_BASES = ["-2", "3/2", "-3/2", "pisot-:3", "pisot+:2", "root:2,2,+",
+               "-1+i", "2i", "isqrt2", "2", "10", "-10", "1", "0", "1/0",
+               "2/4", "-1/2", "root:2,0,+", "root:0,2,-", "root:2,2",
+               "pisot-:2", "pisot+:0", "pisot-:x", "i", ""]
+_ALPHABETS = ["0..2", "0..3", "0..4", "-1..1", "-2..2", "0..10", "1..3",
+              "0..1", "2..0", "0..", "a..b", "0..2..4", ""]
+_GARBAGE = st.lists(st.sampled_from(
+    [str(d) for d in range(-4, 13)] + [".", ".", "x", "1.5", "--1", "+"]),
+    max_size=8).map(" ".join)
+_DIGITS = st.lists(st.integers(0, 2), max_size=5).map(
+    lambda ds: " ".join(map(str, ds)))
+# strings in the grammar, with digits in every catalog alphabet, or not
+_DIGIT_TEXTS = st.one_of(st.builds("{} . {}".format, _DIGITS, _DIGITS),
+                         _GARBAGE)
+
+
+# catalog systems as they are, or a base and an alphabet drawn apart
+_CATALOG = st.sampled_from(_VERIFY_CATALOG + [("-2", "-1..1"),
+                                              ("-3/2", "-2..2")])
+_SYSTEMS = st.one_of(
+    _CATALOG,
+    st.tuples(st.one_of(st.sampled_from(_FUZZ_BASES), st.text(max_size=8)),
+              st.one_of(st.sampled_from(_ALPHABETS),
+                        st.builds("{}..{}".format, st.integers(-5, 3),
+                                  st.integers(-3, 12)),
+                        st.text(max_size=6))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=_SYSTEMS, x=_DIGIT_TEXTS, y=_DIGIT_TEXTS,
+       flags=st.sets(st.sampled_from(["--subtract", "--trace", "--json"])))
+def test_add_fuzz_exits_cleanly(system, x, y, flags):
+    # every request ends in an exit code: no exception, no traceback
+    base, alphabet = system
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["add", "--base", base, "--alphabet", alphabet,
+                     *sorted(flags), x, y])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert err.getvalue() and not out.getvalue()

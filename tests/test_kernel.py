@@ -21,6 +21,7 @@ from paradd.errors import DigitOutOfAlphabetError, LimitExceededError
 from paradd.local import (
     DEFAULT_TABLE_BUDGET, apply_rule, closure_range, rule_from_json,
 )
+from paradd.oracle import verify_conversion
 from paradd.rules import (
     gde_negative_integer, gde_pisot_minus, gde_rational_neg,
 )
@@ -96,9 +97,16 @@ def test_batch_columns_match_1d_runs(name, data):
     for _, rule in pipe.plan:
         a = rule.input_alphabet
         D = rng.integers(a.m, a.M + 1, (n, strings), dtype=np.int32)
-        out = kernel.apply(rule, D)
+        out = _run_rule(rule, D)
         for k in range(strings):
-            assert (out[:, k] == kernel.apply(rule, D[:, k])).all()
+            assert (out[:, k] == _run_rule(rule, D[:, k])).all()
+
+
+def _run_rule(rule, Z):
+    # the rule as a one-pass plan on digits of its input alphabet
+    a = rule.input_alphabet
+    plan = kernel.Plan([rule], a.m, a.M)
+    return plan.run(np.asarray(Z, dtype=plan.dtype))
 
 
 @lru_cache(maxsize=None)
@@ -126,8 +134,8 @@ def test_table_rule_matches_scalar(rule, seed, rows, length):
     assert table_rule.carry.placements == ((0, 1),)
     a = rule.input_alphabet
     Z = np.random.default_rng(seed).integers(a.m, a.M + 1, (rows, length))
-    out = kernel.apply(table_rule, Z.T).T
-    assert (out == kernel.apply(rule, Z.T).T).all()
+    out = _run_rule(table_rule, Z.T).T
+    assert (out == _run_rule(rule, Z.T).T).all()
     for row, got in zip(Z, out):
         want = apply_rule(table_rule, DigitString(tuple(row.tolist())))
         assert normalize(DigitString(tuple(got.tolist()),
@@ -171,7 +179,7 @@ def test_dtype_holds_static_bound(name):
     lo, hi = pipe.input_range
     bound = _static_bound(rules, lo, hi)
     dtype = kernel.run_plan(pipe, [hi]).dtype
-    assert dtype == kernel._dtype(rules, lo, hi)
+    assert dtype == pipe.kernel_plan.dtype
     assert np.iinfo(dtype).max >= bound
     assert dtype == np.int8 or np.iinfo(np.int8).max < bound
     if name == "10 0..10":
@@ -180,13 +188,13 @@ def test_dtype_holds_static_bound(name):
     for Z in ([hi] * 40, [lo] * 40, [lo, hi] * 20, [hi, hi, lo] * 13):
         Z = np.array(Z, dtype=np.int64)
         for rule in rules:
-            Z = kernel._pass(rule, Z)
+            Z = kernel.Plan([rule], lo, hi).run(Z)
             assert np.abs(Z).max() <= bound
     # exact: digits up to 127 - reach take int8, one more takes int16
     edge = 127 - sum(map(_reach, rules))
     assert _static_bound(rules, 0, edge) == 127
-    assert kernel._dtype(rules, 0, edge) == np.int8
-    assert kernel._dtype(rules, 0, edge + 1) == np.int16
+    assert kernel.Plan(rules, 0, edge).dtype == np.int8
+    assert kernel.Plan(rules, 0, edge + 1).dtype == np.int16
 
 
 @pytest.mark.parametrize("m, dtype", [(-63, np.int8), (-64, np.int16)])
@@ -198,9 +206,9 @@ def test_codes_set_the_dtype_at_int8_edge(m, dtype):
         "input_alphabet": {"m": m, "M": 64},
         "output_alphabet": {"m": m, "M": 64},
         "table": {str(d): d - (d == 64) for d in range(m, 65)}})
-    Z = np.arange(m, 65)
-    out = kernel.apply(rule, Z)
-    assert out.dtype == dtype
+    plan = kernel.Plan([rule], m, 64)
+    assert plan.dtype == dtype
+    out = plan.run(np.arange(m, 65, dtype=plan.dtype))
     assert out.tolist() == list(range(m, 64)) + [63]
 
 
@@ -227,34 +235,74 @@ def test_long_operands_take_the_kernel(monkeypatch, name):
     assert len(calls) == len(ops)
 
 
-@pytest.mark.parametrize("bad", [7, -1, 10 ** 30])
+# top passes; the two-stage map plan; top and bottom passes, subtracting
+_ERROR_PLANS = [("-2 0..2", add), ("pisot-:3 0..2", add),
+                ("-2 -1..1", subtract)]
+
+
+@pytest.mark.parametrize("bad", [7, -1, -2, 10 ** 30])
 def test_long_operand_errors_match_scalar(bad):
-    pipe = _pipeline("-2 0..2")
-    x = DigitString((1,) * 500 + (bad,) + (2,) * MIN_ARRAY_DIGITS)
-    y = DigitString((1,) * 10)
-    with pytest.raises(DigitOutOfAlphabetError) as kern:
-        add(x, y, pipe)
-    with pytest.raises(DigitOutOfAlphabetError) as scalar:
-        add(x, y, pipe, trace=[])
-    assert str(kern.value) == str(scalar.value)
-    assert kern.value.details == scalar.value.details == {"digit": bad}
+    for name, op in _ERROR_PLANS:
+        pipe = _pipeline(name)
+        if bad in pipe.system.alphabet:
+            continue
+        x = DigitString((1,) * 500 + (bad,) + (1,) * MIN_ARRAY_DIGITS)
+        y = DigitString((1,) * 10)
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(DigitOutOfAlphabetError) as kern:
+                op(a, b, pipe)
+            with pytest.raises(DigitOutOfAlphabetError) as scalar:
+                op(a, b, pipe, trace=[])
+            assert str(kern.value) == str(scalar.value)
+            assert kern.value.details == scalar.value.details == \
+                {"digit": bad}
 
 
 @pytest.mark.parametrize("bad", [2 ** 31, -2 ** 31 - 1, 10 ** 30])
 def test_flat_list_beyond_int32_is_refused(bad):
-    pipe = _pipeline("-2 0..2")
-    digits = [1, 2] * 50 + [bad] + [9]
-    with pytest.raises(DigitOutOfAlphabetError) as err:
-        bench.run_pipeline_flat(pipe, digits)
-    assert str(err.value) == f"digit {bad} outside reducible range [0, 4]"
-    assert err.value.details == {"digit": bad}
+    for name in ("-2 0..2", "pisot-:3 0..2"):
+        pipe = _pipeline(name)
+        digits = [1, 2] * 50 + [bad] + [9]
+        with pytest.raises(DigitOutOfAlphabetError) as err:
+            bench.run_pipeline_flat(pipe, digits)
+        assert str(err.value) == \
+            f"digit {bad} outside reducible range [0, 4]"
+        assert err.value.details == {"digit": bad}
+
+
+def test_plan_is_built_once_per_pipeline(monkeypatch):
+    builds = []
+
+    class Counting(kernel.Plan):
+        def __init__(self, rules, lo, hi):
+            builds.append(len(rules))
+            super().__init__(rules, lo, hi)
+
+    monkeypatch.setattr(kernel, "Plan", Counting)
+    pipe = build_pipeline(make_system(parse_base("-2"),
+                                      parse_alphabet("-1..1")))
+    x, y = DigitString((1, 0, -1) * 6), DigitString((1, 1, -1) * 5, -2)
+    Z = np.array([2, -2, 1, 0, -1] * 20, dtype=np.int32)
+    for _ in range(3):
+        assert kernel.add_strings(x, y, pipe, negate=True) == \
+            subtract(x, y, pipe)
+        assert (kernel.run_plan(pipe, Z, 2) == kernel.run_plan(pipe, Z)).all()
+        kernel.plan_slice(pipe, Z, (10, 20))
+    long_x = DigitString((1,) * MIN_ARRAY_DIGITS)
+    add(long_x, long_x, pipe)
+    assert builds == [len(pipe.plan)]
+    # a sweep compiles its rule once, as a one-pass plan
+    builds.clear()
+    verify_conversion(pipe.plan[0][1], pipe.system.base, max_len=5)
+    assert builds == [1]
 
 
 def test_m1pi_flat_run_matches_scalar_quickly():
-    pipe = _pipeline("-1+i 0..4")
+    # a fresh pipeline: the time includes tabulating the rules
+    pipe = build_pipeline(make_system(parse_base("-1+i"),
+                                      parse_alphabet("0..4")))
     lo, hi = pipe.input_range
     z = np.random.default_rng(1).integers(lo, hi + 1, 10 ** 5).tolist()
-    kernel.compiled.cache_clear()  # the time includes tabulating the rule
     t0 = time.perf_counter()
     got = bench.run_pipeline_flat(pipe, z, workers=1)
     elapsed = time.perf_counter() - t0

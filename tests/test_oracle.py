@@ -22,7 +22,7 @@ from paradd.core import (
 )
 from paradd.errors import LimitExceededError
 from paradd.local import apply_rule, rule_from_json
-from paradd.kernel import apply, run_plan
+from paradd.kernel import Plan, run_plan
 from paradd.oracle import (
     MAX_BATCH_DIGITS,
     MAX_BUDGET,
@@ -60,15 +60,18 @@ class TestConversionSweep:
         letters = list(rule.input_alphabet)
         seen = []
 
-        def record(rule, D):
-            out = apply(rule, D)
-            # D is in the kernel's dtype, so the kernel copies nothing
-            assert out.dtype == D.dtype and D.flags.c_contiguous
+        run = Plan.run
+
+        def record(plan, D):
+            out = run(plan, D)
+            # D is in the plan's dtype, so the kernel copies nothing
+            assert out.dtype == D.dtype == plan.dtype
+            assert D.flags.c_contiguous
             seen.extend(tuple(col) for col in D.T.tolist())
             return out
 
         monkeypatch.setattr(oracle, "_BLOCK", 1)
-        monkeypatch.setattr(oracle.kernel, "apply", record)
+        monkeypatch.setattr(Plan, "run", record)
         rep = verify_conversion(rule, negative_integer_base(2), max_len=4)
         assert rep.passed
         want = [w for L in range(1, 5)
@@ -89,7 +92,7 @@ class TestConversionSweep:
         rule = gde_rational_pos(3, 2)
         rng = np.random.default_rng(3)
         Z = rng.integers(0, 6, size=(50, 5))
-        out = apply(rule, Z.T).T
+        out = Plan([rule], 0, 5).run(Z.T).T
         for row, orow in zip(Z, out):
             want = apply_rule(rule, DigitString(tuple(int(v) for v in row),
                                                 0))
@@ -251,7 +254,7 @@ def test_witnesses_match_brute_force(monkeypatch, make, base, max_len, form,
 
 @pytest.mark.parametrize("corrupted_first", [False, True])
 def test_same_named_rules_keep_their_own_tables(corrupted_first):
-    # the kernel caches each rule's compiled table: a table-form copy of
+    # each sweep compiles the rule it is given: a table-form copy of
     # gde(-2) with the entry of 1 1 1 raised by 1, under the same name and
     # alphabets, must still be checked with its own table
     rule = gde_negative_integer(2)
