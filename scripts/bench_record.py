@@ -20,8 +20,11 @@ and the provenance block of the first run, less its seed, plus
 ``PYTHONDONTWRITEBYTECODE``, which the child runs inherit, it decides
 whether each one-shot process compiles ``paradd`` afresh.
 With two checkouts the last one is compared with the first: the change
-in ``src_lines``, and per workload and metric, the ratio of medians and
-how many seeds it read better.
+in ``src_lines``, and per workload and end-to-end metric of this
+checkout's ``BENCHMARK.json``, the ratio of medians, how many seeds it
+read better in the metric's ``better`` direction, and a mark where the
+median is worse than the metric's ``bound`` or the first checkout's
+spread too wide to tell.
 """
 
 from __future__ import annotations
@@ -100,27 +103,38 @@ def record(root: Path, runs: dict, seeds: list) -> dict:
             "workloads": workloads}
 
 
-def better_unit(unit: str) -> bool:
-    """Whether a higher value is better for a metric in this unit."""
-    return unit not in ("s", "ms", "us")
+def load_spec(path: Path) -> dict:
+    """The end-to-end metrics of a ``BENCHMARK.json``, by name: each with
+    its ``better`` ("higher" or "lower") and ``bound``."""
+    return {m["name"]: m for m in json.loads(path.read_text())["end_to_end"]}
 
 
-def compare(base: dict, new: dict) -> list:
-    """Lines comparing two BENCH documents: their source lines, then
-    each metric seed by seed."""
+def compare(base: dict, new: dict, spec: dict) -> list:
+    """Lines comparing two BENCH documents: their source lines, then each
+    metric that ``spec`` names, seed by seed, in the direction it gives.
+    A metric is marked WORSE where its median is worse than the base's by
+    more than its bound, a fraction of the base's median, and unresolved
+    where the base's interquartile range is wider than that fraction."""
     old, now = (doc["provenance"].get("src_lines") for doc in (base, new))
     lines = [f"src_lines {old} -> {now}"
              + (f"  ({now - old:+d})" if None not in (old, now) else "")]
     for workload, w in new["workloads"].items():
         for name, m in w["metrics"].items():
+            if name not in spec:
+                continue
             b = base["workloads"][workload]["metrics"][name]
-            sign = 1 if better_unit(m["unit"]) else -1
+            sign = 1 if spec[name]["better"] == "higher" else -1
+            scale = spec[name]["bound"] * abs(b["median"])
             wins = sum(sign * (x - y) > 0 for x, y in zip(m["runs"],
                                                           b["runs"]))
             lines.append(f"{workload:8s} {name:30s} {b['median']:12.4g} -> "
                          f"{m['median']:12.4g}  x{m['median'] / b['median']:.3f}"
                          f"  better in {wins}/{len(m['runs'])}"
-                         f"  (base IQR {b['q1']:.4g}-{b['q3']:.4g})")
+                         f"  (base IQR {b['q1']:.4g}-{b['q3']:.4g})"
+                         + ("  WORSE" if sign * (m["median"] - b["median"])
+                            < -scale else "")
+                         + ("  unresolved" if b["q3"] - b["q1"] > scale
+                            else ""))
     return lines
 
 
@@ -154,7 +168,9 @@ def main(argv=None) -> int:
         path.write_text(json.dumps(docs[root], indent=1) + "\n")
         print(f"wrote {path}")
     if len(roots) > 1:
-        print("\n".join(compare(docs[roots[0]], docs[roots[-1]])))
+        spec = load_spec(Path(__file__).resolve().parent.parent
+                         / "BENCHMARK.json")
+        print("\n".join(compare(docs[roots[0]], docs[roots[-1]], spec)))
     return 0
 
 

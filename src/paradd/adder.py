@@ -16,11 +16,12 @@ kinds only label the passes, in exports and traces.
 
 ``add`` and ``subtract`` run the plan with the array kernel
 (``paradd.kernel``) on operands of at least ``MIN_ARRAY_DIGITS`` digits,
-through the pipeline's compiled plan (``AdderPipeline.kernel_plan``).
-The scalar loop here (``reduce_to_alphabet``: ``local.apply_rule`` plus
-``_clamp_split``) is the reference the kernel is tested against, and it
-serves traces, short operands (so a short one-shot command never loads
-numpy) and plans whose selector tables the kernel refuses to compile.
+through the pipeline's compiled plan (``AdderPipeline.kernel_plan``),
+which reads each rule's class table as the scalar loop does, so every
+plan compiles.  The scalar loop here (``reduce_to_alphabet``:
+``local.apply_rule`` plus ``_clamp_split``) is the reference the kernel
+is tested against; it serves traces and short operands, so a short
+one-shot command never loads numpy.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from .core import (
     Alphabet, DigitString, NumerationSystem, PISOT_MINUS, digitwise_negate,
     digitwise_sum, normalize,
 )
-from .errors import (
-    AlphabetLacksNegativesError, DigitOutOfAlphabetError, LimitExceededError,
-)
+from .errors import AlphabetLacksNegativesError, DigitOutOfAlphabetError
 from .local import apply_rule, carries
 from .rules import RulePair, doubling_reducer, gde_pisot_minus, rules_for_alphabet
 
@@ -62,9 +61,9 @@ class AdderPipeline:
 
     @cached_property
     def kernel_plan(self):
-        """The plan compiled for the array kernel (``kernel.Plan``), built
-        on first use and kept; this loads numpy.  A rule whose table
-        exceeds the kernel's budget raises ``LimitExceededError``."""
+        """The plan compiled for the array kernel (``kernel.Plan``) from
+        each rule's class table and cuts as they are, built on first use
+        and kept; this loads numpy."""
         from .kernel import Plan
         return Plan([rule for _, rule in self.plan], *self.input_range)
 
@@ -165,13 +164,8 @@ def _combine(x: DigitString, y: DigitString, pipeline: AdderPipeline,
     """x + y, or x - y with ``negate``: digitwise, then the pass plan."""
     longest = max(len(x.digits), len(y.digits))
     if trace is None and longest >= MIN_ARRAY_DIGITS:
-        try:
-            pipeline.kernel_plan  # built on first use
-        except LimitExceededError:  # a table over the kernel's budget
-            pass
-        else:
-            from .kernel import add_strings
-            return add_strings(x, y, pipeline, negate)
+        from .kernel import add_strings
+        return add_strings(x, y, pipeline, negate)
     alphabet = pipeline.system.alphabet
     _check_digits(x, alphabet)
     _check_digits(y, alphabet)

@@ -48,6 +48,12 @@ TIMED_CALLS = 11
 # exact ripple check, on the host the other constants were measured on.
 MIN_LENGTH, MAX_LENGTH = 10 ** 3, 10 ** 7
 
+# Digit-passes (length times passes) per call that run_benchmark accepts:
+# base 10 {0..10}'s 10 passes at MAX_LENGTH.  One such call took 0.8-1.0
+# s on a 2-CPU host, so a benchmark's 24 calls take up to half a minute;
+# -1000 {0..1000} (1 000 passes) reaches it at 10**5 digits.
+MAX_DIGIT_PASSES = 10 ** 8
+
 
 def worker_count(requested: int, length: int) -> int:
     """Worker threads that ``run_pipeline_flat`` uses for ``requested``.
@@ -71,9 +77,7 @@ def run_pipeline_flat(pipeline: AdderPipeline, digits, workers: int = 1):
     exponent -(total anticipation): a list of ints for a list, else an
     array of the plan's dtype.  ``workers`` > 1 cuts the output into one
     slice per thread (see ``worker_count``); each runs the whole plan once
-    on its input slice plus a halo of the plan's window.  A plan whose
-    selector tables exceed ``local.DEFAULT_TABLE_BUDGET`` is refused with
-    ``LimitExceededError`` when its kernel plan is built, on first use.
+    on its input slice plus a halo of the plan's window.
     """
     threads = worker_count(workers, len(digits))
     from .kernel import run_plan
@@ -172,15 +176,21 @@ def run_benchmark(pipeline: AdderPipeline, length: int = 10 ** 6,
     the output's exactly.  The operands are drawn as arrays before any
     timing starts, and each count's timing is the fastest of
     ``TIMED_CALLS`` calls of the plan alone, after one untimed call of
-    each count.  Worker counts below 1 and lengths outside
-    [MIN_LENGTH, MAX_LENGTH] are refused before anything is allocated,
-    oversized rule tables when the first call builds the kernel plan.
+    each count.  Worker counts below 1, lengths outside [MIN_LENGTH,
+    MAX_LENGTH] and more than ``MAX_DIGIT_PASSES`` digit-passes (length
+    times passes) are refused before anything is allocated.
     """
     used = {w: worker_count(w, length) for w in worker_counts}
     if not MIN_LENGTH <= length <= MAX_LENGTH:
         raise LimitExceededError(
             f"benchmark length must lie in [{MIN_LENGTH}, {MAX_LENGTH}], "
             f"got {length}", length=length, limit=[MIN_LENGTH, MAX_LENGTH])
+    work = length * len(pipeline.plan)
+    if work > MAX_DIGIT_PASSES:
+        raise LimitExceededError(
+            f"benchmark of {length} digits through {len(pipeline.plan)} "
+            f"passes needs {work} digit-passes per call, above "
+            f"{MAX_DIGIT_PASSES}", digit_passes=work, limit=MAX_DIGIT_PASSES)
     import numpy as np
     system = pipeline.system
     alphabet = system.alphabet

@@ -1,19 +1,21 @@
 """Whole-array pass-plan kernel: one compiled plan per pipeline, one runner.
 
 Output digit j of a rule is z_j + sum(gamma * q_{j-delta}) over its
-placements (delta, gamma); the carry q_i is the rule's selector table
-spread over digits (``LocalRule.digit_table``) at the base-|A| code of
-the sw digits the selector reads around position i, every k-th for
-stride k.  A pass is then a few shifted slices, one ``take`` and one
-shifted add per placement; a rule read from a table of Phi has the same
-form, with q = Phi - centre on its whole window, at (0, 1).  A
-:class:`Plan` holds these facts for a pipeline, built once
-(``AdderPipeline.kernel_plan``), and ``Plan.run`` runs every pass alike.
-Arrays hold digits msd first along the first axis: a 1-D string, or a
-2-D batch of shape (positions, strings) whose every digit row is one
-contiguous block.  A plan's digits are int8, or a wider signed dtype
-where its static bound needs; codes are int16, or int32 above 2**15
-table entries.  Importing this module loads numpy.
+placements (delta, gamma); the carry q_i is the rule's selector table at
+the code of the classes of the sw digits the selector reads around
+position i, every k-th for stride k.  A digit's class is the count of
+the rule's cuts at or below it, so a digit past either end of the rule's
+alphabet takes that end's class.  A pass is then a few comparisons and
+shifted slices, one ``take`` and one shifted add per placement; a rule
+read from a table of Phi has one class per digit and q = Phi - centre on
+its whole window, at (0, 1).  A :class:`Plan` holds these facts for a
+pipeline, built once (``AdderPipeline.kernel_plan``), and ``Plan.run``
+runs every pass alike.  Arrays hold digits msd first along the first
+axis: a 1-D string, or a 2-D batch of shape (positions, strings) whose
+every digit row is one contiguous block.  A plan's digits and classes
+are int8, or a wider signed dtype where its static bound needs; codes of
+more classes are int16, or int32 above 2**15 table entries.  Importing
+this module loads numpy.
 """
 
 from __future__ import annotations
@@ -25,56 +27,51 @@ import numpy as np
 
 from .adder import AdderPipeline
 from .core import DigitString
-from .errors import DigitOutOfAlphabetError, LimitExceededError
-from .local import DEFAULT_TABLE_BUDGET, LocalRule
+from .errors import DigitOutOfAlphabetError
+from .local import LocalRule
 
 # threads for run_plan's slices; they start on first use, not on import
 _POOL = ThreadPoolExecutor(max_workers=os.cpu_count())
 
 
 class Pass:
-    """One rule, compiled: its carry table q by the code of the ``width``
-    digits read every ``stride``-th from the input clamped into the clamp
-    range [lo, hi], the rule's input alphabet; the placements (window
+    """One rule, compiled: its selector table q by the code of the classes
+    of the ``width`` digits read every ``stride``-th, a digit's class the
+    count of the rule's ``cuts`` at or below it; the placements (window
     index of the sub-window, gamma) that add q; its window (t, r); its
-    reach, sum |gamma| * max |q|.  A rule whose selector spans more than
-    ``local.DEFAULT_TABLE_BUDGET`` digit sub-windows
-    (``selector_table_size``), such as ``pisot-:100``'s, is refused with
-    ``LimitExceededError``, as its rule file is."""
+    reach, sum |gamma| * max |q|."""
 
     def __init__(self, rule: LocalRule):
-        size = rule.selector_table_size
-        if size > DEFAULT_TABLE_BUDGET:
-            raise LimitExceededError(
-                f"rule {rule.name!r} needs a selector table of {size} "
-                f"entries, above {DEFAULT_TABLE_BUDGET}", entries=size)
-        a, cr, q = rule.input_alphabet, rule.carry, rule.digit_table(1)
-        self.lo, self.hi, self.t, self.r = (a.m, a.M, rule.anticipation,
-                                            rule.memory)
+        cr, q = rule.carry, rule.selector_table
+        # a rule of one class gets a cut that no digit reaches
+        self.cuts = cr.cuts or (float("inf"),)
+        self.t, self.r = rule.anticipation, rule.memory
+        self.zero = sum(c <= 0 for c in self.cuts)  # digit 0's class
         self.width, self.stride = cr.selector_window, cr.stride
         placements = cr.reads(self.t)
         self.reach = sum(abs(g) for _, g in placements) * max(map(abs, q))
         # a table of zeros places nothing, so no gamma need fit its dtype
         self.placements = placements if self.reach else []
         self.table = np.array(q, dtype=np.min_scalar_type(-self.reach - 1))
+        self.code = np.int16 if len(q) <= 1 << 15 else np.int32
 
     def run(self, Z: np.ndarray) -> np.ndarray:
-        """The pass, its carries read from Z clamped into [lo, hi], in Z's
-        dtype.  Each output digit is z_j, unclamped so that the clipped
-        excess carries over, plus the placed carries.  The output is t +
-        r digits wider than Z: output index r lines up with Z's msd."""
+        """The pass, its carries read from the classes of Z's digits, in
+        Z's dtype.  Each output digit is z_j, whole, so that any excess
+        past the rule's alphabet carries over, plus the placed carries.
+        The output is t + r digits wider: index r lines up with Z's msd."""
         k, r, pad = self.stride, self.r, self.t + self.r
         n, rest = len(Z), Z.shape[1:]
-        P = np.full((n + 2 * pad,) + rest, -self.lo, dtype=Z.dtype)
-        np.clip(Z, self.lo, self.hi, out=P[pad:pad + n])
-        if self.lo:
-            P[pad:pad + n] -= self.lo  # codes count from the least digit
+        C = np.full((n + 2 * pad,) + rest, self.zero, dtype=Z.dtype)
+        classes = C[pad:pad + n]  # per digit, the count of cuts at or below
+        np.greater_equal(Z, self.cuts[0], out=classes)
+        for cut in self.cuts[1:]:  # a bool array's bytes read as int8 0 or 1
+            classes += np.greater_equal(Z, cut).view(np.int8)
         span = n + 2 * pad - (self.width - 1) * k
-        code = P[:span].astype(np.int16 if self.table.size <= 1 << 15
-                               else np.int32)
+        code = C[:span]
         for j in range(k, self.width * k, k):
-            code *= self.hi - self.lo + 1
-            code += P[j:j + span]
+            code = np.multiply(code, len(self.cuts) + 1, dtype=self.code)
+            code += C[j:j + span]
         q = self.table.take(code)
         out = np.zeros((n + pad,) + rest, dtype=Z.dtype)
         out[r:r + n] = Z
@@ -88,8 +85,8 @@ class Plan:
     turn on digits in the input range [lo, hi]; the output is (T, R) =
     ``window`` digits wider, and each of its digits reads ``halo`` + 1 =
     T + R + 1 inputs.  ``dtype`` is the narrowest signed one holding
-    every digit and code: each pass adds at most its reach to the
-    unclamped digits, and clamps them into A, coded 0 .. |A| - 1.
+    every digit and class: each pass adds at most its reach to the
+    digits, and reads their classes 0 .. len(cuts).
     """
 
     def __init__(self, rules, lo: int, hi: int):
@@ -100,7 +97,7 @@ class Plan:
                        sum(p.r for p in self.passes))
         self.halo = sum(self.window)
         bound = max([max(-lo, hi) + sum(p.reach for p in self.passes)]
-                    + [max(-p.lo, p.hi, p.hi - p.lo) for p in self.passes])
+                    + [len(p.cuts) for p in self.passes])
         self.dtype = np.min_scalar_type(-bound - 1)
 
     def run(self, Z: np.ndarray) -> np.ndarray:

@@ -145,19 +145,16 @@ class LocalRule:
         """Output digit for one window (msd-first tuple of length p)."""
         return self.window_fn(tuple(window))
 
-    def digit_table(self, step: int) -> list:
-        """q by digits: on each sub-window of (sw - 1) * step + 1 digits
-        over the input alphabet, in base-|A| code order counted from the
-        least digit, where the selector reads every step-th digit.  With
-        the carry's stride that is a rule file's table; with 1, the
-        kernel's, over the sw digits read."""
+    def digit_table(self) -> list:
+        """q by digits, as a rule file holds it: on each sub-window of
+        ``selector_span`` digits over the input alphabet, in code order."""
         cr = self.carry
         n, classes = len(cr.cuts) + 1, [bisect_right(cr.cuts, d)
                                         for d in self.input_alphabet]
         codes = [0]
-        for i in range((cr.selector_window - 1) * step + 1):
+        for i in range(cr.selector_span):
             codes = ([c * n + x for c in codes for x in classes]
-                     if i % step == 0 else
+                     if i % cr.stride == 0 else
                      [c for c in codes for _ in classes])
         return [self.selector_table[c] for c in codes]
 
@@ -185,7 +182,7 @@ class LocalRule:
                                for delta, gamma in cr.placements],
                 "selector_table": {" ".join(map(str, sub)): q
                                    for sub, q in zip(subs,
-                                                     self.digit_table(k))},
+                                                     self.digit_table())},
             },
         }
 

@@ -16,7 +16,7 @@ from paradd.core import (
     pisot_minus_base,
     rational_base,
 )
-from paradd.errors import WorkerCountError
+from paradd.errors import LimitExceededError, WorkerCountError
 
 # one system per plan kind: top passes only; top and bottom passes (two
 # systems); map passes with window (5, 5)
@@ -104,3 +104,27 @@ def test_ripple_check_sees_one_changed_digit(monkeypatch, system):
     result = bench.run_benchmark(pipe, length=5_000, worker_counts=(1,))
     assert result.outputs_identical
     assert result.ripple_value_match is False and not result.passed
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("extra, ok", [(0, True), (1, False)])
+def test_digit_pass_cap(monkeypatch, extra, ok):
+    # -100 {0..100} has 100 passes: 10**6 digits sit at the cap
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(kernel, "run_plan", reached)
+    pipe = build_pipeline(make_system(negative_integer_base(100),
+                                      Alphabet(0, 100)))
+    passes = len(pipe.plan)
+    length = bench.MAX_DIGIT_PASSES // passes + extra
+    assert (length - extra) * passes == bench.MAX_DIGIT_PASSES
+    assert bench.MIN_LENGTH <= length <= bench.MAX_LENGTH
+    with pytest.raises(_Reached if ok else LimitExceededError) as err:
+        bench.run_benchmark(pipe, length=length)
+    if not ok:
+        assert err.value.details == {"digit_passes": length * passes,
+                                     "limit": bench.MAX_DIGIT_PASSES}

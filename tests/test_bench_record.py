@@ -1,0 +1,48 @@
+"""scripts/bench_record.py's comparison of two BENCH documents."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_record", _ROOT / "scripts" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+
+def _doc(src_lines, **metrics):
+    # one workload; each metric from its runs, summarized as recorded
+    return {"provenance": {"src_lines": src_lines},
+            "workloads": {"w": {"metrics": {
+                name: {"unit": "x", **bench_record.summary(runs)}
+                for name, runs in metrics.items()}}}}
+
+
+def test_compare_reads_direction_and_bound(tmp_path):
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({"end_to_end": [
+        {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "cost_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "wide_s", "unit": "s", "better": "lower", "bound": 0.25},
+    ]}))
+    spec = bench_record.load_spec(path)
+    base = _doc(100, rate=[100, 100, 100, 100], cost_s=[10, 10, 10, 10],
+                wide_s=[1, 2, 3, 4], unlisted=[1, 1, 1, 1])
+    new = _doc(97, rate=[70, 74, 110, 72], cost_s=[9, 9, 11, 9],
+               wide_s=[4, 5, 6, 7], unlisted=[9, 9, 9, 9])
+    lines = bench_record.compare(base, new, spec)
+    assert lines[0] == "src_lines 100 -> 97  (-3)"
+    rate, cost, wide = lines[1:]
+    # a higher rate is better: 1 of 4 seeds, and the median fell by 27 %
+    assert rate.split()[:2] == ["w", "rate"]
+    assert "better in 1/4" in rate and rate.endswith("  WORSE")
+    # a lower cost is better: 3 of 4 seeds, within its bound
+    assert "better in 3/4" in cost and "WORSE" not in cost
+    assert "unresolved" not in cost
+    # the base's quartiles 1.75-3.25 span 60 % of its median 2.5
+    assert "better in 0/4" in wide
+    assert wide.endswith("  WORSE  unresolved")
+    # a metric BENCHMARK.json does not name is not compared
+    assert not any("unlisted" in line for line in lines)
+

@@ -337,13 +337,20 @@ class TestBench:
     @pytest.mark.parametrize("base, length", [
         ("-2", "999"),               # below bench.MIN_LENGTH
         ("-2", str(10 ** 12)),       # above bench.MAX_LENGTH
-        ("pisot-:100", "1000"),      # a selector table of 199**3 entries
+        ("-100", str(10 ** 6 + 1)),  # 100 passes: above MAX_DIGIT_PASSES
     ])
     def test_oversized_request_refused(self, capsys, base, length):
         code, _, err = run(capsys, "bench", "--base", base, "--length",
                            length, "--json")
         assert code == 2
         assert json.loads(err)["error"] == "limit-exceeded"
+
+    def test_wide_alphabet_runs(self, capsys):
+        # pisot-:100 reads classes of 101 digits: 27 + 1 024 table entries
+        code, out, _ = run(capsys, "bench", "--base", "pisot-:100",
+                           "--length", "1000", "--json")
+        assert code == 0
+        assert json.loads(out)["passed"]
 
 
 class TestErrors:

@@ -12,15 +12,12 @@ from paradd import bench, kernel
 from paradd.adder import (
     MIN_ARRAY_DIGITS, add, build_pipeline, reduce_to_alphabet, subtract,
 )
-from paradd.algebra import values_equal
 from paradd.cli import _VERIFY_CATALOG, parse_alphabet, parse_base
 from paradd.core import (
     DigitString, digitwise_negate, digitwise_sum, make_system, normalize,
 )
-from paradd.errors import DigitOutOfAlphabetError, LimitExceededError
-from paradd.local import (
-    DEFAULT_TABLE_BUDGET, apply_rule, closure_range, rule_from_json,
-)
+from paradd.errors import DigitOutOfAlphabetError
+from paradd.local import apply_rule, closure_range, rule_from_json
 from paradd.oracle import verify_conversion
 from paradd.rules import (
     gde_negative_integer, gde_pisot_minus, gde_rational_neg,
@@ -165,11 +162,10 @@ def _reach(rule):
 
 
 def _static_bound(rules, lo, hi):
-    # digits start in [lo, hi] and each pass adds its reach; the clamped
-    # digits and their codes 0 .. |A| - 1 must fit as well
-    codes = max(max(-a.m, a.M, a.size - 1)
-                for a in (rule.input_alphabet for rule in rules))
-    return max(max(-lo, hi) + sum(map(_reach, rules)), codes)
+    # digits start in [lo, hi] and each pass adds its reach; the classes
+    # 0 .. len(cuts) of each pass must fit as well
+    classes = max(len(rule.carry.cuts) for rule in rules)
+    return max(max(-lo, hi) + sum(map(_reach, rules)), classes)
 
 
 @pytest.mark.parametrize("name", _SYSTEMS)
@@ -312,14 +308,45 @@ def test_m1pi_flat_run_matches_scalar_quickly():
     assert elapsed < 1.0, elapsed
 
 
-def test_oversized_table_adds_on_scalar_path_and_flat_run_refuses():
-    pipe = build_pipeline(make_system(parse_base("pisot-:100"),
-                                      parse_alphabet("0..99")))
-    assert pipe.plan[0][1].selector_table_size == 199 ** 3 > \
-        DEFAULT_TABLE_BUDGET
-    x = DigitString(tuple(range(100)) * (MIN_ARRAY_DIGITS // 100))
-    y = DigitString(tuple(range(99, -1, -1)) * (MIN_ARRAY_DIGITS // 100))
-    z = digitwise_sum(x, y)
-    assert values_equal(add(x, y, pipe), z, pipe.system.base)
-    with pytest.raises(LimitExceededError):
-        bench.run_pipeline_flat(pipe, list(z.digits))
+# systems whose rules read wide alphabets: the kernel compiles their
+# class tables as they are, where their tables by digits would need
+# 199**3 (pisot-:100) to 1003**2 (-1000) entries or more
+_WIDE = ["pisot-:100 0..99", "pisot+:44 0..45", "-1000 0..1000",
+         "root:2,10,+ 0..2"]
+
+
+@pytest.mark.parametrize("name", _WIDE)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_wide_alphabets_match_scalar(name, data):
+    pipe = _pipeline(name)
+    al, halo = pipe.system.alphabet, pipe.kernel_plan.halo
+    x, y = (DigitString(tuple(data.draw(st.lists(st.integers(al.m, al.M),
+                                                 max_size=12))),
+                        data.draw(st.integers(-3, 3))) for _ in range(2))
+    assert kernel.add_strings(x, y, pipe) == \
+        reduce_to_alphabet(digitwise_sum(x, y), pipe)
+    lo, hi = pipe.input_range
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    Z = rng.integers(lo, hi + 1, (data.draw(st.integers(1, 12)), 3))
+    out = kernel.run_plan(pipe, Z)
+    for k in range(3):
+        want = reduce_to_alphabet(DigitString(tuple(Z[:, k].tolist())), pipe)
+        assert normalize(DigitString(tuple(out[:, k].tolist()),
+                                     -pipe.effective_window[0])) == want
+        assert (kernel.run_plan(pipe, Z[:, k]) == out[:, k]).all()
+    for cut in (halo - 1, halo, halo + 1):
+        for a, b in ((0, cut), (cut, len(out))):
+            assert (kernel.plan_slice(pipe, Z, (a, b)) == out[a:b]).all()
+
+
+@pytest.mark.parametrize("name", ["pisot-:100 0..99", "pisot+:44 0..45"])
+def test_wide_alphabets_add_long_operands_through_the_kernel(name):
+    pipe = _pipeline(name)
+    al = pipe.system.alphabet
+    rng = np.random.default_rng(3)
+    x, y = (DigitString(tuple(rng.integers(al.m, al.M + 1,
+                                           MIN_ARRAY_DIGITS).tolist()))
+            for _ in range(2))
+    assert add(x, y, pipe) == kernel.add_strings(x, y, pipe) == \
+        add(x, y, pipe, trace=[])
