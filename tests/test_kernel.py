@@ -308,9 +308,9 @@ def test_m1pi_flat_run_matches_scalar_quickly():
     assert elapsed < 1.0, elapsed
 
 
-# systems whose rules read wide alphabets: the kernel compiles their
-# class tables as they are, where their tables by digits would need
-# 199**3 (pisot-:100) to 1003**2 (-1000) entries or more
+# systems the kernel once refused by their tables over digit sub-windows,
+# from 47**3 entries (pisot+:44) to 101**5 (pisot-:100); it compiles
+# their class tables, of 9 to 1 024 entries, as they are
 _WIDE = ["pisot-:100 0..99", "pisot+:44 0..45", "-1000 0..1000",
          "root:2,10,+ 0..2"]
 
