@@ -15,22 +15,25 @@ appended when ``src`` or ``perfbench`` has uncommitted changes).  It
 holds, per workload and end-to-end metric, the median, quartiles, min,
 max and every run's value in seed order; the correct and failed counts;
 and the provenance block of the first run, less its seed, plus
-``src_lines``, the total lines of the checkout's ``src/paradd/*.py``, and
-``dont_write_bytecode``, this interpreter's ``sys.flags`` entry.  Set by
-``PYTHONDONTWRITEBYTECODE``, which the child runs inherit, it decides
-whether each one-shot process compiles ``paradd`` afresh.
+``src_lines``, the total lines of the checkout's ``src/paradd/*.py``;
+``plan_passes``, the passes of each ``paradd verify`` catalog system's
+plan, as the checkout builds it; and ``dont_write_bytecode``, this
+interpreter's ``sys.flags`` entry.  Set by ``PYTHONDONTWRITEBYTECODE``,
+which the child runs inherit, it decides whether each one-shot process
+compiles ``paradd`` afresh.
 With two checkouts the last one is compared with the first: the change
-in ``src_lines``, and per workload and end-to-end metric of this
-checkout's ``BENCHMARK.json``, the ratio of medians, how many seeds it
-read better in the metric's ``better`` direction, and a mark where the
-median is worse than the metric's ``bound`` or the first checkout's
-spread too wide to tell.
+in ``src_lines`` and in each plan's passes, and per workload and
+end-to-end metric of this checkout's ``BENCHMARK.json``, the ratio of
+medians, how many seeds it read better in the metric's ``better``
+direction, and a mark where the median is worse than the metric's
+``bound`` or the first checkout's spread too wide to tell.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -53,6 +56,26 @@ def src_lines(root: Path) -> int:
     """Total lines of the checkout's ``src/paradd/*.py``, as ``wc -l``."""
     return sum(path.read_bytes().count(b"\n")
                for path in (root / "src" / "paradd").glob("*.py"))
+
+
+# run in the checkout's own source: each catalog system's pass count
+_PASSES = """import json
+from paradd.adder import build_pipeline
+from paradd.cli import _VERIFY_CATALOG, parse_alphabet, parse_base
+from paradd.core import make_system
+print(json.dumps({f"{b} {a}": len(build_pipeline(make_system(
+    parse_base(b), parse_alphabet(a))).plan) for b, a in _VERIFY_CATALOG}))
+"""
+
+
+def plan_passes(root: Path) -> dict:
+    """Passes of each ``paradd verify`` catalog system's plan, by "base
+    alphabet", as the checkout's ``src`` builds it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PASSES], cwd=root, capture_output=True,
+        text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    return json.loads(proc.stdout)
 
 
 def run_once(root: Path, workload: str, seed: int) -> dict:
@@ -84,6 +107,7 @@ def record(root: Path, runs: dict, seeds: list) -> dict:
     provenance = {k: v for k, v in first["provenance"].items()
                   if k != "seed"}
     provenance["src_lines"] = src_lines(root)
+    provenance["plan_passes"] = plan_passes(root)
     provenance["dont_write_bytecode"] = bool(sys.flags.dont_write_bytecode)
     workloads = {}
     for workload, results in runs.items():
@@ -110,14 +134,20 @@ def load_spec(path: Path) -> dict:
 
 
 def compare(base: dict, new: dict, spec: dict) -> list:
-    """Lines comparing two BENCH documents: their source lines, then each
-    metric that ``spec`` names, seed by seed, in the direction it gives.
+    """Lines comparing two BENCH documents: their source lines, the plans
+    whose passes changed where both record them, then each metric that
+    ``spec`` names, seed by seed, in the direction it gives.
     A metric is marked WORSE where its median is worse than the base's by
     more than its bound, a fraction of the base's median, and unresolved
     where the base's interquartile range is wider than that fraction."""
     old, now = (doc["provenance"].get("src_lines") for doc in (base, new))
     lines = [f"src_lines {old} -> {now}"
              + (f"  ({now - old:+d})" if None not in (old, now) else "")]
+    old, now = (doc["provenance"].get("plan_passes") for doc in (base, new))
+    if old and now:
+        lines.append("plan_passes " + (", ".join(
+            f"{name} {old.get(name)} -> {n}" for name, n in now.items()
+            if old.get(name) != n) or "unchanged"))
     for workload, w in new["workloads"].items():
         for name, m in w["metrics"].items():
             if name not in spec:

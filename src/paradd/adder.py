@@ -2,17 +2,16 @@
 
 Adding two strings over alphabet A digit-by-digit lands in A+A; a fixed
 sequence of windowed conversion passes brings the digits back into A.
-The number of passes is fixed when the pipeline is built -- it depends
-only on the system, never on the data -- so every output digit of a sum
-is a function of a bounded window of input digits.
+The plan depends only on the system, never on the data, so every output
+digit of a sum is a function of a bounded window of input digits.
 
-Each pass handles digits one step outside the target alphabet: the
-current string is clamped into the eliminator's input range, the clipped
-excess is carried over unchanged, and the eliminator output absorbs one
-unit of excess per pass.  For beta**2 = a*beta - 1 with the canonical
-alphabet a faster two-stage pipeline applies the rules to the whole
-digit range directly; its passes clamp alike, and clip nothing.  Pass
-kinds only label the passes, in exports and traces.
+Each pass clamps the string into its eliminator's input range, carries
+the clipped excess over unchanged and adds the eliminator's carries; the
+plan ends once ``closure_range``, chained through its passes, proves
+every digit in A.  For beta**2 = a*beta - 1 with the canonical alphabet
+a two-stage pipeline applies the rules to the whole digit range
+directly; its passes clamp alike, and clip nothing.  Pass kinds only
+label the passes, in exports and traces.
 
 ``add`` and ``subtract`` run the plan with the array kernel
 (``paradd.kernel``) on operands of at least ``MIN_ARRAY_DIGITS`` digits,
@@ -34,8 +33,8 @@ from .core import (
     digitwise_sum, normalize,
 )
 from .errors import AlphabetLacksNegativesError, DigitOutOfAlphabetError
-from .local import apply_rule, carries
-from .rules import RulePair, doubling_reducer, gde_pisot_minus, rules_for_alphabet
+from .local import apply_rule, carries, closure_range
+from .rules import doubling_reducer, gde_pisot_minus, rules_for_alphabet
 
 # pass kinds, as labels
 MAP = "map"          # a pass of the two-stage direct plan
@@ -49,7 +48,6 @@ class AdderPipeline:
 
     system: NumerationSystem
     plan: tuple  # ((kind, rule), ...)
-    rules: RulePair
     input_range: tuple  # (lo, hi): digits the plan provably reduces to A
 
     @property
@@ -79,31 +77,33 @@ class AdderPipeline:
 
 
 def build_pipeline(system: NumerationSystem) -> AdderPipeline:
-    """Choose and fix the pass plan for a system.
+    """Choose the pass plan for a system, as its closure proof needs it.
 
-    Generic plan: max(M, -m) rounds, each eliminating one unit of excess
-    above the alphabet (and below it, for mixed-sign alphabets).  The
+    Generic plan: rounds of the top, then the bottom eliminator on digits
+    in A+A, and in A-A too on mixed-sign alphabets, until the range
+    chained by ``closure_range`` lies in A; each rule's closure lowers the
+    excess by at least 1 a round, so max(M, -m) rounds bound the loop.  The
     canonical {0..a-1} alphabet for beta**2 = a*beta - 1 instead uses the
     two-stage direct plan with window (5, 5).
     """
     base, alphabet = system.base, system.alphabet
-    pair = rules_for_alphabet(base, alphabet)
-    if base.kind == PISOT_MINUS and alphabet.m == 0:
-        a = base.param("a")
-        plan = ((MAP, doubling_reducer(a)), (MAP, gde_pisot_minus(a)))
-        first = plan[0][1].input_alphabet
-        return AdderPipeline(system, plan, pair, (first.m, first.M))
     m, M = alphabet.m, alphabet.M
-    rounds = max(M, -m)
+    pair = rules_for_alphabet(base, alphabet)
+    lo, hi = start = (min(2 * m, m - M if m else 0),
+                      max(2 * M, M - m if M else 0))
+    if base.kind == PISOT_MINUS and m == 0:
+        a = base.param("a")  # the first rule reads A+A = {0..2a-2}
+        plan = ((MAP, doubling_reducer(a)), (MAP, gde_pisot_minus(a)))
+        return AdderPipeline(system, plan, start)
     steps = []
-    for _ in range(rounds):
-        if pair.gde is not None:
-            steps.append((TOP_PASS, pair.gde))
-        if pair.sde is not None:
-            steps.append((BOTTOM_PASS, pair.sde))
-    return AdderPipeline(system, tuple(steps), pair,
-                         (m - rounds * (pair.sde is not None),
-                          M + rounds * (pair.gde is not None)))
+    for _ in range(max(M, -m)):
+        for kind, rule in ((TOP_PASS, pair.gde), (BOTTOM_PASS, pair.sde)):
+            if rule is not None:
+                steps.append((kind, rule))
+                lo, hi = closure_range(rule, lo, hi)
+        if m <= lo and hi <= M:
+            break
+    return AdderPipeline(system, tuple(steps), start)
 
 
 def _clamp_split(z: DigitString, lo: int, hi: int):

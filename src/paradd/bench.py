@@ -49,9 +49,9 @@ TIMED_CALLS = 11
 MIN_LENGTH, MAX_LENGTH = 10 ** 3, 10 ** 7
 
 # Digit-passes (length times passes) per call that run_benchmark accepts:
-# base 10 {0..10}'s 10 passes at MAX_LENGTH.  One such call took 0.8-1.0
-# s on a 2-CPU host, so a benchmark's 24 calls take up to half a minute;
-# -1000 {0..1000} (1 000 passes) reaches it at 10**5 digits.
+# 10 passes at MAX_LENGTH.  One such call took 0.8-1.0 s on a 2-CPU host,
+# so a benchmark's 24 calls take up to half a minute; 101/100 {0..200}
+# (200 passes) reaches it at 5 * 10**5 digits.
 MAX_DIGIT_PASSES = 10 ** 8
 
 

@@ -301,26 +301,29 @@ def _carry_rule(carry: CarryRule, in_alpha: Alphabet, out_alpha: Alphabet,
                      name=carry.name if name is None else name)
 
 
-def closure_range(rule: LocalRule) -> tuple:
-    """Exact (least, greatest) output of a rule over all windows.
+def closure_range(rule: LocalRule, lo: int = None, hi: int = None) -> tuple:
+    """Exact (least, greatest) output of a rule over input digits in
+    [lo, hi], by default its input alphabet.
 
-    Reads the rule's selector table q, with c classes.  Phi(w) = w[t] +
-    sum of gamma * q(sub-window at i0) depends only on every k-th digit,
-    k the stride, and is swept across those positions, msd first.  The
-    state after position s is the class code of the last sw digits read,
-    holding the least and the greatest partial sum over the digits before
-    them; position s adds the centre digit, the least or the greatest of
-    its class, when s = t, and gamma * q when a placement's sub-window
-    ends at s.  That is p/k * c**sw steps where enumerating the windows
-    costs |A|**p calls of Phi.
+    Reads the rule's selector table q, with c classes.  Phi(w) = w[t] + sum of
+    gamma * q(sub-window at i0) depends only on every k-th digit, k the
+    stride, and is swept across those positions, msd first.  The state after
+    position s is the class code of the last sw digits read, holding the least
+    and the greatest partial sum over the digits before them; position s adds
+    the centre digit, the least or the greatest of its class, when s = t, and
+    gamma * q when a placement's sub-window ends at s.  As in ``kernel.Pass``,
+    a digit past either end of the alphabet takes that end's class and keeps
+    its excess: the least class starts at lo, the greatest ends at hi, and a
+    class holding no digit of [lo, hi] makes the range an enclosure.  That is
+    p/k * c**sw steps where enumerating the windows costs |A|**p calls of Phi.
     """
     a, cr, q = rule.input_alphabet, rule.carry, rule.selector_table
     n, width, k = len(cr.cuts) + 1, cr.selector_window, cr.stride
     t, reads = rule.anticipation // k, cr.reads(rule.anticipation)
+    lo, hi = a.m if lo is None else lo, a.M if hi is None else hi
     if not reads:  # Phi is the centre digit
-        return a.m, a.M
-    size = len(q)
-    block = size // n
+        return lo, hi
+    size, block = len(q), len(q) // n
 
     def advance(values, pick):
         # a state at s has one predecessor per class leaving the window:
@@ -329,8 +332,8 @@ def closure_range(rule: LocalRule) -> tuple:
                                for x in range(n))))
         return [v for v in best for _ in range(n)]
 
-    least, greatest = (a.m,) + cr.cuts, [c - 1 for c in cr.cuts] + [a.M]
-    lo = hi = None
+    least, greatest = (lo,) + cr.cuts, [c - 1 for c in cr.cuts] + [hi]
+    low_sum = high_sum = [0] * size  # no digit read yet
     for s in range(width - 1, (rule.window_length - 1) // k + 1):
         placed = [0] * size
         for i0, gamma in reads:
@@ -343,12 +346,9 @@ def closure_range(rule: LocalRule) -> tuple:
                 [d for d in least for _ in range(run)])))
             high = list(map(add, placed, itertools.cycle(
                 [d for d in greatest for _ in range(run)])))
-        if lo is None:
-            lo, hi = low, high
-        else:
-            lo = list(map(add, advance(lo, min), low))
-            hi = list(map(add, advance(hi, max), high))
-    return min(lo), max(hi)
+        low_sum = list(map(add, advance(low_sum, min), low))
+        high_sum = list(map(add, advance(high_sum, max), high))
+    return min(low_sum), max(high_sum)
 
 
 def apply_rule(rule: LocalRule, ds: DigitString,

@@ -6,6 +6,7 @@ import pytest
 
 from paradd.algebra import values_equal
 from paradd.adder import add, build_pipeline, reduce_to_alphabet, subtract
+from paradd.cli import parse_alphabet, parse_base
 from paradd.core import (
     Alphabet,
     DigitString,
@@ -17,13 +18,46 @@ from paradd.core import (
     rational_base,
 )
 from paradd.errors import AlphabetLacksNegativesError, DigitOutOfAlphabetError
+from paradd.local import closure_range
 
 
 def _system(base, m, M):
     return make_system(base, Alphabet(m, M))
 
 
+# passes of each proved plan; max(M, -m) rounds gave -1000 {0..1000} a
+# thousand, base 10 ten and -1+i four
+_PROVED_PASSES = {
+    "-1+i 0..4": 2, "-1+i -2..2": 2, "2i 0..4": 2, "2i -2..2": 2,
+    "10 0..10": 2, "10 -5..5": 2, "-10 0..10": 2, "-3 0..3": 2,
+    "-4 0..4": 2, "-100 0..100": 2, "-1000 0..1000": 2, "5/2 0..6": 2,
+    "pisot+:3 0..4": 2, "pisot+:44 0..45": 2, "pisot+:100 0..101": 2,
+    "root:7,3,+ 0..7": 2, "root:3,2,- 0..3": 2, "5/3 0..7": 4,
+    "-5/3 0..7": 4, "7/4 0..10": 4, "-7/4 0..10": 4, "-2 0..2": 2,
+    "-2 -1..1": 2, "-2 -2..0": 2, "2 0..2": 2, "3/2 0..4": 4,
+    "-3/2 0..4": 4, "-3/2 -2..2": 4, "pisot-:3 0..2": 2,
+    "pisot+:2 0..3": 3, "root:2,2,+ 0..2": 2, "isqrt2 0..2": 2,
+    "11/10 0..20": 20, "101/100 0..200": 200,
+}
+
+
 class TestPlans:
+    @pytest.mark.parametrize("name", _PROVED_PASSES)
+    def test_plan_is_proved_closed(self, name):
+        # closure_range chained from the input range ends inside A, and
+        # not at the end of an earlier round: each round is one it needs
+        base, alphabet = name.split()
+        pl = build_pipeline(make_system(parse_base(base),
+                                        parse_alphabet(alphabet)))
+        assert len(pl.plan) == _PROVED_PASSES[name]
+        A, (lo, hi) = pl.system.alphabet, pl.input_range
+        per_round = len({kind for kind, _ in pl.plan})
+        closed = []
+        for _, rule in pl.plan:
+            lo, hi = closure_range(rule, lo, hi)
+            closed.append(A.m <= lo and hi <= A.M)
+        assert closed[-1] and not any(closed[per_round - 1:-1:per_round])
+
     def test_quadratic_unit_fast_path(self):
         pl = build_pipeline(_system(pisot_minus_base(3), 0, 2))
         assert len(pl.plan) == 2

@@ -112,14 +112,16 @@ class _Reached(Exception):
 
 @pytest.mark.parametrize("extra, ok", [(0, True), (1, False)])
 def test_digit_pass_cap(monkeypatch, extra, ok):
-    # -100 {0..100} has 100 passes: 10**6 digits sit at the cap
+    # 101/100 {0..200} needs all its 200 passes: 5 * 10**5 digits sit at
+    # the cap
     def reached(*args, **kwargs):
         raise _Reached
 
     monkeypatch.setattr(kernel, "run_plan", reached)
-    pipe = build_pipeline(make_system(negative_integer_base(100),
-                                      Alphabet(0, 100)))
+    pipe = build_pipeline(make_system(rational_base(101, 100),
+                                      Alphabet(0, 200)))
     passes = len(pipe.plan)
+    assert passes == 200
     length = bench.MAX_DIGIT_PASSES // passes + extra
     assert (length - extra) * passes == bench.MAX_DIGIT_PASSES
     assert bench.MIN_LENGTH <= length <= bench.MAX_LENGTH

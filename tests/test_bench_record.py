@@ -46,3 +46,31 @@ def test_compare_reads_direction_and_bound(tmp_path):
     # a metric BENCHMARK.json does not name is not compared
     assert not any("unlisted" in line for line in lines)
 
+
+
+def test_record_writes_each_catalog_plan_pass_count():
+    # the trimmed -1+i and 2i plans show in the provenance
+    run = {"provenance": {"seed": 1, "host": "h"}, "correct": 1,
+           "attempted": 1, "failed": 0,
+           "metrics": {"rate": {"unit": "1/s", "value": 2.0}}}
+    doc = bench_record.record(_ROOT, {"w": [run]}, [1])
+    provenance = doc["provenance"]
+    assert provenance["src_lines"] == bench_record.src_lines(_ROOT)
+    assert provenance["plan_passes"] == {
+        "-2 0..2": 2, "3/2 0..4": 4, "-3/2 0..4": 4, "pisot-:3 0..2": 2,
+        "pisot+:2 0..3": 3, "root:2,2,+ 0..2": 2, "-1+i 0..4": 2,
+        "2i 0..4": 2, "isqrt2 0..2": 2, "2 0..2": 2}
+    assert "seed" not in provenance and provenance["host"] == "h"
+
+
+def test_compare_names_the_plans_whose_passes_changed():
+    base, new = _doc(100, rate=[1, 1]), _doc(98, rate=[1, 1])
+    base["provenance"]["plan_passes"] = {"-1+i 0..4": 4, "-2 0..2": 2}
+    new["provenance"]["plan_passes"] = {"-1+i 0..4": 2, "-2 0..2": 2}
+    assert bench_record.compare(base, new, {})[1] == \
+        "plan_passes -1+i 0..4 4 -> 2"
+    new["provenance"]["plan_passes"] = base["provenance"]["plan_passes"]
+    assert bench_record.compare(base, new, {})[1] == "plan_passes unchanged"
+    # a document without the counts, as recorded before them, adds no line
+    del base["provenance"]["plan_passes"]
+    assert len(bench_record.compare(base, new, {})) == 1

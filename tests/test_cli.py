@@ -337,7 +337,7 @@ class TestBench:
     @pytest.mark.parametrize("base, length", [
         ("-2", "999"),               # below bench.MIN_LENGTH
         ("-2", str(10 ** 12)),       # above bench.MAX_LENGTH
-        ("-100", str(10 ** 6 + 1)),  # 100 passes: above MAX_DIGIT_PASSES
+        ("101/100", str(5 * 10 ** 5 + 1)),  # 200 passes: above the cap
     ])
     def test_oversized_request_refused(self, capsys, base, length):
         code, _, err = run(capsys, "bench", "--base", base, "--length",

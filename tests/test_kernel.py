@@ -12,6 +12,7 @@ from paradd import bench, kernel
 from paradd.adder import (
     MIN_ARRAY_DIGITS, add, build_pipeline, reduce_to_alphabet, subtract,
 )
+from paradd.algebra import values_equal
 from paradd.cli import _VERIFY_CATALOG, parse_alphabet, parse_base
 from paradd.core import (
     DigitString, digitwise_negate, digitwise_sum, make_system, normalize,
@@ -24,8 +25,7 @@ from paradd.rules import (
 )
 
 # every system `paradd verify` checks, plus two mixed-sign alphabets whose
-# plans alternate top and bottom passes, and base 10, whose ten passes
-# need int16 digits
+# plans alternate top and bottom passes, and base 10
 _SYSTEMS = [f"{b} {a}" for b, a in _VERIFY_CATALOG] + ["-2 -1..1",
                                                        "-3/2 -2..2",
                                                        "10 0..10"]
@@ -179,7 +179,7 @@ def test_dtype_holds_static_bound(name):
     assert np.iinfo(dtype).max >= bound
     assert dtype == np.int8 or np.iinfo(np.int8).max < bound
     if name == "10 0..10":
-        assert (bound, dtype) == (130, np.int16)
+        assert (bound, dtype) == (42, np.int8)
     # sound: no pass over extreme strings, run in int64, goes past it
     for Z in ([hi] * 40, [lo] * 40, [lo, hi] * 20, [hi, hi, lo] * 13):
         Z = np.array(Z, dtype=np.int64)
@@ -191,6 +191,17 @@ def test_dtype_holds_static_bound(name):
     assert _static_bound(rules, 0, edge) == 127
     assert kernel.Plan(rules, 0, edge).dtype == np.int8
     assert kernel.Plan(rules, 0, edge + 1).dtype == np.int16
+
+
+def test_proved_plan_sets_the_dtype():
+    # -1000 {0..1000} needs 2 passes, each of reach 1 001, from [0, 2000]
+    pipe = _pipeline("-1000 0..1000")
+    rules = [rule for _, rule in pipe.plan]
+    assert _static_bound(rules, *pipe.input_range) == 2000 + 2 * 1001
+    assert pipe.kernel_plan.dtype == np.int16
+    Z = np.array([2000, 0, 1999, 2000, 2000, 1] * 10)
+    assert (kernel.run_plan(pipe, Z)
+            == pipe.kernel_plan.run(Z.astype(np.int64))).all()
 
 
 @pytest.mark.parametrize("m, dtype", [(-63, np.int8), (-64, np.int16)])
@@ -335,6 +346,41 @@ def test_wide_alphabets_match_scalar(name, data):
         assert normalize(DigitString(tuple(out[:, k].tolist()),
                                      -pipe.effective_window[0])) == want
         assert (kernel.run_plan(pipe, Z[:, k]) == out[:, k]).all()
+    for cut in (halo - 1, halo, halo + 1):
+        for a, b in ((0, cut), (cut, len(out))):
+            assert (kernel.plan_slice(pipe, Z, (a, b)) == out[a:b]).all()
+
+
+# plans the closure proof trims below max(M, -m) rounds
+_TRIMMED = ["-1000 0..1000", "pisot+:44 0..45", "10 0..10", "10 -5..5",
+            "-1+i 0..4", "2i -2..2", "5/3 0..7", "-7/4 0..10"]
+
+
+@pytest.mark.parametrize("name", _TRIMMED)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_trimmed_plans_close_with_exact_value(name, data):
+    pipe = _pipeline(name)
+    al, base = pipe.system.alphabet, pipe.system.base
+    x, y = (DigitString(tuple(data.draw(st.lists(st.integers(al.m, al.M),
+                                                 max_size=12))),
+                        data.draw(st.integers(-3, 3))) for _ in range(2))
+    ops = [(False, add)] + ([(True, subtract)] if al.m < 0 < al.M else [])
+    for negate, op in ops:
+        want = digitwise_sum(x, digitwise_negate(y) if negate else y)
+        for z in (op(x, y, pipe), kernel.add_strings(x, y, pipe, negate)):
+            assert all(d in al for d in z.digits)
+            assert values_equal(z, want, base)
+    lo, hi = pipe.input_range
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    Z = rng.integers(lo, hi + 1, (data.draw(st.integers(1, 12)), 3))
+    out = kernel.run_plan(pipe, Z)
+    assert ((al.m <= out) & (out <= al.M)).all()
+    for k in range(3):
+        assert values_equal(DigitString(tuple(out[:, k].tolist()),
+                                        -pipe.effective_window[0]),
+                            DigitString(tuple(Z[:, k].tolist())), base)
+    halo = pipe.kernel_plan.halo
     for cut in (halo - 1, halo, halo + 1):
         for a, b in ((0, cut), (cut, len(out))):
             assert (kernel.plan_slice(pipe, Z, (a, b)) == out[a:b]).all()

@@ -181,13 +181,23 @@ class TestClosureRange:
         t, r = carry.window()
         rule = local._carry_rule(carry, alphabet, alphabet, t, r, q)
         span = carry.selector_span
-        outs = []
-        for w in itertools.product(alphabet, repeat=t + r + 1):
+        # input digits in [lo, hi], up to 2 past each end of the alphabet
+        # while the windows number at most 4**7
+        ext = max(e for e in range(3)
+                  if (alphabet.size + 2 * e) ** (t + r + 1) <= 4 ** 7)
+        lo = m - data.draw(st.integers(0, ext))
+        hi = alphabet.M + data.draw(st.integers(0, ext))
+        outs, inside = [], []
+        for w in itertools.product(range(lo, hi + 1), repeat=t + r + 1):
+            # a digit past either end takes that end's class
             want = w[t] + sum(gamma * q[_class_code(cuts, w[i0:i0 + span:k])]
                               for i0, gamma in carry.reads(t))
-            assert rule.phi(w) == want
             outs.append(want)
-        assert closure_range(rule) == (min(outs), max(outs))
+            if all(d in alphabet for d in w):
+                assert rule.phi(w) == want
+                inside.append(want)
+        assert closure_range(rule) == (min(inside), max(inside))
+        assert closure_range(rule, lo, hi) == (min(outs), max(outs))
 
     def test_catalog_rules_equal_brute_force(self):
         checked = _catalog_rules()
