@@ -14,17 +14,19 @@ directly; its passes clamp alike, and clip nothing.  Pass kinds only
 label the passes, in exports and traces.
 
 ``add`` and ``subtract`` run the plan with the array kernel
-(``paradd.kernel``) on operands of at least ``MIN_ARRAY_DIGITS`` digits,
-through the pipeline's compiled plan (``AdderPipeline.kernel_plan``),
-which reads each rule's class table as the scalar loop does, so every
-plan compiles.  The scalar loop here (``reduce_to_alphabet``:
-``local.apply_rule`` plus ``_clamp_split``) is the reference the kernel
-is tested against; it serves traces and short operands, so a short
-one-shot command never loads numpy.
+(``paradd.kernel``) once numpy is loaded, or on operands of at least
+``MIN_ARRAY_DIGITS`` digits, through the pipeline's compiled plan
+(``AdderPipeline.kernel_plan``), which reads each rule's class table as
+the scalar loop does, so every plan compiles.  The scalar loop here
+(``reduce_to_alphabet``: ``local.apply_rule`` plus ``_clamp_split``) is
+the reference the kernel is tested against; it serves traces, and short
+operands only while numpy is not loaded, so a short one-shot command
+never loads numpy.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,14 +150,14 @@ def _check_digits(x: DigitString, alphabet: Alphabet) -> None:
                 f"digit {d} outside alphabet {alphabet}", digit=d)
 
 
-# Shortest operand, in digits, that add/subtract hand to the array
-# kernel.  Measured on a 2-CPU host: with numpy loaded and the rules
-# compiled, the kernel overtook the scalar loop at 8-16 digits (-2, 3/2,
-# pisot-:3; below 4 for -1+i).  A fresh process also pays numpy's import,
-# 70-100 ms there, as much as the scalar loop spends on about 15 000
-# (-1+i, 3/2) to 40 000 (-2) digits.  1 000 lies between: long operands
-# take the kernel, and a one-shot `paradd add` of a few dozen digits never
-# loads numpy.
+# Shortest operand, in digits, worth importing numpy for: once numpy is
+# loaded every untraced add takes the array kernel.  Measured warm on a
+# 2-CPU host (-2, 3/2, -3/2, pisot-:3, pisot+:2, -1+i), the kernel
+# overtook the scalar loop at 2-8 digits, and took 41-65 microseconds to
+# its 215-415 at 64 digits.  A fresh process pays numpy's import, 58-92
+# ms there, what the scalar loop spends on 9 000 (3/2) to 27 000 (-2)
+# digits.  1 000 lies between, so a one-shot `paradd add` of a few
+# hundred digits never loads numpy.
 MIN_ARRAY_DIGITS = 1_000
 
 
@@ -163,7 +165,8 @@ def _combine(x: DigitString, y: DigitString, pipeline: AdderPipeline,
              trace: list, negate: bool) -> DigitString:
     """x + y, or x - y with ``negate``: digitwise, then the pass plan."""
     longest = max(len(x.digits), len(y.digits))
-    if trace is None and longest >= MIN_ARRAY_DIGITS:
+    if trace is None and (longest >= MIN_ARRAY_DIGITS
+                          or "numpy" in sys.modules):
         from .kernel import add_strings
         return add_strings(x, y, pipeline, negate)
     alphabet = pipeline.system.alphabet

@@ -117,10 +117,10 @@ def _check(Z: np.ndarray, lo: int, hi: int, where: str) -> None:
 
 def _digits(Z, lo: int, hi: int, dtype, where: str) -> np.ndarray:
     """Z in ``dtype``, once ``_check`` finds no digit outside [lo, hi],
-    one beyond int32 included; a sequence converts through int32."""
+    one beyond ``dtype`` included; a sequence converts straight into it."""
     if not isinstance(Z, np.ndarray):
         try:
-            Z = np.array(Z, dtype=np.int32)
+            Z = np.array(Z, dtype=dtype)
         except OverflowError:  # _check names the first digit out of range
             Z = np.array(Z, dtype=object)
     _check(Z, lo, hi, where)
@@ -181,11 +181,13 @@ def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
     """x + y, or x - y with ``negate``, through the plan; normalized.
 
     The array form of ``adder.add``/``subtract`` without a trace: the
-    same digits and the same ``DigitOutOfAlphabetError``s.
+    same digits and the same ``DigitOutOfAlphabetError``s.  Both operands
+    convert in one call and one check, x's digits first.
     """
     plan, alphabet = pipeline.kernel_plan, pipeline.system.alphabet
-    X, Y = (_digits(s.digits, alphabet.m, alphabet.M, plan.dtype,
-                    f"alphabet {alphabet}") for s in (x, y))
+    XY = _digits(x.digits + y.digits, alphabet.m, alphabet.M, plan.dtype,
+                 f"alphabet {alphabet}")
+    X, Y = XY[:len(x.digits)], XY[len(x.digits):]
     msd = max(x.msd_exponent, y.msd_exponent)
     lsd = min(x.lsd_exponent, y.lsd_exponent)
     Z = np.zeros(msd - lsd + 1, plan.dtype)

@@ -308,6 +308,11 @@ digits = " ".join(["1"] * 24) + " ."
 for flag in ([], ["--subtract"]):
     assert main(["add", "--base", "-2", "--alphabet", "-1..1", *flag,
                  digits, digits]) == 0
+# one digit short of adder.MIN_ARRAY_DIGITS
+digits = " ".join(["1", "0", "-1"] * 333) + " ."
+for flag in ([], ["--subtract"]):
+    assert main(["add", "--base", "-2", "--alphabet", "-1..1", *flag,
+                 digits, digits]) == 0
 assert 'numpy' not in sys.modules
 from paradd import verify_conversion
 assert 'numpy' in sys.modules

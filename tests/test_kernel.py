@@ -1,6 +1,8 @@
 """Array kernel against the scalar reference, digit for digit."""
 
 import itertools
+import random
+import sys
 import time
 from functools import lru_cache
 
@@ -219,13 +221,14 @@ def test_codes_set_the_dtype_at_int8_edge(m, dtype):
     assert out.tolist() == list(range(m, 64)) + [63]
 
 
-@pytest.mark.parametrize("name", ["-2 -1..1", "-1+i 0..4"])
-def test_long_operands_take_the_kernel(monkeypatch, name):
+def _kernel_adds(monkeypatch, name, length):
+    # untraced add, and subtract on mixed signs, of length-digit operands,
+    # each equal to its traced run: (kernel.add_strings calls, ops run)
     pipe = _pipeline(name)
     al = pipe.system.alphabet
     rng = np.random.default_rng(2)
     x, y = (DigitString(tuple(rng.integers(al.m, al.M + 1,
-                                           MIN_ARRAY_DIGITS).tolist()), e)
+                                           length).tolist()), e)
             for e in (0, -5))
     calls = []
     array_add = kernel.add_strings
@@ -239,7 +242,53 @@ def test_long_operands_take_the_kernel(monkeypatch, name):
     for op in ops:
         # a trace keeps the scalar loop
         assert op(x, y, pipe) == op(x, y, pipe, trace=[])
-    assert len(calls) == len(ops)
+    return len(calls), len(ops)
+
+
+@pytest.mark.parametrize("name", ["-2 -1..1", "-1+i 0..4"])
+def test_long_operands_take_the_kernel(monkeypatch, name):
+    calls, ops = _kernel_adds(monkeypatch, name, MIN_ARRAY_DIGITS)
+    assert calls == ops
+
+
+@pytest.mark.parametrize("length", [1, 16, MIN_ARRAY_DIGITS - 1])
+@pytest.mark.parametrize("name", ["-2 -1..1", "-1+i 0..4"])
+def test_short_operands_take_the_kernel_once_numpy_is_loaded(
+        monkeypatch, name, length):
+    assert "numpy" in sys.modules
+    calls, ops = _kernel_adds(monkeypatch, name, length)
+    assert calls == ops
+
+
+def _random_string(rng, alphabet, length, lsd):
+    return DigitString(tuple(rng.randint(alphabet.m, alphabet.M)
+                             for _ in range(length)), lsd)
+
+
+# the ten `paradd verify` systems, and one that subtracts
+@pytest.mark.parametrize("name", [f"{b} {a}" for b, a in _VERIFY_CATALOG]
+                         + ["-2 -1..1"])
+@settings(max_examples=15, deadline=None)
+@given(lengths=st.tuples(*[st.one_of(st.integers(0, 16),
+                                     st.integers(0, MIN_ARRAY_DIGITS - 1))]
+                         * 2),
+       lsds=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       seed=st.integers(0, 2 ** 32 - 1), cancel=st.booleans())
+def test_short_adds_match_the_traced_scalar_loop(name, lengths, lsds, seed,
+                                                 cancel):
+    pipe = _pipeline(name)
+    al = pipe.system.alphabet
+    rng = random.Random(seed)
+    x = _random_string(rng, al, lengths[0], lsds[0])
+    # cancel: y has x's value, its lsd moved down by trailing zeros
+    pad = lsds[1] % 4
+    y = (DigitString(x.digits + (0,) * pad, x.lsd_exponent - pad) if cancel
+         else _random_string(rng, al, lengths[1], lsds[1]))
+    ops = [add] + ([subtract] if al.m < 0 else [])
+    for op in ops:
+        assert op(x, y, pipe) == op(x, y, pipe, trace=[])
+    if cancel and al.m < 0:
+        assert subtract(x, y, pipe) == DigitString.zero()
 
 
 # top passes; the two-stage map plan; top and bottom passes, subtracting
@@ -263,6 +312,35 @@ def test_long_operand_errors_match_scalar(bad):
             assert str(kern.value) == str(scalar.value)
             assert kern.value.details == scalar.value.details == \
                 {"digit": bad}
+
+
+def _error(op, a, b, pipe, **trace):
+    with pytest.raises(DigitOutOfAlphabetError) as err:
+        op(a, b, pipe, **trace)
+    return err.value
+
+
+@pytest.mark.parametrize("bad", [7, -1, -2, 10 ** 30])
+def test_short_operand_errors_match_scalar(bad):
+    for name, op in _ERROR_PLANS:
+        pipe = _pipeline(name)
+        al = pipe.system.alphabet
+        if bad in al:
+            continue
+        other = next(d for d in (7, -2, 10 ** 30) if d not in al and d != bad)
+        for n in range(3, 11):
+            clean = DigitString((1,) * n, -1)
+            # y's bad digit sits at the most significant place of the sum
+            y = DigitString((other,) + (1,) * (n - 1), 2)
+            for pos in (0, n // 2, n - 1):
+                x = DigitString(tuple(bad if i == pos else 1
+                                      for i in range(n)))
+                for a, b, want in ((x, clean, bad), (clean, x, bad),
+                                   (x, y, bad), (y, x, other)):
+                    kern = _error(op, a, b, pipe)
+                    scalar = _error(op, a, b, pipe, trace=[])
+                    assert str(kern) == str(scalar)
+                    assert kern.details == scalar.details == {"digit": want}
 
 
 @pytest.mark.parametrize("bad", [2 ** 31, -2 ** 31 - 1, 10 ** 30])
