@@ -14,28 +14,26 @@ directly; its passes clamp alike, and clip nothing.  Pass kinds only
 label the passes, in exports and traces.
 
 ``add`` and ``subtract`` run the plan with the array kernel
-(``paradd.kernel``) once numpy is loaded, or on operands of at least
-``MIN_ARRAY_DIGITS`` digits, through the pipeline's compiled plan
-(``AdderPipeline.kernel_plan``), which reads each rule's class table as
-the scalar loop does, so every plan compiles.  The scalar loop here
-(``reduce_to_alphabet``: ``local.apply_rule`` plus ``_clamp_split``) is
-the reference the kernel is tested against; it serves traces, and short
-operands only while numpy is not loaded, so a short one-shot command
-never loads numpy.
+(``paradd.kernel``) on operands of at least ``MIN_ARRAY_DIGITS`` digits,
+through the pipeline's compiled plan (``AdderPipeline.kernel_plan``),
+which reads each rule's class table as the scalar loop does, so every
+plan compiles.  The scalar loop here (``reduce_to_alphabet``:
+``local.apply_rule`` plus ``_clamp_split``) is the reference the kernel
+is tested against; it serves traces and short operands, numpy loaded or
+not, so an add's path and cost follow its length alone.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
-    Alphabet, DigitString, NumerationSystem, PISOT_MINUS, digitwise_negate,
+    DigitString, NumerationSystem, PISOT_MINUS, digitwise_negate,
     digitwise_sum, normalize,
 )
-from .errors import AlphabetLacksNegativesError, DigitOutOfAlphabetError
-from .local import apply_rule, carries, closure_range
+from .errors import AlphabetLacksNegativesError
+from .local import apply_rule, carries, check_digits, closure_range
 from .rules import doubling_reducer, gde_pisot_minus, rules_for_alphabet
 
 # pass kinds, as labels
@@ -129,10 +127,7 @@ def reduce_to_alphabet(z: DigitString, pipeline: AdderPipeline,
     ``trace`` when given.
     """
     lo, hi = pipeline.input_range
-    for d in z.digits:
-        if not lo <= d <= hi:
-            raise DigitOutOfAlphabetError(
-                f"digit {d} outside reducible range [{lo}, {hi}]", digit=d)
+    check_digits(z.digits, lo, hi, f"reducible range [{lo}, {hi}]")
     for kind, rule in pipeline.plan:
         u, v = _clamp_split(z, rule.input_alphabet.m, rule.input_alphabet.M)
         w = apply_rule(rule, u)
@@ -143,21 +138,13 @@ def reduce_to_alphabet(z: DigitString, pipeline: AdderPipeline,
     return normalize(z)
 
 
-def _check_digits(x: DigitString, alphabet: Alphabet) -> None:
-    for d in x.digits:
-        if d not in alphabet:
-            raise DigitOutOfAlphabetError(
-                f"digit {d} outside alphabet {alphabet}", digit=d)
-
-
-# Shortest operand, in digits, worth importing numpy for: once numpy is
-# loaded every untraced add takes the array kernel.  Measured warm on a
-# 2-CPU host (-2, 3/2, -3/2, pisot-:3, pisot+:2, -1+i), the kernel
-# overtook the scalar loop at 2-8 digits, and took 41-65 microseconds to
-# its 215-415 at 64 digits.  A fresh process pays numpy's import, 58-92
-# ms there, what the scalar loop spends on 9 000 (3/2) to 27 000 (-2)
-# digits.  1 000 lies between, so a one-shot `paradd add` of a few
-# hundred digits never loads numpy.
+# Shortest operand, in digits, that add/subtract hand to the kernel.  On
+# a 2-CPU host (the seven bulk benchmark systems) an add that follows a
+# gc.collect() and 2 ms of other Python work cost the kernel a flat
+# 230-320 us from 64 to 512 digits, the scalar loop 2.4-4.7 us a digit;
+# warm, the kernel took 51-79 us at 64 digits.  A fresh process also pays
+# numpy's import, 58-92 ms.  Below 1 000 an add costs in step with its
+# length, and a one-shot `paradd add` never loads numpy.
 MIN_ARRAY_DIGITS = 1_000
 
 
@@ -165,19 +152,18 @@ def _combine(x: DigitString, y: DigitString, pipeline: AdderPipeline,
              trace: list, negate: bool) -> DigitString:
     """x + y, or x - y with ``negate``: digitwise, then the pass plan."""
     longest = max(len(x.digits), len(y.digits))
-    if trace is None and (longest >= MIN_ARRAY_DIGITS
-                          or "numpy" in sys.modules):
+    if trace is None and longest >= MIN_ARRAY_DIGITS:
         from .kernel import add_strings
         return add_strings(x, y, pipeline, negate)
-    alphabet = pipeline.system.alphabet
-    _check_digits(x, alphabet)
-    _check_digits(y, alphabet)
+    al = pipeline.system.alphabet
+    for s in (x, y):
+        check_digits(s.digits, al.m, al.M, f"alphabet {al}")
     z = digitwise_sum(x, digitwise_negate(y) if negate else y)
     if trace is not None:
         kind = "digitwise-difference" if negate else "digitwise-sum"
         trace.append({"kind": kind, "string": z, "carries": {}})
     result = reduce_to_alphabet(z, pipeline, trace)
-    _check_digits(result, alphabet)
+    check_digits(result.digits, al.m, al.M, f"alphabet {al}")
     return result
 
 

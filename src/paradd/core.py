@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Optional
 
 from .errors import (
@@ -509,8 +510,10 @@ def digitwise_sum(x: DigitString, y: DigitString) -> DigitString:
         return x
     lsd = min(x.lsd_exponent, y.lsd_exponent)
     msd = max(x.msd_exponent, y.msd_exponent)
-    digits = tuple(x.digit_at(e) + y.digit_at(e) for e in range(msd, lsd - 1, -1))
-    return DigitString(digits, lsd)
+    digits = [0] * (msd - lsd + 1)
+    for s, i in ((x, msd - x.msd_exponent), (y, msd - y.msd_exponent)):
+        digits[i:i + len(s.digits)] = map(add, digits[i:], s.digits)
+    return DigitString(tuple(digits), lsd)
 
 
 def digitwise_negate(x: DigitString) -> DigitString:

@@ -351,6 +351,14 @@ def closure_range(rule: LocalRule, lo: int = None, hi: int = None) -> tuple:
     return min(low_sum), max(high_sum)
 
 
+def check_digits(digits, lo: int, hi: int, where: str) -> None:
+    """Refuse the first of ``digits`` outside [lo, hi], as outside ``where``;
+    one min and one max when none is."""
+    if digits and (min(digits) < lo or max(digits) > hi):
+        d = next(d for d in digits if not lo <= d <= hi)
+        raise DigitOutOfAlphabetError(f"digit {d} outside {where}", digit=d)
+
+
 def apply_rule(rule: LocalRule, ds: DigitString,
                background: int = 0) -> DigitString:
     """Slide the rule across a digit string.
@@ -365,11 +373,8 @@ def apply_rule(rule: LocalRule, ds: DigitString,
     finite output then records the window where the image differs from
     the constant background stream.
     """
-    for d in ds.digits:
-        if d not in rule.input_alphabet:
-            raise DigitOutOfAlphabetError(
-                f"digit {d} outside input alphabet {rule.input_alphabet}",
-                digit=d)
+    a = rule.input_alphabet
+    check_digits(ds.digits, a.m, a.M, f"input alphabet {a}")
     if background != 0 and background not in fixed_letters(rule):
         raise LetterNotFixedError(
             f"background digit {background} is not fixed by rule "
@@ -377,7 +382,7 @@ def apply_rule(rule: LocalRule, ds: DigitString,
     if ds.is_zero and background == 0:
         return DigitString.zero()
     t, r = rule.anticipation, rule.memory
-    p, phi = rule.window_length, rule.phi
+    p, phi = rule.window_length, rule.window_fn  # slices are tuples
     out_lsd = ds.lsd_exponent - t
     # output j reads exponents j+t .. j-r: the slice of the background-
     # padded digits that starts r + msd - j places in

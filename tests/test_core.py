@@ -170,6 +170,20 @@ class TestDigitStrings:
         assert digitwise_sum(x, y).digits == (1, 2)
         assert digitwise_negate(x).digits == (-1, -1)
 
+    @given(*[st.lists(st.integers(-9, 9), max_size=8)] * 2,
+           *[st.integers(-5, 5)] * 2)
+    def test_digitwise_sum_adds_by_exponent(self, xd, yd, xl, yl):
+        x, y = DigitString(tuple(xd), xl), DigitString(tuple(yd), yl)
+        z = digitwise_sum(x, y)
+        assert isinstance(z.digits, tuple)
+        if not (xd and yd):
+            assert z == (x if xd else y)
+            return
+        assert z.lsd_exponent == min(xl, yl)
+        assert z.msd_exponent == max(x.msd_exponent, y.msd_exponent)
+        for e in range(z.lsd_exponent, z.msd_exponent + 1):
+            assert z.digit_at(e) == x.digit_at(e) + y.digit_at(e)
+
     @given(st.lists(st.integers(-9, 9), min_size=0, max_size=10),
            st.integers(-4, 4))
     def test_parse_format_round_trip(self, digits, lsd):

@@ -255,6 +255,10 @@ class TestApplication:
         g = gde_negative_integer(2)
         with pytest.raises(DigitOutOfAlphabetError):
             apply_rule(g, DigitString((7,), 0))
+        # the most significant digit outside is the one named
+        with pytest.raises(DigitOutOfAlphabetError) as err:
+            apply_rule(g, DigitString((1, -1, 2, 9, 0), 0))
+        assert err.value.details == {"digit": -1}
 
     def test_respects_position(self):
         g = gde_negative_integer(2)
