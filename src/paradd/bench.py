@@ -75,9 +75,11 @@ def run_pipeline_flat(pipeline: AdderPipeline, digits, workers: int = 1):
 
     Returns the output digits, msd first, least significant digit at
     exponent -(total anticipation): a list of ints for a list, else an
-    array of the plan's dtype.  ``workers`` > 1 cuts the output into one
-    slice per thread (see ``worker_count``); each runs the whole plan once
-    on its input slice plus a halo of the plan's window.
+    array of the plan's dtype; a sequence converts as ``kernel._digits``
+    does, as bytes where the input range lies in 0..255.  ``workers`` > 1
+    cuts the output into one slice per thread (see ``worker_count``); each
+    runs the whole plan once on its input slice plus a halo of the plan's
+    window.
     """
     threads = worker_count(workers, len(digits))
     from .kernel import run_plan

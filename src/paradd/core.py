@@ -428,16 +428,15 @@ class DigitString:
 
 def normalize(ds: DigitString) -> DigitString:
     """Strip leading/trailing zero digits; canonical zero is empty at 0."""
-    digits = list(ds.digits)
-    lsd = ds.lsd_exponent
-    while digits and digits[-1] == 0:
-        digits.pop()
-        lsd += 1
-    while digits and digits[0] == 0:
-        digits.pop(0)
-    if not digits:
+    digits, first, last = ds.digits, 0, len(ds.digits)
+    while last and digits[last - 1] == 0:
+        last -= 1
+    while first < last and digits[first] == 0:
+        first += 1
+    if first == last:
         return DigitString.zero()
-    return DigitString(tuple(digits), lsd)
+    return DigitString(tuple(digits[first:last]),
+                       ds.lsd_exponent + len(digits) - last)
 
 
 _TOKEN = re.compile(r"\S+")

@@ -14,8 +14,9 @@ runs every pass alike.  Arrays hold digits msd first along the first
 axis: a 1-D string, or a 2-D batch of shape (positions, strings) whose
 every digit row is one contiguous block.  A plan's digits and classes
 are int8, or a wider signed dtype where its static bound needs; codes of
-more classes are int16, or int32 above 2**15 table entries.  Importing
-this module loads numpy.
+more classes are int16, or int32 above 2**15 table entries.  Digits in
+0..255 cross in and out of Python as bytes.  Importing this module
+loads numpy.
 """
 
 from __future__ import annotations
@@ -117,14 +118,16 @@ def _check(Z: np.ndarray, lo: int, hi: int, where: str) -> None:
 
 def _digits(Z, lo: int, hi: int, dtype, where: str) -> np.ndarray:
     """Z in ``dtype``, once ``_check`` finds no digit outside [lo, hi],
-    one beyond ``dtype`` included; a sequence converts straight into it."""
+    one beyond ``dtype`` included.  A sequence converts straight into it,
+    or, where [lo, hi] lies in 0..255, into bytes, in C, and widens."""
     if not isinstance(Z, np.ndarray):
         try:
-            Z = np.array(Z, dtype=dtype)
-        except OverflowError:  # _check names the first digit out of range
-            Z = np.array(Z, dtype=object)
+            Z = (np.frombuffer(bytearray(Z), np.uint8) if 0 <= lo and hi <= 255
+                 else np.array(Z, dtype=dtype))
+        except (ValueError, TypeError, OverflowError):  # a digit that fits
+            Z = np.array(Z, dtype=object)  # no byte or dtype: _check names it
     _check(Z, lo, hi, where)
-    return Z.astype(dtype, copy=False)
+    return Z.astype(dtype, copy=False)  # uint8 widens before any arithmetic
 
 
 def shard_cuts(width: int, shards: int) -> list:
@@ -182,7 +185,8 @@ def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
 
     The array form of ``adder.add``/``subtract`` without a trace: the
     same digits and the same ``DigitOutOfAlphabetError``s.  Both operands
-    convert in one call and one check, x's digits first.
+    convert in one call and one check, x's digits first (``_digits``);
+    the sum's digits return through ``bytes`` where A lies in 0..255.
     """
     plan, alphabet = pipeline.kernel_plan, pipeline.system.alphabet
     XY = _digits(x.digits + y.digits, alphabet.m, alphabet.M, plan.dtype,
@@ -194,11 +198,12 @@ def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
     for D, s in ((X, x), (-Y if negate else Y, y)):
         Z[msd - s.msd_exponent:][:D.size] += D
     out = plan.run(Z)  # A + A, or A - A, lies in the plan's input range
-    nonzero = np.flatnonzero(out)
-    if not nonzero.size:
+    nonzero = out != 0
+    if not nonzero.any():
         return DigitString.zero()
-    first, last = int(nonzero[0]), int(nonzero[-1])
-    digits = out[first:last + 1]
+    first, end = nonzero.argmax(), len(out) - int(nonzero[::-1].argmax())
+    digits = out[first:end]
     _check(digits, alphabet.m, alphabet.M, f"alphabet {alphabet}")
-    return DigitString(tuple(digits.tolist()),
-                       lsd - plan.window[0] + len(out) - 1 - last)
+    digits = (bytes(digits.astype(np.uint8))
+              if 0 <= alphabet.m and alphabet.M <= 255 else digits.tolist())
+    return DigitString(tuple(digits), lsd - plan.window[0] + len(out) - end)

@@ -480,3 +480,81 @@ def test_wide_alphabets_add_long_operands_through_the_kernel(name):
             for _ in range(2))
     assert add(x, y, pipe) == kernel.add_strings(x, y, pipe) == \
         add(x, y, pipe, trace=[])
+
+
+def _array_digits(Z, lo, hi, dtype, where):
+    # the conversion without bytes: every sequence straight into dtype
+    if not isinstance(Z, np.ndarray):
+        try:
+            Z = np.array(Z, dtype=dtype)
+        except OverflowError:
+            Z = np.array(Z, dtype=object)
+    kernel._check(Z, lo, hi, where)
+    return Z.astype(dtype, copy=False)
+
+
+def _outcome(fn, *args):
+    # the digits and their type, or the error's message and details
+    try:
+        out = fn(*args)
+    except DigitOutOfAlphabetError as err:
+        return str(err), err.details
+    if isinstance(out, DigitString):
+        return out, {type(d) for d in out.digits}
+    if isinstance(out, list):
+        return out, {type(d) for d in out}
+    return out.tolist(), out.dtype
+
+
+# M <= 127; an alphabet within a byte, its plan range (0, 400) in int16
+# beyond it; M > 255; mixed signs
+_BYTE_SYSTEMS = ["-2 0..2", "3/2 0..4", "-200 0..200", "-1000 0..1000",
+                 "-2 -1..1"]
+
+
+def _digit_list(data, lo, hi, bads):
+    # digits in [lo, hi], long or short, with a bad digit drawn at some
+    # place, the last place included, or none
+    n = data.draw(st.sampled_from([0, 1, 5, 40, MIN_ARRAY_DIGITS]))
+    digits = data.draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+    if n and data.draw(st.booleans()):
+        at = data.draw(st.sampled_from([0, n - 1, n // 2]))
+        digits[at] = data.draw(st.sampled_from(bads))
+    return digits
+
+
+@pytest.mark.parametrize("name", _BYTE_SYSTEMS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bytes_conversion_matches_the_array_path(name, data):
+    pipe = _pipeline(name)
+    al = pipe.system.alphabet
+    # 255 wraps to -1 in int8, were it cast before the check
+    bads = [al.M + 1, 255, 256, -1, True, np.int64(al.M),
+            np.int64(al.M + 1), 10 ** 30]
+    kind = data.draw(st.sampled_from([list, tuple, np.array]))
+    negate = al.m < 0 and data.draw(st.booleans())
+    x, y = (DigitString((list if kind is list else tuple)(
+                _digit_list(data, al.m, al.M, bads)),
+                        data.draw(st.integers(-2, 2))) for _ in range(2))
+    z = kind(_digit_list(data, *pipe.input_range, bads))
+    workers = data.draw(st.sampled_from([1, 2]))
+    calls = [(kernel.add_strings, x, y, pipe, negate),
+             (kernel.run_plan, pipe, z, workers),
+             (bench.run_pipeline_flat, pipe, z, workers)]
+    got = [_outcome(*call) for call in calls]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_digits", _array_digits)
+        want = [_outcome(*call) for call in calls]
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["-2 0..2", "-200 0..200"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_flat_list_matches_flat_array(name, workers):
+    pipe = _pipeline(name)
+    lo, hi = pipe.input_range
+    z = np.random.default_rng(4).integers(lo, hi + 1,
+                                          2 * bench.MIN_SHARD_DIGITS)
+    assert bench.run_pipeline_flat(pipe, z.tolist(), workers) == \
+        bench.run_pipeline_flat(pipe, z, workers).tolist()
