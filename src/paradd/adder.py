@@ -5,35 +5,34 @@ sequence of windowed conversion passes brings the digits back into A.
 The plan depends only on the system, never on the data, so every output
 digit of a sum is a function of a bounded window of input digits.
 
-Each pass clamps the string into its eliminator's input range, carries
-the clipped excess over unchanged and adds the eliminator's carries; the
-plan ends once ``closure_range``, chained through its passes, proves
-every digit in A.  For beta**2 = a*beta - 1 with the canonical alphabet
-a two-stage pipeline applies the rules to the whole digit range
-directly; its passes clamp alike, and clip nothing.  Pass kinds only
-label the passes, in exports and traces.
+A pass adds its eliminator's carries to the digits, whole: a digit past
+the rule's alphabet takes the class of that end, and keeps its excess.
+``build_pipeline`` chains ``closure_range`` through the passes until the
+range lies in A (for beta**2 = a*beta - 1 and the canonical alphabet,
+through a two-stage direct plan), and keeps each range.
 
-``add`` and ``subtract`` run the plan with the array kernel
-(``paradd.kernel``) on operands of at least ``MIN_ARRAY_DIGITS`` digits,
-through the pipeline's compiled plan (``AdderPipeline.kernel_plan``),
-which reads each rule's class table as the scalar loop does, so every
-plan compiles.  The scalar loop here (``reduce_to_alphabet``:
-``local.apply_rule`` plus ``_clamp_split``) is the reference the kernel
-is tested against; it serves traces and short operands, numpy loaded or
-not, so an add's path and cost follow its length alone.
+Both runners of a plan read one numpy-free record per pass,
+``AdderPipeline.passes``: the array kernel (``paradd.kernel``) adds
+operands of at least ``MIN_ARRAY_DIGITS`` digits, and the list runner
+here (``reduce_to_alphabet``) shorter ones and traces, numpy loaded or
+not, each step a ``map`` over ``operator`` functions.  Both are tested
+against ``local.apply_rule``.  Pass kinds only label passes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from operator import add as plus, mul
 
 from .core import (
     DigitString, NumerationSystem, PISOT_MINUS, digitwise_negate,
     digitwise_sum, normalize,
 )
 from .errors import AlphabetLacksNegativesError
-from .local import apply_rule, carries, check_digits, closure_range
+from .local import LocalRule, check_digits, closure_range
 from .rules import doubling_reducer, gde_pisot_minus, rules_for_alphabet
 
 # pass kinds, as labels
@@ -42,28 +41,82 @@ TOP_PASS = "top"     # rule on {m..M+1}: eliminates the top digit
 BOTTOM_PASS = "bottom"  # rule on {m-1..M}: eliminates the bottom digit
 
 
+class PassFacts:
+    """One pass as both runners read it: a digit's class, the count of the
+    rule's ``cuts`` at or below it (``classes`` by digit over the proven
+    input range [lo, hi]; ``zero``, digit 0's); the ``width`` classes read
+    every ``stride``-th, whose code reads the carry from ``table``; the
+    window (t, r); ``reach``, sum |gamma| * max |q|; and the placements
+    (window index of the sub-window, gamma), none if the table is 0."""
+
+    def __init__(self, rule: LocalRule, lo: int, hi: int):
+        cr, self.rule, self.lo, self.hi = rule.carry, rule, lo, hi
+        self.cuts = cr.cuts or (float("inf"),)  # one class: no digit cuts
+        self.classes = [bisect_right(self.cuts, d)  # d < 0 wraps to the end
+                        for d in chain(range(hi + 1), range(lo, 0))]
+        self.zero, self.table = bisect_right(self.cuts, 0), rule.selector_table
+        self.t, self.r = rule.anticipation, rule.memory
+        self.width, self.stride = cr.selector_window, cr.stride
+        reads = cr.reads(self.t)
+        self.reach = sum(abs(g) for _, g in reads) * max(map(abs, self.table))
+        self.placements = reads if self.reach else []
+
+    def run(self, Z) -> tuple:
+        """``kernel``'s pass on a sequence: the output list, t + r digits
+        wider, and the carries, q[i] at ``carries``'s offset above Z[i]."""
+        n, r, pad = len(Z), self.r, self.t + self.r
+        out = [*[0] * r, *Z, *[0] * self.t]
+        if not self.placements:
+            return out, []
+        k, edge = self.stride, [self.zero] * pad
+        C = edge + list(map(self.classes.__getitem__, Z)) + edge
+        span = n + 2 * pad - (self.width - 1) * k
+        code, base = C[:span], repeat(len(self.cuts) + 1)
+        for j in range(k, self.width * k, k):
+            code = map(plus, map(mul, code, base), C[j:j + span])
+        q = list(map(self.table.__getitem__, code))
+        for i0, gamma in self.placements:
+            out = map(plus, out, map(mul, q[i0:i0 + n + pad], repeat(gamma)))
+        return list(out), q
+
+    def carries(self, Z, msd: int) -> dict:
+        """The pass's nonzero carries by place, on Z with its msd at msd."""
+        top = msd + self.t + self.r - self.stride * \
+            self.rule.carry.selector_anticipation  # the place of q[0]
+        return {top - i: c for i, c in enumerate(self.run(Z)[1]) if c}
+
+
 @dataclass(frozen=True)
 class AdderPipeline:
     """A fixed plan of conversion passes for one numeration system."""
 
     system: NumerationSystem
     plan: tuple  # ((kind, rule), ...)
-    input_range: tuple  # (lo, hi): digits the plan provably reduces to A
+    ranges: tuple  # (lo, hi) proven into each pass, and out of the last
+
+    @property
+    def input_range(self) -> tuple:
+        """(lo, hi): digits the plan provably reduces to A."""
+        return self.ranges[0]
 
     @property
     def effective_window(self) -> tuple:
         """Total (anticipation, memory) of the composed pipeline."""
-        t = sum(rule.anticipation for _, rule in self.plan)
-        r = sum(rule.memory for _, rule in self.plan)
-        return (t, r)
+        return (sum(rule.anticipation for _, rule in self.plan),
+                sum(rule.memory for _, rule in self.plan))
+
+    @cached_property
+    def passes(self) -> tuple:
+        """Each pass's :class:`PassFacts`, built on first use and kept."""
+        return tuple(PassFacts(rule, *rng)
+                     for (_, rule), rng in zip(self.plan, self.ranges))
 
     @cached_property
     def kernel_plan(self):
         """The plan compiled for the array kernel (``kernel.Plan``) from
-        each rule's class table and cuts as they are, built on first use
-        and kept; this loads numpy."""
+        ``passes``, built on first use and kept; this loads numpy."""
         from .kernel import Plan
-        return Plan([rule for _, rule in self.plan], *self.input_range)
+        return Plan(self.passes)
 
     def to_json(self) -> dict:
         return {
@@ -84,67 +137,59 @@ def build_pipeline(system: NumerationSystem) -> AdderPipeline:
     chained by ``closure_range`` lies in A; each rule's closure lowers the
     excess by at least 1 a round, so max(M, -m) rounds bound the loop.  The
     canonical {0..a-1} alphabet for beta**2 = a*beta - 1 instead uses the
-    two-stage direct plan with window (5, 5).
+    two-stage direct plan with window (5, 5), chained alike.
     """
     base, alphabet = system.base, system.alphabet
     m, M = alphabet.m, alphabet.M
-    pair = rules_for_alphabet(base, alphabet)
-    lo, hi = start = (min(2 * m, m - M if m else 0),
-                      max(2 * M, M - m if M else 0))
+    ranges = [(min(2 * m, m - M if m else 0), max(2 * M, M - m if M else 0))]
     if base.kind == PISOT_MINUS and m == 0:
         a = base.param("a")  # the first rule reads A+A = {0..2a-2}
-        plan = ((MAP, doubling_reducer(a)), (MAP, gde_pisot_minus(a)))
-        return AdderPipeline(system, plan, start)
+        rounds = [((MAP, doubling_reducer(a)), (MAP, gde_pisot_minus(a)))]
+    else:
+        pair = rules_for_alphabet(base, alphabet)
+        rounds = [((TOP_PASS, pair.gde), (BOTTOM_PASS, pair.sde))] * max(M, -m)
     steps = []
-    for _ in range(max(M, -m)):
-        for kind, rule in ((TOP_PASS, pair.gde), (BOTTOM_PASS, pair.sde)):
+    for passes in rounds:
+        for kind, rule in passes:
             if rule is not None:
                 steps.append((kind, rule))
-                lo, hi = closure_range(rule, lo, hi)
-        if m <= lo and hi <= M:
+                ranges.append(closure_range(rule, *ranges[-1]))
+        if m <= ranges[-1][0] and ranges[-1][1] <= M:
             break
-    return AdderPipeline(system, tuple(steps), start)
-
-
-def _clamp_split(z: DigitString, lo: int, hi: int):
-    """z = u + v with u digitwise clamped into [lo, hi]; v is None, and u
-    is z, when no digit is clipped."""
-    if lo <= min(z.digits, default=lo) and max(z.digits, default=hi) <= hi:
-        return z, None
-    u = tuple(min(max(d, lo), hi) for d in z.digits)
-    return (DigitString(u, z.lsd_exponent),
-            DigitString(tuple(d - c for d, c in zip(z.digits, u)),
-                        z.lsd_exponent))
+    return AdderPipeline(system, tuple(steps), tuple(ranges))
 
 
 def reduce_to_alphabet(z: DigitString, pipeline: AdderPipeline,
                        trace: list = None) -> DigitString:
-    """Run the fixed pass plan on a digit string.
+    """Run the fixed pass plan on a digit string, on lists.
 
     The input digits must lie within the pipeline's provable input range
-    (alphabet sum A+A always qualifies).  Each pass clamps into its
-    rule's input alphabet.  Appends (pass-kind, string) snapshots to
-    ``trace`` when given.
+    (alphabet sum A+A always qualifies).  Appends, per pass, its kind, the
+    string it leaves (with its input's places if it clipped a digit) and
+    its carries to ``trace`` when given.
     """
     lo, hi = pipeline.input_range
     check_digits(z.digits, lo, hi, f"reducible range [{lo}, {hi}]")
-    for kind, rule in pipeline.plan:
-        u, v = _clamp_split(z, rule.input_alphabet.m, rule.input_alphabet.M)
-        w = apply_rule(rule, u)
-        z = digitwise_sum(w, v) if v is not None else w
+    for (kind, rule), step in zip(pipeline.plan, pipeline.passes):
+        Z, a = z.digits, rule.input_alphabet
+        w = DigitString(tuple(step.run(Z)[0]), z.lsd_exponent - step.t)
         if trace is not None:
-            trace.append({"kind": kind, "string": z,
-                          "carries": carries(rule, u)})
+            w = normalize(w)
+            if Z and not a.m <= min(Z) <= max(Z) <= a.M:  # Z's places stay
+                w = digitwise_sum(w, DigitString((0,) * len(Z),
+                                                 z.lsd_exponent))
+            trace.append({"kind": kind, "string": w,
+                          "carries": step.carries(Z, z.msd_exponent)})
+        z = w
     return normalize(z)
 
 
 # Shortest operand, in digits, that add/subtract hand to the kernel.  On
-# a 2-CPU host (the seven bulk benchmark systems) an add that follows a
-# gc.collect() and 2 ms of other Python work cost the kernel a flat
-# 230-320 us from 64 to 512 digits, the scalar loop 2.4-4.7 us a digit;
-# warm, the kernel took 51-79 us at 64 digits.  A fresh process also pays
-# numpy's import, 58-92 ms.  Below 1 000 an add costs in step with its
-# length, and a one-shot `paradd add` never loads numpy.
+# a 2-CPU host, medians over the seven bulk benchmark systems of an add
+# after 2 ms of other Python work and a gc.collect(): the list runner took
+# 0.22-0.24 ms at 64 digits, 0.43-0.51 at 256, 0.72-0.76 at 512, 1.3-1.4
+# at 1 000 and 2.3-2.7 at 2 000; the kernel 0.33-0.53 ms throughout.  A
+# one-shot `paradd add` below 1 000 digits never pays numpy's import, 70 ms.
 MIN_ARRAY_DIGITS = 1_000
 
 

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from .adder import add, build_pipeline, subtract
+from .adder import PassFacts, add, build_pipeline, subtract
 from .algebra import eval_approx, values_equal
 from .bench import MAX_LENGTH, MIN_LENGTH, run_benchmark
 from .core import (
@@ -31,7 +31,7 @@ from .errors import (
 from .expansions import (
     euclid_expansion, greedy_expansion, symmetric_expansion, tm_expansion,
 )
-from .local import apply_rule, carries, negate_rule, rule_from_json
+from .local import apply_rule, negate_rule, rule_from_json
 from .rules import canonical_gde, rules_for_alphabet
 
 EXIT_OK = 0
@@ -203,7 +203,8 @@ def cmd_convert(args) -> int:
                "input": ds.to_json(), "result": out.to_json(),
                "text": format_digit_string(out)}
     if args.trace:
-        qs = carries(rule, ds)
+        a = rule.input_alphabet
+        qs = PassFacts(rule, a.m, a.M).carries(ds.digits, ds.msd_exponent)
         payload["carries"] = {str(k): v for k, v in sorted(qs.items())}
     _emit(args, payload, format_digit_string(out))
     return EXIT_OK

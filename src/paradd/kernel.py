@@ -1,22 +1,15 @@
 """Whole-array pass-plan kernel: one compiled plan per pipeline, one runner.
 
-Output digit j of a rule is z_j + sum(gamma * q_{j-delta}) over its
-placements (delta, gamma); the carry q_i is the rule's selector table at
-the code of the classes of the sw digits the selector reads around
-position i, every k-th for stride k.  A digit's class is the count of
-the rule's cuts at or below it, so a digit past either end of the rule's
-alphabet takes that end's class.  A pass is then a few comparisons and
-shifted slices, one ``take`` and one shifted add per placement; a rule
-read from a table of Phi has one class per digit and q = Phi - centre on
-its whole window, at (0, 1).  A :class:`Plan` holds these facts for a
-pipeline, built once (``AdderPipeline.kernel_plan``), and ``Plan.run``
-runs every pass alike.  Arrays hold digits msd first along the first
-axis: a 1-D string, or a 2-D batch of shape (positions, strings) whose
-every digit row is one contiguous block.  A plan's digits and classes
-are int8, or a wider signed dtype where its static bound needs; codes of
-more classes are int16, or int32 above 2**15 table entries.  Digits in
-0..255 cross in and out of Python as bytes.  Importing this module
-loads numpy.
+A pass reads the record the list runner reads too, ``adder.PassFacts``:
+a few comparisons and shifted slices give the class codes, then one
+``take`` and one shifted add per placement.  A :class:`Plan` holds a
+pipeline's passes, built once (``AdderPipeline.kernel_plan``).  Arrays
+hold digits msd first along the first axis: a 1-D string, or a 2-D batch
+of shape (positions, strings) whose every digit row is one contiguous
+block.  A plan's digits and classes are int8, or a wider signed dtype
+where its static bound needs; codes of more classes are int16, or int32
+above 2**15 table entries.  Digits in 0..255 cross in and out of Python
+as bytes.  Importing this module loads numpy.
 """
 
 from __future__ import annotations
@@ -26,86 +19,63 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .adder import AdderPipeline
+from .adder import AdderPipeline, PassFacts
 from .core import DigitString
 from .errors import DigitOutOfAlphabetError
-from .local import LocalRule
 
 # threads for run_plan's slices; they start on first use, not on import
 _POOL = ThreadPoolExecutor(max_workers=os.cpu_count())
 
 
-class Pass:
-    """One rule, compiled: its selector table q by the code of the classes
-    of the ``width`` digits read every ``stride``-th, a digit's class the
-    count of the rule's ``cuts`` at or below it; the placements (window
-    index of the sub-window, gamma) that add q; its window (t, r); its
-    reach, sum |gamma| * max |q|."""
-
-    def __init__(self, rule: LocalRule):
-        cr, q = rule.carry, rule.selector_table
-        # a rule of one class gets a cut that no digit reaches
-        self.cuts = cr.cuts or (float("inf"),)
-        self.t, self.r = rule.anticipation, rule.memory
-        self.zero = sum(c <= 0 for c in self.cuts)  # digit 0's class
-        self.width, self.stride = cr.selector_window, cr.stride
-        placements = cr.reads(self.t)
-        self.reach = sum(abs(g) for _, g in placements) * max(map(abs, q))
-        # a table of zeros places nothing, so no gamma need fit its dtype
-        self.placements = placements if self.reach else []
-        self.table = np.array(q, dtype=np.min_scalar_type(-self.reach - 1))
-        self.code = np.int16 if len(q) <= 1 << 15 else np.int32
-
-    def run(self, Z: np.ndarray) -> np.ndarray:
-        """The pass, its carries read from the classes of Z's digits, in
-        Z's dtype.  Each output digit is z_j, whole, so that any excess
-        past the rule's alphabet carries over, plus the placed carries.
-        The output is t + r digits wider: index r lines up with Z's msd."""
-        k, r, pad = self.stride, self.r, self.t + self.r
-        n, rest = len(Z), Z.shape[1:]
-        C = np.full((n + 2 * pad,) + rest, self.zero, dtype=Z.dtype)
-        classes = C[pad:pad + n]  # per digit, the count of cuts at or below
-        np.greater_equal(Z, self.cuts[0], out=classes)
-        for cut in self.cuts[1:]:  # a bool array's bytes read as int8 0 or 1
-            classes += np.greater_equal(Z, cut).view(np.int8)
-        span = n + 2 * pad - (self.width - 1) * k
-        code = C[:span]
-        for j in range(k, self.width * k, k):
-            code = np.multiply(code, len(self.cuts) + 1, dtype=self.code)
-            code += C[j:j + span]
-        q = self.table.take(code)
-        out = np.zeros((n + pad,) + rest, dtype=Z.dtype)
-        out[r:r + n] = Z
-        for i0, gamma in self.placements:
-            out += gamma * q[i0:i0 + n + pad]
-        return out
+def _run_pass(f: PassFacts, table: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The pass ``f`` on Z, in Z's dtype, its carries read from ``table``.
+    Each output digit is z_j, whole, so that any excess past the rule's
+    alphabet carries over, plus the placed carries.  The output is t + r
+    digits wider: index r lines up with Z's msd."""
+    k, r, pad, cuts = f.stride, f.r, f.t + f.r, f.cuts
+    n, rest = len(Z), Z.shape[1:]
+    codes = np.int16 if table.size <= 1 << 15 else np.int32
+    C = np.full((n + 2 * pad,) + rest, f.zero, dtype=Z.dtype)
+    classes = C[pad:pad + n]  # per digit, the count of cuts at or below
+    np.greater_equal(Z, cuts[0], out=classes)
+    for cut in cuts[1:]:  # a bool array's bytes read as int8 0 or 1
+        classes += np.greater_equal(Z, cut).view(np.int8)
+    span = n + 2 * pad - (f.width - 1) * k
+    code = C[:span]
+    for j in range(k, f.width * k, k):
+        code = np.multiply(code, len(cuts) + 1, dtype=codes)
+        code += C[j:j + span]
+    q = table.take(code)
+    out = np.zeros((n + pad,) + rest, dtype=Z.dtype)
+    out[r:r + n] = Z
+    for i0, gamma in f.placements:
+        out += gamma * q[i0:i0 + n + pad]
+    return out
 
 
 class Plan:
-    """The passes of ``rules``, each distinct rule compiled once, run in
-    turn on digits in the input range [lo, hi]; the output is (T, R) =
-    ``window`` digits wider, and each of its digits reads ``halo`` + 1 =
-    T + R + 1 inputs.  ``dtype`` is the narrowest signed one holding
-    every digit and class: each pass adds at most its reach to the
-    digits, and reads their classes 0 .. len(cuts).
-    """
+    """The ``passes``, each with its table as an array, run in turn on
+    digits in the first one's range [lo, hi]; the output is (T, R) =
+    ``window`` digits wider, each of its digits read from ``halo`` + 1 =
+    T + R + 1 inputs.  ``dtype`` is the narrowest signed one holding every
+    digit and class: each pass adds at most its reach to the digits, and
+    reads their classes 0 .. len(cuts)."""
 
-    def __init__(self, rules, lo: int, hi: int):
-        compiled = {rule: Pass(rule) for rule in dict.fromkeys(rules)}
-        self.passes = [compiled[rule] for rule in rules]
-        self.lo, self.hi = lo, hi
-        self.window = (sum(p.t for p in self.passes),
-                       sum(p.r for p in self.passes))
+    def __init__(self, passes):
+        self.passes = [(p, np.array(p.table, np.min_scalar_type(-p.reach - 1)))
+                       for p in passes]
+        self.lo, self.hi = lo, hi = passes[0].lo, passes[0].hi
+        self.window = (sum(p.t for p in passes), sum(p.r for p in passes))
         self.halo = sum(self.window)
-        bound = max([max(-lo, hi) + sum(p.reach for p in self.passes)]
-                    + [len(p.cuts) for p in self.passes])
+        bound = max([max(-lo, hi) + sum(p.reach for p in passes)]
+                    + [len(p.cuts) for p in passes])
         self.dtype = np.min_scalar_type(-bound - 1)
 
     def run(self, Z: np.ndarray) -> np.ndarray:
         """Every pass on the unchecked digits of Z, in Z's dtype, lsd at
         exponent 0; the output covers exponents msd + R .. -T."""
-        for p in self.passes:
-            Z = p.run(Z)
+        for p, table in self.passes:
+            Z = _run_pass(p, table, Z)
         return Z
 
 

@@ -311,7 +311,7 @@ def closure_range(rule: LocalRule, lo: int = None, hi: int = None) -> tuple:
     position s is the class code of the last sw digits read, holding the least
     and the greatest partial sum over the digits before them; position s adds
     the centre digit, the least or the greatest of its class, when s = t, and
-    gamma * q when a placement's sub-window ends at s.  As in ``kernel.Pass``,
+    gamma * q when a placement's sub-window ends at s.  As in both runners,
     a digit past either end of the alphabet takes that end's class and keeps
     its excess: the least class starts at lo, the greatest ends at hi, and a
     class holding no digit of [lo, hi] makes the range an enclosure.  That is
@@ -392,24 +392,6 @@ def apply_rule(rule: LocalRule, ds: DigitString,
     if background != 0:
         return DigitString(tuple(out), out_lsd)
     return normalize(DigitString(tuple(out), out_lsd))
-
-
-def carries(rule: LocalRule, ds: DigitString) -> dict:
-    """Per-position selector values q_j (for tracing)."""
-    cr = rule.carry
-    n, k, ta = len(cr.cuts) + 1, cr.stride, cr.selector_anticipation
-    result = {}
-    lo = ds.lsd_exponent - k * ta
-    hi = ds.msd_exponent + k * cr.selector_memory
-    for j in range(hi, lo - 1, -1):
-        code = 0
-        for i in range(cr.selector_window):
-            code = code * n + bisect_right(cr.cuts,
-                                           ds.digit_at(j + k * (ta - i)))
-        q = rule.selector_table[code]
-        if q:
-            result[j] = q
-    return result
 
 
 def fixed_letters(rule: LocalRule) -> set:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adder import AdderPipeline
+from .adder import AdderPipeline, PassFacts
 from .algebra import represents_zero
 from .core import BaseSpec, DigitString
 from .errors import NotApplicableError, within
@@ -227,7 +227,7 @@ def verify_conversion(rule: LocalRule, base: BaseSpec, max_len: int = 6,
         report.fail("zero-to-zero")
     report.note("zero-to-zero")
 
-    plan = kernel.Plan([rule], m, m + S - 1)
+    plan = kernel.Plan([PassFacts(rule, m, m + S - 1)])
     dtype, spent, groups = plan.dtype, 0, []
     for L in range(1, max_len + 1):
         spent += S ** L

@@ -52,11 +52,15 @@ class TestPlans:
         assert len(pl.plan) == _PROVED_PASSES[name]
         A, (lo, hi) = pl.system.alphabet, pl.input_range
         per_round = len({kind for kind, _ in pl.plan})
-        closed = []
+        closed, chain = [], [(lo, hi)]
         for _, rule in pl.plan:
             lo, hi = closure_range(rule, lo, hi)
             closed.append(A.m <= lo and hi <= A.M)
+            chain.append((lo, hi))
         assert closed[-1] and not any(closed[per_round - 1:-1:per_round])
+        # the pipeline keeps the chain, and each pass reads its input range
+        assert pl.ranges == tuple(chain)
+        assert [(p.lo, p.hi) for p in pl.passes] == chain[:-1]
 
     def test_quadratic_unit_fast_path(self):
         pl = build_pipeline(_system(pisot_minus_base(3), 0, 2))

@@ -1,7 +1,9 @@
-"""Array kernel against the scalar reference, digit for digit."""
+"""Both runners of the pass plan, the array kernel and the list runner,
+against its definition, digit for digit."""
 
 import itertools
 import random
+from bisect import bisect_right
 import sys
 import time
 from functools import lru_cache
@@ -12,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from paradd import bench, kernel
 from paradd.adder import (
-    MIN_ARRAY_DIGITS, add, build_pipeline, reduce_to_alphabet, subtract,
+    MIN_ARRAY_DIGITS, PassFacts, add, build_pipeline, reduce_to_alphabet,
+    subtract,
 )
 from paradd.algebra import values_equal
 from paradd.cli import _VERIFY_CATALOG, parse_alphabet, parse_base
@@ -20,7 +23,9 @@ from paradd.core import (
     DigitString, digitwise_negate, digitwise_sum, make_system, normalize,
 )
 from paradd.errors import DigitOutOfAlphabetError
-from paradd.local import apply_rule, closure_range, rule_from_json
+from paradd.local import (
+    apply_rule, check_digits, closure_range, rule_from_json,
+)
 from paradd.oracle import verify_conversion
 from paradd.rules import (
     gde_negative_integer, gde_pisot_minus, gde_rational_neg,
@@ -46,6 +51,127 @@ def _lengths(pipe):
                      st.integers(0, 3 * halo))
 
 
+def _defined_passes(z, pipe):
+    # the plan by its definition: apply_rule on z clamped into each rule's
+    # alphabet, the clipped excess carried over unchanged; per pass, the
+    # rule, the clamped string and the string the pass leaves
+    lo, hi = pipe.input_range
+    check_digits(z.digits, lo, hi, f"reducible range [{lo}, {hi}]")
+    for _, rule in pipe.plan:
+        a = rule.input_alphabet
+        u = DigitString(tuple(min(max(d, a.m), a.M) for d in z.digits),
+                        z.lsd_exponent)
+        v = DigitString(tuple(d - c for d, c in zip(z.digits, u.digits)),
+                        z.lsd_exponent)
+        z = apply_rule(rule, u) if u == z else \
+            digitwise_sum(apply_rule(rule, u), v)
+        yield rule, u, z
+
+
+def _carries(rule, ds):
+    # q_j by its definition: the selector table at the class code of the
+    # digits read around each place j, every one the selector can reach
+    cr = rule.carry
+    n, k, ta = len(cr.cuts) + 1, cr.stride, cr.selector_anticipation
+    result = {}
+    for j in range(ds.msd_exponent + k * cr.selector_memory,
+                   ds.lsd_exponent - k * ta - 1, -1):
+        code = 0
+        for i in range(cr.selector_window):
+            code = code * n + bisect_right(cr.cuts,
+                                           ds.digit_at(j + k * (ta - i)))
+        if rule.selector_table[code]:
+            result[j] = rule.selector_table[code]
+    return result
+
+
+def _reduced(z, pipe):
+    for _, _, z in _defined_passes(z, pipe):
+        pass
+    return normalize(z)
+
+
+def _defined(x, y, pipe, negate=False):
+    # x + y, or x - y, by the definition, refusing digits as add does
+    al = pipe.system.alphabet
+    for s in (x, y):
+        check_digits(s.digits, al.m, al.M, f"alphabet {al}")
+    z = _reduced(digitwise_sum(x, digitwise_negate(y) if negate else y), pipe)
+    check_digits(z.digits, al.m, al.M, f"alphabet {al}")
+    return z
+
+
+# every `paradd verify` system, one that subtracts, and three whose
+# alphabets are wide
+_REFERENCE_SYSTEMS = [f"{b} {a}" for b, a in _VERIFY_CATALOG] + [
+    "-2 -1..1", "pisot-:100 0..99", "pisot+:44 0..45", "-1000 0..1000"]
+
+
+@pytest.mark.parametrize("name", _REFERENCE_SYSTEMS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_list_runner_kernel_and_definition_agree(name, data):
+    # short operands, now and then with a digit outside A: the list
+    # runner, traced or not, and the kernel give the definition's digits,
+    # or its error message and details
+    pipe = _pipeline(name)
+    al = pipe.system.alphabet
+    bad = st.sampled_from([al.M + 1, al.m - 1, 2 * al.M + 1, 10 ** 30])
+
+    def operand():
+        n = data.draw(_lengths(pipe))
+        digits = data.draw(st.lists(st.integers(al.m, al.M), min_size=n,
+                                    max_size=n))
+        if n and data.draw(st.integers(0, 3)) == 0:
+            digits[data.draw(st.integers(0, n - 1))] = data.draw(bad)
+        return DigitString(tuple(digits), data.draw(st.integers(-4, 4)))
+
+    x, y = operand(), operand()
+    assert max(len(x.digits), len(y.digits)) < MIN_ARRAY_DIGITS
+    negate = al.m < 0 < al.M and data.draw(st.booleans())
+    op = subtract if negate else add
+    want = _outcome(_defined, x, y, pipe, negate)
+    assert _outcome(op, x, y, pipe) == want
+    assert _outcome(op, x, y, pipe, []) == want
+    assert _outcome(kernel.add_strings, x, y, pipe, negate) == want
+
+
+@pytest.mark.parametrize("name", _SYSTEMS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_trace_follows_the_definition(name, data):
+    # each traced pass leaves the string the clamping definition leaves,
+    # its support included, and the carries defined on the clamped string
+    pipe = _pipeline(name)
+    al = pipe.system.alphabet
+    x, y = (DigitString(tuple(data.draw(st.lists(
+                st.integers(al.m, al.M), max_size=12))),
+                        data.draw(st.integers(-3, 3))) for _ in range(2))
+    negate = al.m < 0 < al.M and data.draw(st.booleans())
+    trace = []
+    (subtract if negate else add)(x, y, pipe, trace)
+    z = digitwise_sum(x, digitwise_negate(y) if negate else y)
+    assert trace[0] == {"kind": "digitwise-difference" if negate
+                        else "digitwise-sum", "string": z, "carries": {}}
+    want = [{"kind": kind, "string": out, "carries": _carries(rule, u)}
+            for (kind, _), (rule, u, out) in zip(pipe.plan,
+                                                 _defined_passes(z, pipe))]
+    assert trace[1:] == want
+
+
+def test_traced_carries_on_a_clipped_pass():
+    # 2 2 2 + 2 2 2 on -2 {0..2}: the first pass clamps 4 4 4 into
+    # {0..3}, and its carries are those defined on 3 3 3
+    pipe = _pipeline("-2 0..2")
+    x = DigitString((2, 2, 2))
+    trace = []
+    add(x, x, pipe, trace)
+    rule = pipe.plan[0][1]
+    assert rule.input_alphabet.M == 3
+    assert trace[1]["carries"] == _carries(rule, DigitString((3, 3, 3))) \
+        == {3: -1, 2: 1, 1: 1, 0: 1}
+
+
 @pytest.mark.parametrize("name", _SYSTEMS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -57,9 +183,8 @@ def test_add_and_subtract_match_scalar(name, data):
                 st.integers(al.m, al.M), min_size=n, max_size=n))),
                         data.draw(st.integers(-3, 3)))
             for n in (data.draw(_lengths(pipe)), data.draw(_lengths(pipe))))
-    z = digitwise_sum(x, digitwise_negate(y) if negate else y)
     assert kernel.add_strings(x, y, pipe, negate) == \
-        reduce_to_alphabet(z, pipe)
+        _defined(x, y, pipe, negate)
 
 
 @pytest.mark.parametrize("name", _SYSTEMS)
@@ -73,8 +198,10 @@ def test_batch_rows_match_scalar(name, seed, rows, length):
     out = kernel.run_plan(pipe, Z.T).T
     t = pipe.effective_window[0]
     for row, got in zip(Z, out):
-        want = reduce_to_alphabet(DigitString(tuple(row.tolist())), pipe)
+        z = DigitString(tuple(row.tolist()))
+        want = _reduced(z, pipe)
         assert normalize(DigitString(tuple(got.tolist()), -t)) == want
+        assert reduce_to_alphabet(z, pipe) == want
 
 
 @pytest.mark.parametrize("name", _SYSTEMS)
@@ -104,8 +231,17 @@ def test_batch_columns_match_1d_runs(name, data):
 def _run_rule(rule, Z):
     # the rule as a one-pass plan on digits of its input alphabet
     a = rule.input_alphabet
-    plan = kernel.Plan([rule], a.m, a.M)
+    plan = kernel.Plan([PassFacts(rule, a.m, a.M)])
     return plan.run(np.asarray(Z, dtype=plan.dtype))
+
+
+def _plan(rules, lo, hi):
+    # the rules as a plan on digits in [lo, hi], their ranges chained
+    passes = []
+    for rule in rules:
+        passes.append(PassFacts(rule, lo, hi))
+        lo, hi = closure_range(rule, lo, hi)
+    return kernel.Plan(passes)
 
 
 @lru_cache(maxsize=None)
@@ -186,13 +322,13 @@ def test_dtype_holds_static_bound(name):
     for Z in ([hi] * 40, [lo] * 40, [lo, hi] * 20, [hi, hi, lo] * 13):
         Z = np.array(Z, dtype=np.int64)
         for rule in rules:
-            Z = kernel.Plan([rule], lo, hi).run(Z)
+            Z = kernel.Plan([PassFacts(rule, lo, hi)]).run(Z)
             assert np.abs(Z).max() <= bound
     # exact: digits up to 127 - reach take int8, one more takes int16
     edge = 127 - sum(map(_reach, rules))
     assert _static_bound(rules, 0, edge) == 127
-    assert kernel.Plan(rules, 0, edge).dtype == np.int8
-    assert kernel.Plan(rules, 0, edge + 1).dtype == np.int16
+    assert _plan(rules, 0, edge).dtype == np.int8
+    assert _plan(rules, 0, edge + 1).dtype == np.int16
 
 
 def test_proved_plan_sets_the_dtype():
@@ -215,7 +351,7 @@ def test_codes_set_the_dtype_at_int8_edge(m, dtype):
         "input_alphabet": {"m": m, "M": 64},
         "output_alphabet": {"m": m, "M": 64},
         "table": {str(d): d - (d == 64) for d in range(m, 65)}})
-    plan = kernel.Plan([rule], m, 64)
+    plan = kernel.Plan([PassFacts(rule, m, 64)])
     assert plan.dtype == dtype
     out = plan.run(np.arange(m, 65, dtype=plan.dtype))
     assert out.tolist() == list(range(m, 64)) + [63]
@@ -223,7 +359,7 @@ def test_codes_set_the_dtype_at_int8_edge(m, dtype):
 
 def _kernel_adds(monkeypatch, name, length):
     # untraced add, and subtract on mixed signs, of length-digit operands,
-    # each equal to its traced run: (kernel.add_strings calls, ops run)
+    # each equal to the definition: (kernel.add_strings calls, ops run)
     pipe = _pipeline(name)
     al = pipe.system.alphabet
     rng = np.random.default_rng(2)
@@ -240,8 +376,7 @@ def _kernel_adds(monkeypatch, name, length):
     monkeypatch.setattr(kernel, "add_strings", spy)
     ops = [add] + ([subtract] if al.m < 0 else [])
     for op in ops:
-        # a trace keeps the scalar loop
-        assert op(x, y, pipe) == op(x, y, pipe, trace=[])
+        assert op(x, y, pipe) == _defined(x, y, pipe, op is subtract)
     return len(calls), len(ops)
 
 
@@ -287,8 +422,8 @@ def test_short_kernel_adds_match_the_traced_scalar_loop(name, lengths, lsds,
          else _random_string(rng, al, lengths[1], lsds[1]))
     ops = [add] + ([subtract] if al.m < 0 else [])
     for op in ops:
-        want = op(x, y, pipe, trace=[])
-        assert op(x, y, pipe) == want
+        want = _defined(x, y, pipe, op is subtract)
+        assert op(x, y, pipe) == op(x, y, pipe, trace=[]) == want
         assert kernel.add_strings(x, y, pipe, op is subtract) == want
     if cancel and al.m < 0:
         assert kernel.add_strings(x, y, pipe, True) == DigitString.zero()
@@ -311,7 +446,7 @@ def test_long_operand_errors_match_scalar(bad):
             with pytest.raises(DigitOutOfAlphabetError) as kern:
                 op(a, b, pipe)
             with pytest.raises(DigitOutOfAlphabetError) as scalar:
-                op(a, b, pipe, trace=[])
+                _defined(a, b, pipe, op is subtract)
             assert str(kern.value) == str(scalar.value)
             assert kern.value.details == scalar.value.details == \
                 {"digit": bad}
@@ -342,11 +477,13 @@ def test_short_kernel_errors_match_scalar(bad):
                                    (x, y, bad), (y, x, other)):
                     kern = _error(kernel.add_strings, a, b, pipe,
                                   op is subtract)
-                    scalar = _error(op, a, b, pipe, trace=[])
+                    scalar = _error(_defined, a, b, pipe, op is subtract)
+                    traced = _error(op, a, b, pipe, trace=[])
                     untraced = _error(op, a, b, pipe)
-                    assert str(kern) == str(scalar) == str(untraced)
+                    assert str(kern) == str(scalar) == str(traced) == \
+                        str(untraced)
                     assert kern.details == scalar.details == \
-                        untraced.details == {"digit": want}
+                        traced.details == untraced.details == {"digit": want}
 
 
 @pytest.mark.parametrize("bad", [2 ** 31, -2 ** 31 - 1, 10 ** 30])
@@ -365,9 +502,9 @@ def test_plan_is_built_once_per_pipeline(monkeypatch):
     builds = []
 
     class Counting(kernel.Plan):
-        def __init__(self, rules, lo, hi):
-            builds.append(len(rules))
-            super().__init__(rules, lo, hi)
+        def __init__(self, passes):
+            builds.append(len(passes))
+            super().__init__(passes)
 
     monkeypatch.setattr(kernel, "Plan", Counting)
     pipe = build_pipeline(make_system(parse_base("-2"),
@@ -382,6 +519,9 @@ def test_plan_is_built_once_per_pipeline(monkeypatch):
     long_x = DigitString((1,) * MIN_ARRAY_DIGITS)
     add(long_x, long_x, pipe)
     assert builds == [len(pipe.plan)]
+    # the kernel reads the records the list runner reads
+    assert [facts for facts, _ in pipe.kernel_plan.passes] == \
+        list(pipe.passes)
     # a sweep compiles its rule once, as a one-pass plan
     builds.clear()
     verify_conversion(pipe.plan[0][1], pipe.system.base, max_len=5)
@@ -397,7 +537,7 @@ def test_m1pi_flat_run_matches_scalar_quickly():
     t0 = time.perf_counter()
     got = bench.run_pipeline_flat(pipe, z, workers=1)
     elapsed = time.perf_counter() - t0
-    want = reduce_to_alphabet(DigitString(tuple(z)), pipe)
+    want = _reduced(DigitString(tuple(z)), pipe)
     t = pipe.effective_window[0]
     assert normalize(DigitString(tuple(got), -t)) == want
     assert elapsed < 1.0, elapsed
@@ -419,14 +559,14 @@ def test_wide_alphabets_match_scalar(name, data):
     x, y = (DigitString(tuple(data.draw(st.lists(st.integers(al.m, al.M),
                                                  max_size=12))),
                         data.draw(st.integers(-3, 3))) for _ in range(2))
-    assert kernel.add_strings(x, y, pipe) == \
-        reduce_to_alphabet(digitwise_sum(x, y), pipe)
+    assert kernel.add_strings(x, y, pipe) == add(x, y, pipe) == \
+        _defined(x, y, pipe)
     lo, hi = pipe.input_range
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     Z = rng.integers(lo, hi + 1, (data.draw(st.integers(1, 12)), 3))
     out = kernel.run_plan(pipe, Z)
     for k in range(3):
-        want = reduce_to_alphabet(DigitString(tuple(Z[:, k].tolist())), pipe)
+        want = _reduced(DigitString(tuple(Z[:, k].tolist())), pipe)
         assert normalize(DigitString(tuple(out[:, k].tolist()),
                                      -pipe.effective_window[0])) == want
         assert (kernel.run_plan(pipe, Z[:, k]) == out[:, k]).all()
@@ -479,7 +619,7 @@ def test_wide_alphabets_add_long_operands_through_the_kernel(name):
                                            MIN_ARRAY_DIGITS).tolist()))
             for _ in range(2))
     assert add(x, y, pipe) == kernel.add_strings(x, y, pipe) == \
-        add(x, y, pipe, trace=[])
+        add(x, y, pipe, trace=[]) == _defined(x, y, pipe)
 
 
 def _array_digits(Z, lo, hi, dtype, where):

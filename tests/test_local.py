@@ -27,10 +27,10 @@ from paradd.errors import (
     OutputEscapesAlphabetError,
     PatternNotMultipleError,
 )
+from paradd.adder import PassFacts
 from paradd.local import (
     CarryRule,
     apply_rule,
-    carries,
     closure_range,
     compose_rules,
     derive_local_rule,
@@ -51,7 +51,7 @@ from paradd.rules import (
     rules_for_alphabet,
 )
 from test_acceptance import _SWEEP
-from test_kernel import _TABLE_RULES, _table_form
+from test_kernel import _TABLE_RULES, _carries, _table_form
 
 
 class TestDerivation:
@@ -268,14 +268,31 @@ class TestApplication:
 
     def test_carry_trace_positions(self):
         g = gde_negative_integer(2)
-        qs = carries(g, parse_digit_string("3 ."))
+        a = g.input_alphabet
+        qs = PassFacts(g, a.m, a.M).carries([3], 0)
         assert qs and all(q in (-1, 1) for q in qs.values())
+        assert qs == _carries(g, parse_digit_string("3 ."))
 
 
 @lru_cache(maxsize=None)
 def _window_rules():
     """The catalog rules, and the table-form copies of the kernel tests."""
     return _catalog_rules() + [_table_form(rule) for rule in _TABLE_RULES]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_pass_carries_match_their_definition(data):
+    # the carries `convert --trace` reports, read from the list runner,
+    # against the selector table read at each place on its own
+    rule = data.draw(st.sampled_from(_window_rules()))
+    a = rule.input_alphabet
+    ds = DigitString(tuple(data.draw(st.lists(st.integers(a.m, a.M),
+                                              max_size=12))),
+                     data.draw(st.integers(-3, 3)))
+    assert PassFacts(rule, a.m, a.M).carries(list(ds.digits),
+                                             ds.msd_exponent) == \
+        _carries(rule, ds)
 
 
 @given(st.data())

@@ -22,6 +22,7 @@ from paradd.core import (
 )
 from paradd.errors import LimitExceededError
 from paradd.local import apply_rule, rule_from_json
+from paradd.adder import PassFacts
 from paradd.kernel import Plan, run_plan
 from paradd.oracle import (
     MAX_BATCH_DIGITS,
@@ -92,7 +93,7 @@ class TestConversionSweep:
         rule = gde_rational_pos(3, 2)
         rng = np.random.default_rng(3)
         Z = rng.integers(0, 6, size=(50, 5))
-        out = Plan([rule], 0, 5).run(Z.T).T
+        out = Plan([PassFacts(rule, 0, 5)]).run(Z.T).T
         for row, orow in zip(Z, out):
             want = apply_rule(rule, DigitString(tuple(int(v) for v in row),
                                                 0))
