@@ -42,12 +42,12 @@ BOTTOM_PASS = "bottom"  # rule on {m-1..M}: eliminates the bottom digit
 
 
 class PassFacts:
-    """One pass as both runners read it: a digit's class, the count of the
-    rule's ``cuts`` at or below it (``classes`` by digit over the proven
-    input range [lo, hi]; ``zero``, digit 0's); the ``width`` classes read
-    every ``stride``-th, whose code reads the carry from ``table``; the
-    window (t, r); ``reach``, sum |gamma| * max |q|; and the placements
-    (window index of the sub-window, gamma), none if the table is 0."""
+    """One pass as both runners read it.  A digit's class is the count of
+    the rule's ``cuts`` at or below it: ``classes`` by digit over the
+    proven input range [lo, hi], ``zero`` for digit 0.  The carry is read
+    from ``table`` at the code of ``width`` classes, every ``stride``-th;
+    the placements (window index of the sub-window, gamma) add it, none
+    when the table is all zeros.  Also the window (t, r) and ``reach``."""
 
     def __init__(self, rule: LocalRule, lo: int, hi: int):
         cr, self.rule, self.lo, self.hi = rule.carry, rule, lo, hi
@@ -62,8 +62,8 @@ class PassFacts:
         self.placements = reads if self.reach else []
 
     def run(self, Z) -> tuple:
-        """``kernel``'s pass on a sequence: the output list, t + r digits
-        wider, and the carries, q[i] at ``carries``'s offset above Z[i]."""
+        """``kernel``'s pass on a sequence of digits, msd first: the output
+        list, t + r digits wider, index r in line with Z[0]; the carries."""
         n, r, pad = len(Z), self.r, self.t + self.r
         out = [*[0] * r, *Z, *[0] * self.t]
         if not self.placements:
