@@ -1,13 +1,13 @@
 """Benchmark: fixed-pass parallel addition vs a sequential reference.
 
 Every output digit of the pass plan depends only on a window of input
-digits, ``AdderPipeline.effective_window`` = (T, R).  So the output can
-be cut into slices, one per worker thread, each computed by the array
-kernel (``paradd.kernel``) from its input slice plus a halo of T + R
-digits.  The one-thread run is the reference, and all runs must agree
-digit for digit.  Workers are capped at the CPUs this process may run
-on, and short inputs are not sliced.  numpy loads, and the pipeline's
-kernel plan is built, only when a function here runs the kernel.
+digits, ``AdderPipeline.effective_window`` = (T, R), so the array kernel
+(``kernel.run_plan``) computes each cache-sized slice of the output from
+its input slice plus a halo of T + R digits, on one thread per worker.
+The one-worker run is the reference; all runs must agree digit for
+digit.  Workers are capped at the CPUs this process may run on, and
+short inputs get one.  numpy loads, and the pipeline's kernel plan is
+built, only when a function here runs the kernel.
 
 As an independent cross-check, a classical sequential ripple-carry adder
 (digit d = v mod a with a propagating carry, available for integer and
@@ -29,12 +29,13 @@ from .core import BaseSpec, DigitString, NumerationSystem
 from .errors import LimitExceededError, UnsupportedBaseError, WorkerCountError
 
 
-# Shortest input, in digits per worker, worth a thread of its own.  On
-# the 2-CPU host it was measured on (41 alternated calls per length), 2
-# threads against 1 took 1.00 of the time at 50 000 digits and 0.46 at
-# 200 000 for base -2 {0..2}; 1.02 at 100 000 and 0.72 at 200 000 for
-# 3/2 {0..4}.  So a second thread starts at 200 000 digits.
-MIN_SHARD_DIGITS = 100_000
+# Shortest input, in digits per worker, worth a thread of its own.  With
+# run_plan's blocks, on a 2-CPU host (medians of 21 alternated calls), 2
+# threads against 1 took 1.1-1.3 of the time at 300 000 to 600 000 digits
+# for base -2 {0..2}, 0.9-1.1 at 800 000 and 0.75-0.85 at 10**6; for 3/2
+# {0..4}, 1.1-1.2 at 300 000, 0.7-1.0 at 500 000 to 800 000.  So a
+# second thread starts at 800 000 digits.
+MIN_SHARD_DIGITS = 400_000
 
 # Timed calls per worker count, alternating between the counts after one
 # untimed round that pays for thread start and each thread's heap growth;
@@ -43,9 +44,9 @@ MIN_SHARD_DIGITS = 100_000
 # the first 3 calls, and up to 0.78 as the fastest of 11 after that round.
 TIMED_CALLS = 11
 
-# Operand lengths run_benchmark accepts.  At 10**7 digits a run of
-# 3/2 {0..4} peaked at about 1 GB of memory and took 7 s, most of it the
-# exact ripple check, on the host the other constants were measured on.
+# Operand lengths run_benchmark accepts.  At 10**7 digits `paradd bench`
+# peaked at 870-880 MB (-2 {0..2}, 3/2 {0..4}; ru_maxrss) and took 6-12 s,
+# most of it the exact ripple check, on the 2-CPU host above.
 MIN_LENGTH, MAX_LENGTH = 10 ** 3, 10 ** 7
 
 # Digit-passes (length times passes) per call that run_benchmark accepts:
@@ -74,17 +75,16 @@ def run_pipeline_flat(pipeline: AdderPipeline, digits, workers: int = 1):
     """Run the pass plan on an lsd-exponent-0 digit sequence, msd first.
 
     Returns the output digits, msd first, least significant digit at
-    exponent -(total anticipation): a list of ints for a list, else an
-    array of the plan's dtype; a sequence converts as ``kernel._digits``
-    does, as bytes where the input range lies in 0..255.  ``workers`` > 1
-    cuts the output into one slice per thread (see ``worker_count``); each
-    runs the whole plan once on its input slice plus a halo of the plan's
-    window.
+    exponent -(total anticipation): an array of the plan's dtype, or for
+    a list a list of ints, read from bytes where the plan's proven output
+    range ``pipeline.ranges[-1]`` lies in 0..255 (``kernel.to_ints``).  A
+    sequence converts as ``kernel._digits`` does.  Each of ``workers``
+    threads (see ``worker_count``) runs the plan on its share of the output.
     """
-    threads = worker_count(workers, len(digits))
-    from .kernel import run_plan
-    out = run_plan(pipeline, digits, threads)
-    return out.tolist() if isinstance(digits, list) else out
+    from .kernel import run_plan, to_ints
+    out = run_plan(pipeline, digits, worker_count(workers, len(digits)))
+    return (to_ints(out, *pipeline.ranges[-1]) if isinstance(digits, list)
+            else out)
 
 
 # --- classical sequential ripple adder -------------------------------------

@@ -3,13 +3,14 @@
 A pass reads the record the list runner reads too, ``adder.PassFacts``:
 a few comparisons and shifted slices give the class codes, then one
 ``take`` and one shifted add per placement.  A :class:`Plan` holds a
-pipeline's passes, built once (``AdderPipeline.kernel_plan``).  Arrays
-hold digits msd first along the first axis: a 1-D string, or a 2-D batch
-of shape (positions, strings) whose every digit row is one contiguous
-block.  A plan's digits and classes are int8, or a wider signed dtype
-where its static bound needs; codes of more classes are int16, or int32
-above 2**15 table entries.  Digits in 0..255 cross in and out of Python
-as bytes.  Importing this module loads numpy.
+pipeline's passes, built once (``AdderPipeline.kernel_plan``), which
+:func:`run_plan` runs in slices of ``BLOCK_DIGITS`` outputs at most.
+Arrays hold digits msd first along the first axis: a 1-D string, or a
+2-D batch of shape (positions, strings) whose every digit row is one
+contiguous block.  A plan's digits and classes are int8, or a wider
+signed dtype where its static bound needs; codes of more classes are
+int16, or int32 above 2**15 table entries.  Digits in 0..255 cross in
+and out of Python as bytes.  Importing this module loads numpy.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .errors import DigitOutOfAlphabetError
 
 # threads for run_plan's slices; they start on first use, not on import
 _POOL = ThreadPoolExecutor(max_workers=os.cpu_count())
+
+# Outputs per run_plan slice: on a 2-CPU host (2 MiB L2 each), 2**16 to
+# 2**18 beat no slices 1.0-1.5x at 10**6 digits, and 2**13 lost 1.2-1.7x.
+BLOCK_DIGITS = 1 << 17
 
 
 def _run_pass(f: PassFacts, table: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -65,6 +70,7 @@ class Plan:
         self.passes = [(p, np.array(p.table, np.min_scalar_type(-p.reach - 1)))
                        for p in passes]
         self.lo, self.hi = lo, hi = passes[0].lo, passes[0].hi
+        self.where = f"reducible range [{lo}, {hi}]"
         self.window = (sum(p.t for p in passes), sum(p.r for p in passes))
         self.halo = sum(self.window)
         bound = max([max(-lo, hi) + sum(p.reach for p in passes)]
@@ -107,7 +113,8 @@ def shard_cuts(width: int, shards: int) -> list:
 
 
 def plan_slice(pipeline: AdderPipeline, Z: np.ndarray, cut) -> np.ndarray:
-    """Output positions [a, b) of the plan from digits [a - halo, b) alone.
+    """Output positions [a, b) of the plan from digits [a - halo, b) alone,
+    checked and converted as ``_digits`` does.
 
     Output c reads inputs c - halo .. c only, halo = T + R of
     ``AdderPipeline.effective_window`` (the zero padding past the ends
@@ -116,15 +123,20 @@ def plan_slice(pipeline: AdderPipeline, Z: np.ndarray, cut) -> np.ndarray:
     """
     plan, (a, b) = pipeline.kernel_plan, cut
     lo = max(0, a - plan.halo)
-    return plan.run(Z[lo:b])[a - lo:b - lo]
+    Z = _digits(Z[lo:b], plan.lo, plan.hi, plan.dtype, plan.where)
+    return plan.run(Z)[a - lo:b - lo]
 
 
-def _slice_on(cpu: int, pipeline: AdderPipeline, Z: np.ndarray, cut):
-    # Measured on a 2-CPU host, the scheduler woke every slice's thread on
-    # the caller's CPU and left the other idle (10**6 digits, base -2: 10.5
-    # ms on one thread, 7.0 on two unpinned, 4.0 on two pinned).
-    os.sched_setaffinity(0, {cpu})
-    return plan_slice(pipeline, Z, cut)
+def _slices(pipeline: AdderPipeline, Z: np.ndarray, out: np.ndarray, cuts,
+            cpu=None) -> None:
+    """``plan_slice`` into ``out`` on each cut ``cuts`` hands out; on
+    ``cpu`` alone if given.  Unpinned, a 2-CPU host woke every thread on
+    the caller's CPU (10**6 digits, -2: 10.5 ms on one thread, 7.0 on two,
+    4.0 on two pinned)."""
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
+    for a, b in cuts:
+        out[a:b] = plan_slice(pipeline, Z, (a, b))
 
 
 def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
@@ -132,21 +144,35 @@ def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
 
     Z's digits must lie in ``pipeline.input_range``; its lsd sits at
     exponent 0, and the output, T + R digits wider, ends at exponent -T
-    for (T, R) = ``pipeline.effective_window``.  ``workers`` > 1 cuts the
-    output into slices (``plan_slice``) run on threads, as numpy releases
-    the interpreter lock inside array operations.
+    for (T, R) = ``pipeline.effective_window``.  The caller, or each of
+    ``workers`` > 1 threads, runs slices (``plan_slice``) of ``BLOCK_DIGITS``
+    outputs at most as it pulls them; numpy releases the interpreter lock.
     """
     plan = pipeline.kernel_plan
-    Z = _digits(Z, plan.lo, plan.hi, plan.dtype,
-                f"reducible range [{plan.lo}, {plan.hi}]")
-    if workers == 1:
-        return plan.run(Z)
-    cuts = shard_cuts(len(Z) + plan.halo, workers)
-    cpus = sorted(os.sched_getaffinity(0))
-    parts = [_POOL.submit(_slice_on, cpus[k % len(cpus)], pipeline, Z, cut)
-             for k, cut in enumerate(cuts)]
-    wait(parts)  # no slice still runs when one raises
-    return np.concatenate([part.result() for part in parts])
+    if not isinstance(Z, np.ndarray):  # an array is checked slice by slice
+        Z = _digits(Z, plan.lo, plan.hi, plan.dtype, plan.where)
+    width = len(Z) + plan.halo
+    each = -(-width // (workers * BLOCK_DIGITS))  # slices per worker
+    cuts = iter(shard_cuts(width, workers * each))  # next() holds the GIL
+    out = np.empty((width,) + Z.shape[1:], plan.dtype)
+    if workers > 1:
+        cpus = sorted(os.sched_getaffinity(0))
+        runs = [_POOL.submit(_slices, pipeline, Z, out, cuts,
+                             cpus[k % len(cpus)]) for k in range(workers)]
+        wait(runs)  # no slice still runs when one raises
+        if any(run.exception() for run in runs):  # name the first bad digit
+            _check(Z, plan.lo, plan.hi, plan.where)
+        for run in runs:
+            run.result()
+    else:
+        _slices(pipeline, Z, out, cuts)
+    return out
+
+
+def to_ints(out: np.ndarray, lo: int, hi: int) -> list:
+    """The digits of ``out``, in [lo, hi], as ints; as bytes if they fit."""
+    fit = 0 <= lo and hi <= 255
+    return list(bytes(out.astype(np.uint8))) if fit else out.tolist()
 
 
 def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
@@ -167,13 +193,12 @@ def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
     Z = np.zeros(msd - lsd + 1, plan.dtype)
     for D, s in ((X, x), (-Y if negate else Y, y)):
         Z[msd - s.msd_exponent:][:D.size] += D
-    out = plan.run(Z)  # A + A, or A - A, lies in the plan's input range
+    out = run_plan(pipeline, Z)  # A + A, or A - A: the plan's input range
     nonzero = out != 0
     if not nonzero.any():
         return DigitString.zero()
     first, end = nonzero.argmax(), len(out) - int(nonzero[::-1].argmax())
     digits = out[first:end]
     _check(digits, alphabet.m, alphabet.M, f"alphabet {alphabet}")
-    digits = (bytes(digits.astype(np.uint8))
-              if 0 <= alphabet.m and alphabet.M <= 255 else digits.tolist())
-    return DigitString(tuple(digits), lsd - plan.window[0] + len(out) - end)
+    return DigitString(tuple(to_ints(digits, alphabet.m, alphabet.M)),
+                       lsd - plan.window[0] + len(out) - end)

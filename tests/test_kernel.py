@@ -689,12 +689,104 @@ def test_bytes_conversion_matches_the_array_path(name, data):
     assert got == want
 
 
-@pytest.mark.parametrize("name", ["-2 0..2", "-200 0..200"])
+# outputs proven in 0..255, read as bytes: -200's in int16; and outputs
+# that are not: mixed signs, and -1000's beyond 255
+@pytest.mark.parametrize("name, through_bytes", [
+    ("-2 0..2", True), ("-200 0..200", True), ("-2 -1..1", False),
+    ("-1000 0..1000", False)])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_flat_list_matches_flat_array(name, workers):
+def test_flat_list_matches_flat_array(name, through_bytes, workers):
     pipe = _pipeline(name)
+    lo, hi = pipe.ranges[-1]
+    assert (0 <= lo and hi <= 255) == through_bytes
     lo, hi = pipe.input_range
     z = np.random.default_rng(4).integers(lo, hi + 1,
                                           2 * bench.MIN_SHARD_DIGITS)
-    assert bench.run_pipeline_flat(pipe, z.tolist(), workers) == \
-        bench.run_pipeline_flat(pipe, z, workers).tolist()
+    got = bench.run_pipeline_flat(pipe, z.tolist(), workers)
+    assert type(got) is list and {type(d) for d in got} == {int}
+    assert got == bench.run_pipeline_flat(pipe, z, workers).tolist()
+
+
+class _NoPool:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("work was submitted to the thread pool")
+
+
+def _counted_run(pipe, Z, workers, block):
+    # run_plan with BLOCK_DIGITS = block, one worker kept off the pool;
+    # the output and the cuts of every slice it ran
+    cuts, plan_slice = [], kernel.plan_slice
+
+    def spy(pipeline, Z, cut):
+        cuts.append(cut)
+        return plan_slice(pipeline, Z, cut)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "BLOCK_DIGITS", block)
+        patch.setattr(kernel, "plan_slice", spy)
+        if workers == 1:
+            patch.setattr(kernel, "_POOL", _NoPool())
+        return kernel.run_plan(pipe, Z, workers), sorted(cuts)
+
+
+@pytest.mark.parametrize("name", _SYSTEMS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_blocks_match_one_whole_run(name, data):
+    # lengths at and beside the block edges, and below the halo, with
+    # blocks shorter and longer than the halo; 1-D strings and 2-D batches
+    pipe = _pipeline(name)
+    plan, (lo, hi) = pipe.kernel_plan, pipe.input_range
+    block = data.draw(st.integers(1, 2 * plan.halo + 3))
+    workers = data.draw(st.sampled_from([1, 2]))
+    edges = [max(0, k * workers * block - plan.halo + d)
+             for k in (1, 2, 3) for d in (-1, 0, 1)]
+    n = data.draw(st.one_of(st.integers(0, plan.halo),
+                            st.sampled_from(edges),
+                            st.integers(0, 7 * workers * block)))
+    shape = (n,) + data.draw(st.sampled_from([(), (1,), (3,)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    Z = rng.integers(lo, hi + 1, shape)
+    # digits outside the range at up to two places, in two slices or one:
+    # the error names the first, as one check of the whole array does
+    for at in data.draw(st.lists(st.integers(0, max(0, n - 1)),
+                                 max_size=2 if n else 0)):
+        Z[at] = data.draw(st.sampled_from([lo - 1, hi + 1]))
+    try:
+        kernel._check(Z, lo, hi, plan.where)
+    except DigitOutOfAlphabetError as err:
+        with pytest.raises(DigitOutOfAlphabetError) as got:
+            _counted_run(pipe, Z, workers, block)
+        assert str(got.value) == str(err)
+        assert got.value.details == err.details
+        return
+    got, cuts = _counted_run(pipe, Z, workers, block)
+    want = plan.run(Z.astype(plan.dtype))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got == want).all()
+    width = n + plan.halo
+    assert len(cuts) % workers == 0
+    assert len(cuts) == workers * -(-width // (workers * block))
+    # the slices tile the output, none longer than a block
+    assert [a for a, _ in cuts] == [0] + [b for _, b in cuts[:-1]]
+    assert cuts[-1][1] == width
+    assert max(b - a for a, b in cuts) <= block
+
+
+def test_one_worker_runs_three_blocks_off_the_pool():
+    pipe = _pipeline("-2 0..2")
+    plan = pipe.kernel_plan
+    Z = np.random.default_rng(5).integers(0, 5, 3 * 64 - plan.halo)
+    got, cuts = _counted_run(pipe, Z, 1, 64)
+    assert cuts == [(0, 64), (64, 128), (128, 192)]
+    assert (got == plan.run(Z.astype(plan.dtype))).all()
+
+
+def test_few_positions_stay_one_slice():
+    # a 2-D batch such as the oracle's: one slice on one thread
+    pipe = _pipeline("3/2 0..4")
+    Z = np.random.default_rng(6).integers(0, 9, (12, 4096))
+    got, cuts = _counted_run(pipe, Z, 1, kernel.BLOCK_DIGITS)
+    assert cuts == [(0, 12 + pipe.kernel_plan.halo)]
+    assert (got == pipe.kernel_plan.run(
+        Z.astype(pipe.kernel_plan.dtype))).all()
