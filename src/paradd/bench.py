@@ -83,8 +83,10 @@ def run_pipeline_flat(pipeline: AdderPipeline, digits, workers: int = 1):
     """
     from .kernel import run_plan, to_ints
     out = run_plan(pipeline, digits, worker_count(workers, len(digits)))
-    return (to_ints(out, *pipeline.ranges[-1]) if isinstance(digits, list)
-            else out)
+    if not isinstance(digits, list):
+        return out
+    ints = to_ints(out, *pipeline.ranges[-1])
+    return list(ints) if isinstance(ints, bytes) else ints
 
 
 # --- classical sequential ripple adder -------------------------------------

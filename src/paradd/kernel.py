@@ -169,10 +169,11 @@ def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
     return out
 
 
-def to_ints(out: np.ndarray, lo: int, hi: int) -> list:
-    """The digits of ``out``, in [lo, hi], as ints; as bytes if they fit."""
+def to_ints(out: np.ndarray, lo: int, hi: int):
+    """The digits of ``out``, in [lo, hi], as ints: ``bytes`` where they
+    fit, else a list."""
     fit = 0 <= lo and hi <= 255
-    return list(bytes(out.astype(np.uint8))) if fit else out.tolist()
+    return bytes(out.astype(np.uint8)) if fit else out.tolist()
 
 
 def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
