@@ -78,8 +78,8 @@ def run_pipeline_flat(pipeline: AdderPipeline, digits, workers: int = 1):
     exponent -(total anticipation): an array of the plan's dtype, or for
     a list a list of ints, read from bytes where the plan's proven output
     range ``pipeline.ranges[-1]`` lies in 0..255 (``kernel.to_ints``).  A
-    sequence converts as ``kernel._digits`` does.  Each of ``workers``
-    threads (see ``worker_count``) runs the plan on its share of the output.
+    sequence converts as ``kernel._digits`` does.  The ``worker_count``
+    threads pull slices of the output in turn (``kernel.run_plan``).
     """
     from .kernel import run_plan, to_ints
     out = run_plan(pipeline, digits, worker_count(workers, len(digits)))
