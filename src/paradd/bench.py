@@ -44,9 +44,9 @@ MIN_SHARD_DIGITS = 400_000
 # the first 3 calls, and up to 0.78 as the fastest of 11 after that round.
 TIMED_CALLS = 11
 
-# Operand lengths run_benchmark accepts.  At 10**7 digits `paradd bench`
-# peaked at 870-880 MB (-2 {0..2}, 3/2 {0..4}; ru_maxrss) and took 6-12 s,
-# most of it the exact ripple check, on the 2-CPU host above.
+# Operand lengths run_benchmark accepts.  At 10**7 digits a `paradd bench`
+# process peaked at 872-880 MiB (ru_maxrss; -2 {0..2}, 3/2 {0..4}) and
+# took 6-12 s, most of it the exact ripple check, on the 2-CPU host above.
 MIN_LENGTH, MAX_LENGTH = 10 ** 3, 10 ** 7
 
 # Digit-passes (length times passes) per call that run_benchmark accepts:
@@ -83,10 +83,9 @@ def run_pipeline_flat(pipeline: AdderPipeline, digits, workers: int = 1):
     """
     from .kernel import run_plan, to_ints
     out = run_plan(pipeline, digits, worker_count(workers, len(digits)))
-    if not isinstance(digits, list):
-        return out
-    ints = to_ints(out, *pipeline.ranges[-1])
-    return list(ints) if isinstance(ints, bytes) else ints
+    if isinstance(digits, list):
+        out = to_ints(out, *pipeline.ranges[-1])
+    return list(out) if isinstance(out, bytes) else out
 
 
 # --- classical sequential ripple adder -------------------------------------

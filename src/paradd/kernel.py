@@ -114,12 +114,12 @@ def shard_cuts(width: int, shards: int) -> list:
 
 def plan_slice(pipeline: AdderPipeline, Z: np.ndarray, cut) -> np.ndarray:
     """Output positions [a, b) of the plan from digits [a - halo, b) alone,
-    checked and converted as ``_digits`` does.
+    which are checked and converted as ``_digits`` does.
 
     Output c reads inputs c - halo .. c only, halo = T + R of
-    ``AdderPipeline.effective_window`` (the zero padding past the ends
-    adds nothing, since every rule maps the zero window to 0), so the
-    slice's outputs equal those of the run over all digits.
+    ``AdderPipeline.effective_window`` (the zero padding past the ends adds
+    nothing, since every rule maps the zero window to 0), so the slice's
+    outputs equal those of the run over all digits.
     """
     plan, (a, b) = pipeline.kernel_plan, cut
     lo = max(0, a - plan.halo)
@@ -127,12 +127,10 @@ def plan_slice(pipeline: AdderPipeline, Z: np.ndarray, cut) -> np.ndarray:
     return plan.run(Z)[a - lo:b - lo]
 
 
-def _slices(pipeline: AdderPipeline, Z: np.ndarray, out: np.ndarray, cuts,
-            cpu=None) -> None:
-    """``plan_slice`` into ``out`` on each cut ``cuts`` hands out; on
-    ``cpu`` alone if given.  Unpinned, a 2-CPU host woke every thread on
-    the caller's CPU (10**6 digits, -2: 10.5 ms on one thread, 7.0 on two,
-    4.0 on two pinned)."""
+def _slices(pipeline: AdderPipeline, Z, out: np.ndarray, cuts, cpu=None):
+    # plan_slice into out on each cut that cuts hands out.  Unpinned, a
+    # 2-CPU host woke every thread on the caller's CPU (10**6 digits, -2:
+    # 10.5 ms on one thread, 7.0 on two, 4.0 on two pinned).
     if cpu is not None:
         os.sched_setaffinity(0, {cpu})
     for a, b in cuts:
@@ -170,10 +168,9 @@ def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
 
 
 def to_ints(out: np.ndarray, lo: int, hi: int):
-    """The digits of ``out``, in [lo, hi], as ints: ``bytes`` where they
-    fit, else a list."""
-    fit = 0 <= lo and hi <= 255
-    return bytes(out.astype(np.uint8)) if fit else out.tolist()
+    """The digits of ``out``, in [lo, hi], as bytes where they fit."""
+    return (bytes(out.astype(np.uint8)) if 0 <= lo and hi <= 255
+            else out.tolist())
 
 
 def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,

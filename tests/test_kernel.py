@@ -2,6 +2,7 @@
 against its definition, digit for digit."""
 
 import itertools
+import os
 import random
 from bisect import bisect_right
 import sys
@@ -689,16 +690,18 @@ def test_bytes_conversion_matches_the_array_path(name, data):
     assert got == want
 
 
-# outputs proven in 0..255, read as bytes: -200's in int16; and outputs
-# that are not: mixed signs, and -1000's beyond 255
-@pytest.mark.parametrize("name, through_bytes", [
-    ("-2 0..2", True), ("-200 0..200", True), ("-2 -1..1", False),
-    ("-1000 0..1000", False)])
+# whether the outputs come back through bytes: proven in 0..255, -200's
+# in int16 too; mixed signs, and -1000's beyond 255, are not
+_THROUGH_BYTES = {"-2 0..2": True, "-200 0..200": True, "-2 -1..1": False,
+                  "-1000 0..1000": False}
+
+
+@pytest.mark.parametrize("name", list(_THROUGH_BYTES))
 @pytest.mark.parametrize("workers", [1, 2])
-def test_flat_list_matches_flat_array(name, through_bytes, workers):
+def test_flat_list_matches_flat_array(name, workers):
     pipe = _pipeline(name)
     lo, hi = pipe.ranges[-1]
-    assert (0 <= lo and hi <= 255) == through_bytes
+    assert (0 <= lo and hi <= 255) == _THROUGH_BYTES[name]
     lo, hi = pipe.input_range
     z = np.random.default_rng(4).integers(lo, hi + 1,
                                           2 * bench.MIN_SHARD_DIGITS)
@@ -790,3 +793,20 @@ def test_few_positions_stay_one_slice():
     assert cuts == [(0, 12 + pipe.kernel_plan.halo)]
     assert (got == pipe.kernel_plan.run(
         Z.astype(pipe.kernel_plan.dtype))).all()
+
+
+def test_threads_share_the_slices_under_fast_switching():
+    # more workers than CPUs pull 8-digit slices from one iterator with a
+    # short switch interval: each slice runs once, and the output is whole
+    pipe = _pipeline("3/2 0..4")
+    plan = pipe.kernel_plan
+    workers = 2 * len(os.sched_getaffinity(0)) + 1
+    Z = np.random.default_rng(8).integers(0, 9, 5000).astype(plan.dtype)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got, cuts = _counted_run(pipe, Z, workers, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert cuts == kernel.shard_cuts(len(Z) + plan.halo, len(cuts))
+    assert (got == plan.run(Z)).all()
