@@ -128,7 +128,7 @@ def plan_slice(pipeline: AdderPipeline, Z: np.ndarray, cut) -> np.ndarray:
 
 
 def _slices(pipeline: AdderPipeline, Z, out: np.ndarray, cuts, cpu=None):
-    # plan_slice into out on each cut that cuts hands out.  Unpinned, a
+    # plan_slice into out on each cut it pulls from cuts.  Unpinned, a
     # 2-CPU host woke every thread on the caller's CPU (10**6 digits, -2:
     # 10.5 ms on one thread, 7.0 on two, 4.0 on two pinned).
     if cpu is not None:
@@ -168,7 +168,7 @@ def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
 
 
 def to_ints(out: np.ndarray, lo: int, hi: int):
-    """The digits of ``out``, in [lo, hi], as bytes where they fit."""
+    """``out``'s digits, in [lo, hi], as bytes where they fit, else a list."""
     return (bytes(out.astype(np.uint8)) if 0 <= lo and hi <= 255
             else out.tolist())
 
