@@ -7,6 +7,10 @@ For each seed and workload it runs, in each source checkout given,
 
     python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
 
+A checkout whose ``src/paradd`` holds a ``__pycache__`` is refused
+before any run, with the directory named: one-shot processes would read
+that bytecode, stale or not, where the other checkout compiles afresh.
+
 With two or more checkouts the runs of one seed and workload follow each
 other, and the checkout that runs first alternates from seed to seed, so
 that a drift of the host's speed falls on both sides alike.  Each
@@ -76,6 +80,14 @@ def plan_passes(root: Path) -> dict:
         text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(root / "src")})
     return json.loads(proc.stdout)
+
+
+def refuse_bytecode(root: Path) -> None:
+    """Exit naming the checkout's ``src/paradd/__pycache__``, if any."""
+    cache = root / "src" / "paradd" / "__pycache__"
+    if cache.exists():
+        raise SystemExit(f"{cache}: remove this bytecode cache before a "
+                         f"record; its runs would read it")
 
 
 def run_once(root: Path, workload: str, seed: int) -> dict:
@@ -180,6 +192,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     roots = [r.resolve() for r in args.root or
              [Path(__file__).resolve().parent.parent]]
+    for root in roots:
+        refuse_bytecode(root)
     runs = {root: {w: [] for w in args.workloads} for root in roots}
     for k, seed in enumerate(args.seeds):
         order = roots if k % 2 == 0 else roots[::-1]

@@ -7,7 +7,7 @@ from .core import (
     normalize, parse_digit_string, pisot_minus_base, pisot_plus_base,
     rational_base, root_base,
 )
-from .algebra import eval_approx, reduce_mod_base, to_poly, values_equal
+from .algebra import eval_approx, reduce_mod_base, values_equal
 from .expansions import (
     euclid_expansion, greedy_expansion, symmetric_expansion, tm_expansion,
 )

@@ -1,108 +1,43 @@
-"""Exact arithmetic in Z[X, X^-1] modulo the base's minimal polynomial.
+"""Exact zero tests for digit strings, modulo the base's minimal polynomial.
 
-Two digit strings represent the same number exactly when their difference,
-read as a Laurent polynomial in the base, is divisible by the minimal
-polynomial of beta (after clearing the radix shift); divisibility by a
-polynomial that merely vanishes at beta would be sufficient but not
-necessary.  Everything here is integer arithmetic; the only approximate
-entry point is :func:`eval_approx`, which returns certified interval
-enclosures.
+A digit string x = sum x_j beta**j is read as a Laurent polynomial in
+beta, its digits (any integers) the coefficients.  Two digit strings
+represent the same number exactly when their digitwise difference, with
+the radix shift cleared, is divisible by the minimal polynomial of beta;
+divisibility by a polynomial that merely vanishes at beta would be
+sufficient but not necessary.  Everything here is integer arithmetic; the
+only approximate entry point is :func:`eval_approx`, which returns
+certified interval enclosures.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Optional
 
-from .core import BaseSpec, DigitString, NEGATIVE_ROOT, ROOT
+from .core import (BaseSpec, DigitString, NEGATIVE_ROOT, ROOT,
+                   digitwise_negate, digitwise_sum, normalize)
 from .errors import PrecisionExhaustedError
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Integer Laurent polynomial; coefficients most significant first.
-
-    ``coeffs[i]`` multiplies ``X**(msd_exponent - i)``.  Zero is the empty
-    tuple.  Construct via :func:`laurent` to get normalized instances.
-    """
-
-    coeffs: tuple
-    lsd_exponent: int = 0
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def msd_exponent(self) -> int:
-        return self.lsd_exponent + len(self.coeffs) - 1
-
-
-def laurent(coeffs, lsd_exponent: int = 0) -> LaurentPoly:
-    """Normalized Laurent polynomial from msd-first coefficients."""
-    return _trimmed(list(map(int, coeffs)), lsd_exponent)
-
-
-def _trimmed(coeffs: list, lsd_exponent: int) -> LaurentPoly:
-    hi, lo = 0, len(coeffs)
-    while lo and coeffs[lo - 1] == 0:
-        lo -= 1
-    if not lo:
-        return LaurentPoly((), 0)
-    while coeffs[hi] == 0:
-        hi += 1
-    return LaurentPoly(tuple(coeffs[hi:lo]),
-                       lsd_exponent + len(coeffs) - lo)
-
-
-def to_poly(ds: DigitString) -> LaurentPoly:
-    """Digit string -> Laurent polynomial (digit at exponent j -> coeff of X^j)."""
-    return laurent(ds.digits, ds.lsd_exponent)
-
-
-def _combine(p: LaurentPoly, q: LaurentPoly, op) -> LaurentPoly:
-    """op(p, q) coefficient-wise, for op = operator.add or operator.sub."""
-    if q.is_zero:
-        return p
-    if p.is_zero:
-        p = LaurentPoly((), q.lsd_exponent)
-    lsd = min(p.lsd_exponent, q.lsd_exponent)
-    msd = max(p.msd_exponent, q.msd_exponent)
-    out = [0] * (msd - lsd + 1)
-    start = msd - p.msd_exponent
-    out[start:start + len(p.coeffs)] = p.coeffs
-    start = msd - q.msd_exponent
-    out[start:start + len(q.coeffs)] = map(op, out[start:], q.coeffs)
-    return _trimmed(out, lsd)
-
-
-def poly_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return _combine(p, q, operator.add)
-
-
-def poly_sub(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return _combine(p, q, operator.sub)
-
-
-def reduce_mod_base(p: LaurentPoly, base: BaseSpec) -> LaurentPoly:
+def reduce_mod_base(p: DigitString, base: BaseSpec) -> DigitString:
     """Remainder of ``p * X**s`` modulo beta's minimal polynomial f.
 
-    ``s = max(0, -lsd)`` clears negative exponents first (valid because X
-    is invertible modulo f: its constant term is never 0).  A monic f of
-    degree >= 2 gives the exact integer remainder by synthetic division.
-    A linear f = b*X + c gives the constant remainder p(-c/b) times
-    b**(n-1), n the number of coefficients: an integer, exact when b = 1.
-    Either way ``p`` represents the value 0 iff the result
-    :attr:`~LaurentPoly.is_zero`.  This is the package's one scalar exact
-    zero test; ``oracle.values_zero_batch`` is its batched form.
+    ``p`` is normalized first; its digits are the coefficients, msd
+    first.  ``s = max(0, -lsd)`` clears negative exponents (valid because
+    X is invertible modulo f: its constant term is never 0).  A monic f
+    of degree >= 2 gives the exact integer remainder by synthetic
+    division.  A linear f = b*X + c gives the constant remainder p(-c/b)
+    times b**(n-1), n the number of digits: an integer, exact when b = 1.
+    The remainder comes back normalized, so ``p`` represents the value 0
+    iff it :attr:`~paradd.core.DigitString.is_zero`.  This is the
+    package's one scalar exact zero test; ``oracle.values_zero_batch`` is
+    its batched form.
     """
-    if p.is_zero:
-        return p
-    coeffs = list(p.coeffs) + [0] * max(0, p.lsd_exponent)
+    p = normalize(p)
+    coeffs = list(p.digits) + [0] * max(0, p.lsd_exponent)
     divisor = base.minimal_poly
     if len(divisor) == 2:
-        return laurent([_linear_value(coeffs, *divisor)])
+        return normalize(DigitString((_linear_value(coeffs, *divisor),)))
     d = len(divisor) - 1
     tail = divisor[1:]
     for i in range(len(coeffs) - d):
@@ -110,7 +45,7 @@ def reduce_mod_base(p: LaurentPoly, base: BaseSpec) -> LaurentPoly:
         if lead:
             for j, a in enumerate(tail, i + 1):
                 coeffs[j] -= lead * a
-    return laurent(coeffs[-d:])
+    return normalize(DigitString(tuple(coeffs[-d:])))
 
 
 _HORNER_CHUNK = 64
@@ -150,12 +85,11 @@ def _linear_value(coeffs, b: int, c: int) -> int:
 
 def values_equal(x: DigitString, y: DigitString, base: BaseSpec) -> bool:
     """Exactly decide whether x and y represent the same number in base."""
-    diff = poly_sub(to_poly(x), to_poly(y))
-    return reduce_mod_base(diff, base).is_zero
+    return represents_zero(digitwise_sum(x, digitwise_negate(y)), base)
 
 
 def represents_zero(x: DigitString, base: BaseSpec) -> bool:
-    return reduce_mod_base(to_poly(x), base).is_zero
+    return reduce_mod_base(x, base).is_zero
 
 
 # -- certified interval evaluation --------------------------------------

@@ -27,6 +27,7 @@ from .adder import AdderPipeline
 from .algebra import values_equal
 from .core import BaseSpec, DigitString, NumerationSystem
 from .errors import LimitExceededError, UnsupportedBaseError, WorkerCountError
+from .expansions import euclid_expansion
 
 
 # Shortest input, in digits per worker, worth a thread of its own.  With
@@ -95,10 +96,10 @@ def ripple_digit_sum(z, base: BaseSpec):
     """Sequential normalization of a digit-sum list (msd first, lsd at 0).
 
     Classical division with remainder: at each position take d = v mod a
-    and push the carry one position up.  Works for integer and rational
-    bases with the carry staying bounded; digits out in {0..a-1}.
-    Returns an msd-first digit list with lsd exponent 0 (grown at the top
-    as needed).
+    and push the carry one position up; the final carry's digits are its
+    ``euclid_expansion``.  Works for integer and rational bases; digits
+    out in {0..a-1}.  Returns an msd-first digit list with lsd exponent 0
+    (grown at the top as needed).
     """
     ratio = base.integer_ratio
     if ratio is None:
@@ -114,19 +115,9 @@ def ripple_digit_sum(z, base: BaseSpec):
         carry = b * (v - d) // a
         if neg:
             carry = -carry
-    guard = 0
-    while carry != 0:
-        d = carry % a
-        out.append(d)
-        carry = b * (carry - d) // a
-        if neg:
-            carry = -carry
-        guard += 1
-        if guard > 64:
-            raise UnsupportedBaseError(
-                "ripple carry did not terminate for this digit range")
     out.reverse()
-    return out
+    tail = euclid_expansion(carry, base)
+    return list(tail.digits) + [0] * tail.lsd_exponent + out
 
 
 def values_equal_mod_primes(x_digits, x_lsd, y_digits, y_lsd,

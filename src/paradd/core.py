@@ -383,9 +383,12 @@ class Alphabet:
 class DigitString:
     """Finite digit block, most significant digit first.
 
-    ``digits[i]`` sits at exponent ``msd_exponent - i``.  The zero string
-    is the empty digit tuple (canonically with ``lsd_exponent == 0``).
-    Instances are not automatically normalized; see :func:`normalize`.
+    ``digits[i]`` sits at exponent ``msd_exponent - i``.  The digits may
+    be any integers, inside an alphabet or not: they are the coefficients
+    of a Laurent polynomial in beta, which ``algebra`` reduces exactly.
+    The zero string is the empty digit tuple (canonically with
+    ``lsd_exponent == 0``).  Instances are not automatically normalized;
+    see :func:`normalize`.
     """
 
     digits: tuple

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .core import Alphabet, BaseSpec, DigitString, normalize
-from .algebra import laurent, reduce_mod_base
+from .algebra import reduce_mod_base
 from .errors import (
     AlphabetMismatchError,
     DigitOutOfAlphabetError,
@@ -80,17 +80,17 @@ class CarryRule:
         """Digits from the first the selector reads to the last."""
         return (self.selector_window - 1) * self.stride + 1
 
-    def pattern_poly(self):
-        """Value shift caused by a unit carry, as a Laurent polynomial."""
+    def pattern_poly(self) -> DigitString:
+        """Value shift caused by a unit carry, as a digit string."""
         if not self.placements:
-            return laurent([])
+            return DigitString.zero()
         k = self.stride
         lo = min(d for d, _ in self.placements) * k
         hi = max(d for d, _ in self.placements) * k
         coeffs = [0] * (hi - lo + 1)
         for delta, gamma in self.placements:
             coeffs[hi - delta * k] += gamma
-        return laurent(coeffs, lo)
+        return DigitString(tuple(coeffs), lo)
 
     def window(self) -> tuple:
         """(t, r): the least anticipation and memory covering every read."""

@@ -1,4 +1,4 @@
-"""Exact Laurent-polynomial arithmetic and value tests."""
+"""Exact zero tests on digit strings, and value enclosures."""
 
 import random
 from fractions import Fraction
@@ -9,21 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from paradd.algebra import (
     eval_approx,
-    laurent,
-    poly_add,
-    poly_sub,
     reduce_mod_base,
     represents_zero,
-    to_poly,
     values_equal,
 )
 from paradd.cli import parse_base
 from paradd.core import (
     DigitString,
+    digitwise_negate,
+    digitwise_sum,
     integer_base,
     negative_integer_base,
     negative_rational_base,
     negative_root_base,
+    normalize,
     parse_digit_string,
     pisot_minus_base,
     pisot_plus_base,
@@ -48,26 +47,27 @@ BASES = [
 class TestReduction:
     def test_monic_linear_exact_remainder(self):
         # X - 1 reduced mod X + 2 leaves the exact integer -3.
-        r = reduce_mod_base(laurent([1, -1]), negative_integer_base(2))
-        assert (r.coeffs, r.lsd_exponent) == ((-3,), 0)
+        r = reduce_mod_base(DigitString((1, -1)), negative_integer_base(2))
+        assert (r.digits, r.lsd_exponent) == ((-3,), 0)
 
     def test_negative_exponents_cleared(self):
         # X^-1 over base -2: X^-1 * X = 1, then reduce.
-        r = reduce_mod_base(laurent([1], -1), negative_integer_base(2))
+        r = reduce_mod_base(DigitString((1,), -1), negative_integer_base(2))
         assert not r.is_zero
 
     def test_zero_multiples(self):
         # (X + 2) * (X - 5) is 0 mod X + 2.
-        p = laurent([1, -3, -10])
+        p = DigitString((1, -3, -10))
         assert reduce_mod_base(p, negative_integer_base(2)).is_zero
         # 2X - 3 is 0 in base 3/2.
-        assert reduce_mod_base(laurent([2, -3]), rational_base(3, 2)).is_zero
+        assert reduce_mod_base(DigitString((2, -3)),
+                               rational_base(3, 2)).is_zero
         # X^2 - 3X + 1 over the quadratic base.
-        assert reduce_mod_base(laurent([1, -3, 1]),
+        assert reduce_mod_base(DigitString((1, -3, 1)),
                                pisot_minus_base(3)).is_zero
 
     def test_quadratic_remainder_degree(self):
-        r = reduce_mod_base(laurent([1, 0, 0, 0]), pisot_plus_base(2))
+        r = reduce_mod_base(DigitString((1, 0, 0, 0)), pisot_plus_base(2))
         assert r.msd_exponent <= 1
 
 
@@ -217,8 +217,8 @@ class TestMinimalPolynomial:
             for d in digits:
                 value = value * beta + d
             b = base.minimal_poly[0]
-            r = reduce_mod_base(laurent(digits), base)
-            assert r.coeffs == (value * b ** (len(digits) - 1),)
+            r = reduce_mod_base(DigitString(tuple(digits)), base)
+            assert r.digits == (value * b ** (len(digits) - 1),)
 
 
 class TestEnclosures:
@@ -244,8 +244,8 @@ class TestEnclosures:
 
 
 def test_poly_helpers():
-    p = laurent([1, 2], 0)
-    q = laurent([1], 1)
-    assert poly_add(p, q).coeffs == (2, 2)
-    assert poly_sub(p, p).is_zero
-    assert to_poly(DigitString((1, 2), -1)).lsd_exponent == -1
+    p = DigitString((1, 2), 0)
+    q = DigitString((1,), 1)
+    assert digitwise_sum(p, q).digits == (2, 2)
+    assert normalize(digitwise_sum(p, digitwise_negate(p))).is_zero
+    assert normalize(DigitString((1, 2), -1)).lsd_exponent == -1

@@ -10,6 +10,7 @@ from paradd import bench, kernel
 from paradd.adder import build_pipeline
 from paradd.core import (
     Alphabet,
+    integer_base,
     make_system,
     negative_integer_base,
     negative_rational_base,
@@ -104,6 +105,24 @@ def test_ripple_check_sees_one_changed_digit(monkeypatch, system):
     result = bench.run_benchmark(pipe, length=5_000, worker_counts=(1,))
     assert result.outputs_identical
     assert result.ripple_value_match is False and not result.passed
+
+
+def test_ripple_tail_keeps_its_trailing_zeros():
+    # the final carry 10 expands to "1 0", normalized to 1 at exponent 1
+    assert bench.ripple_digit_sum([100], integer_base(10)) == [1, 0, 0]
+    assert bench.ripple_digit_sum([], integer_base(10)) == []
+    assert bench.ripple_digit_sum([3, 0], negative_integer_base(2)) == [
+        1, 1, 1, 0]
+
+
+def test_ripple_tail_may_pass_64_digits():
+    # in base 101/100 the carry out of 50 sums of 400 expands to 117
+    # digits, and the benchmark's ripple check agrees with the plan
+    base = rational_base(101, 100)
+    assert len(bench.ripple_digit_sum([400] * 50, base)) == 50 + 117
+    pipe = build_pipeline(make_system(base, Alphabet(0, 200)))
+    assert bench.run_benchmark(pipe, length=1_000,
+                               worker_counts=(1,)).ripple_value_match
 
 
 class _Reached(Exception):

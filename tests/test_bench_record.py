@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
     "bench_record", _ROOT / "scripts" / "bench_record.py")
@@ -74,3 +76,21 @@ def test_compare_names_the_plans_whose_passes_changed():
     # a document without the counts, as recorded before them, adds no line
     del base["provenance"]["plan_passes"]
     assert len(bench_record.compare(base, new, {})) == 1
+
+
+def test_a_checkout_with_bytecode_is_refused_before_any_run(tmp_path,
+                                                           monkeypatch):
+    def run_once(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    (tmp_path / "src" / "paradd").mkdir(parents=True)
+    cache = tmp_path / "src" / "paradd" / "__pycache__"
+    cache.mkdir()
+    (cache / "bench.cpython-311.pyc").write_bytes(b"")
+    with pytest.raises(SystemExit) as err:
+        bench_record.main(["--root", str(tmp_path), "--seeds", "1"])
+    assert str(cache) in str(err.value)
+    cache.joinpath("bench.cpython-311.pyc").unlink()
+    cache.rmdir()
+    bench_record.refuse_bytecode(tmp_path)

@@ -18,7 +18,12 @@ import paradd
 from paradd.cli import (
     _VERIFY_CATALOG, MAX_DIGITS, main, parse_alphabet, parse_base,
 )
-from paradd.core import Alphabet, negative_root_base, rational_base
+from paradd.core import (
+    Alphabet, format_digit_string, negative_root_base, parse_digit_string,
+    rational_base,
+)
+from paradd.local import apply_rule, negate_rule
+from paradd.rules import canonical_gde, rules_for_alphabet
 
 
 def run(capsys, *argv):
@@ -98,6 +103,46 @@ class TestConvert:
         code, _, _ = run(capsys, "convert", "--base", "-2", "--gde",
                          "1 . 2 . 3")
         assert code == 2
+
+    @staticmethod
+    def _applied(rule, text):
+        return format_digit_string(apply_rule(rule, parse_digit_string(text)))
+
+    @pytest.mark.parametrize("alphabet,flag,text", [
+        ("0..2", "--gde", "3 3 ."), ("-1..1", "--gde", "2 2 ."),
+        ("-1..1", "--sde", "1 -2 .")])
+    def test_alphabet_picks_its_eliminator(self, capsys, alphabet, flag,
+                                           text):
+        pair = rules_for_alphabet(parse_base("-2"), parse_alphabet(alphabet))
+        rule = pair.sde if flag == "--sde" else pair.gde
+        code, out, _ = run(capsys, "convert", "--base", "-2",
+                           f"--alphabet={alphabet}", flag, text)
+        assert code == 0
+        assert out.strip() == self._applied(rule, text)
+
+    def test_missing_eliminator_is_refused(self, capsys):
+        assert rules_for_alphabet(parse_base("-2"), Alphabet(0, 2)).sde is None
+        code, out, err = run(capsys, "convert", "--base", "-2", "--alphabet",
+                             "0..2", "--sde", "1 .")
+        assert (code, out) == (4, "")
+        assert "that eliminator does not exist for this alphabet" in err
+
+    def test_sde_negates_the_canonical_gde(self, capsys):
+        code, out, _ = run(capsys, "convert", "--base", "-2", "--sde",
+                           "-3 .")
+        assert code == 0
+        assert out.strip() == "-1 -1 -1 ."
+        rule = negate_rule(canonical_gde(parse_base("-2")))
+        assert out.strip() == self._applied(rule, "-3 .")
+
+    def test_trace_json_reports_carries(self, capsys):
+        code, out, _ = run(capsys, "convert", "--base", "-2", "--gde",
+                           "--trace", "--json", "3 .")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["carries"] == {"0": 1, "1": -1}
+        assert payload["text"] == self._applied(
+            canonical_gde(parse_base("-2")), "3 .")
 
 
 class TestAdd:

@@ -313,6 +313,38 @@ class TestAdditionAndProperties:
             assert (f["x"], f["y"]) == (x.tolist(), y.tolist())
             assert f["result"] == want.tolist()
 
+    def test_values_above_int64_fall_back_column_by_column(self,
+                                                           monkeypatch):
+        # digits up to 2000 over 12 positions of base -1000 bound the
+        # partial sums of the value form past 2**63, so the value check
+        # runs values_zero_batch on the differences, one column at a time
+        pl = build_pipeline(make_system(negative_integer_base(1000),
+                                        Alphabet(0, 1000)))
+        fallback = []
+
+        def spy(C, base):
+            fallback.append(C.shape)
+            return values_zero_batch(C, base)
+
+        monkeypatch.setattr(oracle, "values_zero_batch", spy)
+        assert verify_addition(pl, n_pairs=50).passed
+        assert fallback == [(12, 50)]
+
+        def corrupt(pipeline, Z, *args):
+            out = run_plan(pipeline, Z, *args)
+            out[-1, 3] += 1 if out[-1, 3] < 1000 else -1  # still a digit
+            return out
+
+        monkeypatch.setattr(oracle.kernel, "run_plan", corrupt)
+        rep = verify_addition(pl, n_pairs=50)
+        assert len(fallback) == 2
+        assert [f["check"] for f in rep.failures] == ["add-value"]
+        rng = np.random.default_rng(0)
+        x, y = (rng.integers(0, 1001, size=(50, 8), dtype=np.int64)[3]
+                for _ in range(2))
+        assert (rep.failures[0]["x"], rep.failures[0]["y"]) == (
+            x.tolist(), y.tolist())
+
     def test_congruence_mod_f1(self):
         rep = verify_congruence(gde_negative_integer(2),
                                 negative_integer_base(2))
