@@ -7,9 +7,10 @@ from .core import (
     normalize, parse_digit_string, pisot_minus_base, pisot_plus_base,
     rational_base, root_base,
 )
-from .algebra import eval_approx, reduce_mod_base, values_equal
+from .algebra import reduce_mod_base, values_equal
 from .expansions import (
     euclid_expansion, greedy_expansion, symmetric_expansion, tm_expansion,
+    value_bounds,
 )
 from .local import (
     CarryRule, LocalRule, apply_rule, compose_rules, derive_local_rule,

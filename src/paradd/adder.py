@@ -79,11 +79,12 @@ class PassFacts:
             out = map(plus, out, map(mul, q[i0:i0 + n + pad], repeat(gamma)))
         return list(out), q
 
-    def carries(self, Z, msd: int) -> dict:
-        """The pass's nonzero carries by place, on Z with its msd at msd."""
+    def carries(self, q, msd: int) -> dict:
+        """The nonzero carries ``q`` that :meth:`run` returned, by place,
+        for an input with its msd at msd."""
         top = msd + self.t + self.r - self.stride * \
             self.rule.carry.selector_anticipation  # the place of q[0]
-        return {top - i: c for i, c in enumerate(self.run(Z)[1]) if c}
+        return {top - i: c for i, c in enumerate(q) if c}
 
 
 @dataclass(frozen=True)
@@ -172,14 +173,15 @@ def reduce_to_alphabet(z: DigitString, pipeline: AdderPipeline,
     check_digits(z.digits, lo, hi, f"reducible range [{lo}, {hi}]")
     for (kind, rule), step in zip(pipeline.plan, pipeline.passes):
         Z, a = z.digits, rule.input_alphabet
-        w = DigitString(tuple(step.run(Z)[0]), z.lsd_exponent - step.t)
+        out, q = step.run(Z)
+        w = DigitString(tuple(out), z.lsd_exponent - step.t)
         if trace is not None:
             w = normalize(w)
             if Z and not a.m <= min(Z) <= max(Z) <= a.M:  # Z's places stay
                 w = digitwise_sum(w, DigitString((0,) * len(Z),
                                                  z.lsd_exponent))
             trace.append({"kind": kind, "string": w,
-                          "carries": step.carries(Z, z.msd_exponent)})
+                          "carries": step.carries(q, z.msd_exponent)})
         z = w
     return normalize(z)
 

@@ -5,18 +5,15 @@ beta, its digits (any integers) the coefficients.  Two digit strings
 represent the same number exactly when their digitwise difference, with
 the radix shift cleared, is divisible by the minimal polynomial of beta;
 divisibility by a polynomial that merely vanishes at beta would be
-sufficient but not necessary.  Everything here is integer arithmetic; the
-only approximate entry point is :func:`eval_approx`, which returns
-certified interval enclosures.
+sufficient but not necessary.  It is all arithmetic on Python ints, each
+digit read by ``int`` first so that numpy digits cannot wrap; certified
+float bounds on a value are :func:`paradd.expansions.value_bounds`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import (BaseSpec, DigitString, NEGATIVE_ROOT, ROOT,
-                   digitwise_negate, digitwise_sum, normalize)
-from .errors import PrecisionExhaustedError
+from .core import (BaseSpec, DigitString, digitwise_negate, digitwise_sum,
+                   normalize)
 
 
 def reduce_mod_base(p: DigitString, base: BaseSpec) -> DigitString:
@@ -34,7 +31,7 @@ def reduce_mod_base(p: DigitString, base: BaseSpec) -> DigitString:
     its batched form.
     """
     p = normalize(p)
-    coeffs = list(p.digits) + [0] * max(0, p.lsd_exponent)
+    coeffs = [*map(int, p.digits), *[0] * max(0, p.lsd_exponent)]
     divisor = base.minimal_poly
     if len(divisor) == 2:
         return normalize(DigitString((_linear_value(coeffs, *divisor),)))
@@ -85,101 +82,10 @@ def _linear_value(coeffs, b: int, c: int) -> int:
 
 def values_equal(x: DigitString, y: DigitString, base: BaseSpec) -> bool:
     """Exactly decide whether x and y represent the same number in base."""
+    x, y = (DigitString(tuple(map(int, s.digits)), s.lsd_exponent)
+            for s in (x, y))
     return represents_zero(digitwise_sum(x, digitwise_negate(y)), base)
 
 
 def represents_zero(x: DigitString, base: BaseSpec) -> bool:
     return reduce_mod_base(x, base).is_zero
-
-
-# -- certified interval evaluation --------------------------------------
-
-
-@dataclass(frozen=True)
-class ComplexEnclosure:
-    """Axis-aligned box known to contain the exact value.
-
-    Bounds are floats rounded outward; ``im_lo == im_hi == 0.0`` for real
-    bases evaluated exactly on the real axis.
-    """
-
-    re_lo: float
-    re_hi: float
-    im_lo: float
-    im_hi: float
-
-    def contains(self, z: complex, slack: float = 0.0) -> bool:
-        return (self.re_lo - slack <= z.real <= self.re_hi + slack
-                and self.im_lo - slack <= z.imag <= self.im_hi + slack)
-
-    @property
-    def is_real(self) -> bool:
-        return self.im_lo <= 0.0 <= self.im_hi
-
-    def to_json(self) -> dict:
-        return {"re": [self.re_lo, self.re_hi], "im": [self.im_lo, self.im_hi]}
-
-
-def _beta_intervals(base: BaseSpec, iv):
-    """(re, im) iv.mpf enclosures of beta under the current iv context."""
-    kind = base.kind
-    zero = iv.mpf(0)
-    frac = base.beta_fraction
-    if frac is not None:
-        return iv.mpf(frac.numerator) / iv.mpf(frac.denominator), zero
-    if kind == ROOT:
-        b, k = base.param("b"), base.param("k")
-        return iv.exp(iv.log(iv.mpf(b)) / k), zero
-    if kind == NEGATIVE_ROOT:
-        b, k = base.param("b"), base.param("k")
-        if (b, k) == (4, 4):
-            # catalog representative -1 + i (beta**4 = -4)
-            return iv.mpf(-1), iv.mpf(1)
-        rho = iv.exp(iv.log(iv.mpf(b)) / k)
-        theta = iv.pi / k
-        return rho * iv.cos(theta), rho * iv.sin(theta)
-    # real quadratic: beta = (a + sqrt(a^2 -+ 4)) / 2
-    a = base.param("a")
-    if kind == "pisot-minus":
-        return (iv.mpf(a) + iv.sqrt(iv.mpf(a * a - 4))) / 2, zero
-    return (iv.mpf(a) + iv.sqrt(iv.mpf(a * a + 4))) / 2, zero
-
-
-def eval_approx(ds: DigitString, base: BaseSpec,
-                precision_bits: int = 128) -> ComplexEnclosure:
-    """Certified interval evaluation of a digit string's value.
-
-    Diagnostic only --- correctness decisions in this package always go
-    through :func:`values_equal`.  Uses interval arithmetic throughout,
-    so the returned box genuinely contains the exact value.
-    """
-    from mpmath import iv
-
-    old_prec = iv.prec
-    iv.prec = precision_bits
-    try:
-        bre, bim = _beta_intervals(base, iv)
-        zre, zim = iv.mpf(0), iv.mpf(0)
-        # Horner msd-first, then multiply by beta**lsd at the end.
-        for d in ds.digits:
-            zre, zim = zre * bre - zim * bim + d, zre * bim + zim * bre
-        e = ds.lsd_exponent
-        if ds.digits and e != 0:
-            pre, pim = iv.mpf(1), iv.mpf(0)
-            n = abs(e)
-            for _ in range(n):
-                pre, pim = pre * bre - pim * bim, pre * bim + pim * bre
-            if e > 0:
-                zre, zim = zre * pre - zim * pim, zre * pim + zim * pre
-            else:
-                # divide by beta**n: multiply by conjugate / |.|^2
-                den = pre * pre + pim * pim
-                if 0 in den:
-                    raise PrecisionExhaustedError(
-                        "interval for beta**n straddles zero; raise precision")
-                zre, zim = ((zre * pre + zim * pim) / den,
-                            (zim * pre - zre * pim) / den)
-        return ComplexEnclosure(float(zre.a), float(zre.b),
-                                float(zim.a), float(zim.b))
-    finally:
-        iv.prec = old_prec

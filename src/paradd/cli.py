@@ -14,11 +14,10 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .adder import PassFacts, add, build_pipeline, subtract
-from .algebra import eval_approx, values_equal
 from .bench import MAX_LENGTH, MIN_LENGTH, run_benchmark
 from .core import (
-    Alphabet, BaseSpec, DigitString, digitwise_sum, format_digit_string,
-    integer_base, make_system, negative_integer_base, negative_rational_base,
+    Alphabet, BaseSpec, DigitString, format_digit_string, integer_base,
+    make_system, negative_integer_base, negative_rational_base,
     negative_root_base, parse_digit_string, pisot_minus_base, pisot_plus_base,
     rational_base, root_base,
 )
@@ -30,6 +29,7 @@ from .errors import (
 )
 from .expansions import (
     euclid_expansion, greedy_expansion, symmetric_expansion, tm_expansion,
+    value_bounds,
 )
 from .local import apply_rule, negate_rule, rule_from_json
 from .rules import canonical_gde, rules_for_alphabet
@@ -150,8 +150,8 @@ def cmd_expand(args) -> int:
     payload = {"base": base.to_json(), "digits": ds.to_json(),
                "text": format_digit_string(ds), "exact": exact}
     if args.check:
-        box = eval_approx(ds, base)
-        payload["check_enclosure"] = box.to_json()
+        payload["check_enclosure"] = {"re": list(value_bounds(ds, base)),
+                                      "im": [0.0, 0.0]}
     _emit(args, payload, format_digit_string(ds))
     return EXIT_OK
 
@@ -204,7 +204,8 @@ def cmd_convert(args) -> int:
                "text": format_digit_string(out)}
     if args.trace:
         a = rule.input_alphabet
-        qs = PassFacts(rule, a.m, a.M).carries(ds.digits, ds.msd_exponent)
+        step = PassFacts(rule, a.m, a.M)
+        qs = step.carries(step.run(ds.digits)[1], ds.msd_exponent)
         payload["carries"] = {str(k): v for k, v in sorted(qs.items())}
     _emit(args, payload, format_digit_string(out))
     return EXIT_OK

@@ -53,10 +53,6 @@ class UnsupportedBaseError(NumerationError):
 
 # --- expansions -----------------------------------------------------------
 
-class PrecisionExhaustedError(NumerationError):
-    code = "precision-exhausted"
-
-
 class NotInWindowError(NumerationError):
     code = "x-not-representable-in-window"
 

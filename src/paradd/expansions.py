@@ -5,7 +5,9 @@ so digit choices are decided without any floating point.  Every real
 base here is rational or quadratic, beta = (A + sqrt(D))/2 with
 beta**2 = A*beta + B and D = A**2 + 4*B not a square, and a remainder is
 kept as (u + v*sqrt(D))/n with integers u, v, n.  Its sign and floor then
-follow in O(1) from integer squares and :func:`math.isqrt`.
+follow in O(1) from integer squares and :func:`math.isqrt`.  The same
+arithmetic gives :func:`value_bounds`, floats certified to enclose the
+value of a digit string.
 """
 
 from __future__ import annotations
@@ -284,3 +286,36 @@ def euclid_expansion(n: int, base: BaseSpec) -> DigitString:
         if neg:
             n = -n
     return normalize(DigitString(tuple(reversed(digits_lsd)), 0))
+
+
+def value_bounds(ds: DigitString, base: BaseSpec) -> tuple:
+    """Floats (lo, hi) with lo <= value of ``ds`` <= hi, certified.
+
+    The value x = (u + v*sqrt(D))/n is exact in Q(beta), by Horner's
+    rule.  A nonzero x has |x| >= 1/(n*(|u| + |v|*sqrt(D))), so its exact
+    floor at 2**-k, k 64 bits past that scale, brackets it to a relative
+    width below 2**-63.  Each end then rounds outward: past the float
+    range, to the largest float on the near side, to infinity on the far.
+    """
+    beta = _FieldElement.beta(base)
+    x = beta.const(0)
+    for d in ds.digits:
+        x = x * beta + d
+    x = x * beta ** ds.lsd_exponent
+    k = 64 + x.n.bit_length() + max(x.u.bit_length(),
+                                     (x.v * x.v * x.D).bit_length())
+    y = x * 2 ** k  # x lies in [f, f + 1] / 2**k, f = floor(y)
+    f = y.floor()
+    lo, hi = Fraction(f, 2 ** k), Fraction(f + (not (y - f).is_zero), 2 ** k)
+    return _outward(lo, -math.inf), _outward(hi, math.inf)
+
+
+def _outward(q: Fraction, toward: float) -> float:
+    """The float nearest to q on the side of ``toward`` (+-inf)."""
+    try:
+        f = float(q)  # correctly rounded to nearest
+    except OverflowError:  # the largest float of q's sign
+        f = math.nextafter(math.inf if q > 0 else -math.inf, 0.0)
+    if (f < q) if toward > 0 else (f > q):
+        f = math.nextafter(f, toward)
+    return f

@@ -261,13 +261,12 @@ def verify_conversion(rule: LocalRule, base: BaseSpec, max_len: int = 6,
 
 @_timed
 def verify_addition(pipeline: AdderPipeline, n_pairs: int = 10 ** 4,
-                    max_len: int = 8, *, seed: int = 0,
-                    subtraction: bool = None) -> VerificationReport:
+                    max_len: int = 8, *, seed: int = 0) -> VerificationReport:
     """Random addition closure: digits stay in A, values are exact.
 
-    When the alphabet is mixed-sign, subtraction pairs are checked too
-    (override with ``subtraction=``).  Pairs are drawn as rows, checked
-    as columns; sizes below 1 or past ``MAX_BATCH_DIGITS`` are refused.
+    When the alphabet is mixed-sign, subtraction pairs are checked too.
+    Pairs are drawn as rows, checked as columns; sizes below 1 or past
+    ``MAX_BATCH_DIGITS`` are refused.
     """
     within("n_pairs", n_pairs, 1, MAX_BATCH_DIGITS)
     within("max_len", max_len, 1, MAX_BATCH_DIGITS)
@@ -280,7 +279,7 @@ def verify_addition(pipeline: AdderPipeline, n_pairs: int = 10 ** 4,
                 alphabet.m, alphabet.M + 1, size=(n_pairs, max_len),
                 dtype=np.int64).T) for _ in range(2))
     jobs = [("add", X + Y)]
-    if subtraction or subtraction is None and alphabet.m < 0 < alphabet.M:
+    if alphabet.m < 0 < alphabet.M:
         jobs.append(("subtract", X - Y))
     for label, Z in jobs:
         out = kernel.run_plan(pipeline, Z)

@@ -23,9 +23,8 @@ from .core import (
     Alphabet, BaseSpec,
     INTEGER, NEGATIVE_INTEGER, NEGATIVE_ROOT, PISOT_MINUS, PISOT_PLUS,
     RATIONAL_NEG, RATIONAL_POS, ROOT,
-    integer_base, negative_integer_base, negative_rational_base,
-    negative_root_base, pisot_minus_base, pisot_plus_base, rational_base,
-    root_base,
+    negative_integer_base, negative_rational_base, negative_root_base,
+    pisot_minus_base, pisot_plus_base, rational_base, root_base,
 )
 from .errors import (
     AlphabetTooSmallError,

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from paradd.algebra import values_equal
-from paradd.adder import add, build_pipeline, reduce_to_alphabet, subtract
+from paradd.adder import (
+    PassFacts, add, build_pipeline, reduce_to_alphabet, subtract,
+)
 from paradd.cli import parse_alphabet, parse_base
 from paradd.core import (
     Alphabet,
@@ -134,6 +136,19 @@ class TestAddition:
             trace=trace)
         assert trace
         assert all({"kind", "string", "carries"} <= set(e) for e in trace)
+
+    def test_traced_passes_run_once(self, monkeypatch):
+        # a trace reads each pass's carries from its one run
+        pl = build_pipeline(_system(rational_base(3, 2), 0, 4))
+        runs = []
+        run = PassFacts.run
+        monkeypatch.setattr(PassFacts, "run",
+                            lambda self, Z: runs.append(Z) or run(self, Z))
+        x = parse_digit_string("4 3 4 .")
+        for trace in (None, []):
+            runs.clear()
+            add(x, x, pl, trace)
+            assert len(runs) == len(pl.plan) == 4
 
 
 class TestReduce:

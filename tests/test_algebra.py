@@ -3,18 +3,20 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paradd.algebra import (
-    eval_approx,
     reduce_mod_base,
     represents_zero,
     values_equal,
 )
 from paradd.cli import parse_base
 from paradd.core import (
+    NEGATIVE_ROOT,
+    ROOT,
     DigitString,
     digitwise_negate,
     digitwise_sum,
@@ -30,6 +32,7 @@ from paradd.core import (
     root_base,
 )
 from paradd.errors import UnsupportedBaseError
+from paradd.expansions import value_bounds
 from paradd.oracle import _value_form, values_zero_batch
 
 BASES = [
@@ -72,6 +75,17 @@ class TestReduction:
 
 
 class TestValueEquality:
+    def test_numpy_digits_do_not_wrap(self):
+        # int8 digits are read as ints: -128 + -128 would wrap to 0, and
+        # -128 + 128 would overflow; 64 * 2**2 would wrap to 0 in base 2
+        ten = integer_base(10)
+        low = DigitString((np.int8(-128),))
+        assert not values_equal(low, DigitString((128,)), ten)
+        assert values_equal(low, DigitString((-128,)), ten)
+        big = DigitString((np.int8(64), np.int8(0), np.int8(0)))
+        assert reduce_mod_base(big, integer_base(2)).digits == (256,)
+        assert not represents_zero(big, integer_base(2))
+
     def test_worked_identity(self):
         # 3 = (X^2 + X + 1 at X = -2).
         x = parse_digit_string("3 .")
@@ -154,6 +168,22 @@ class TestValueEquality:
         assert list(values_zero_batch(C, base)) == want
 
 
+def _beta_mpc(base):
+    """beta as an mpmath.mpc at the working precision."""
+    frac = base.beta_fraction
+    if frac is not None:
+        return mpmath.mpc(mpmath.mpf(frac.numerator) / frac.denominator)
+    if base.kind not in (ROOT, NEGATIVE_ROOT):
+        A, B = base.quadratic_coeffs
+        return mpmath.mpc((A + mpmath.sqrt(A * A + 4 * B)) / 2)
+    b, k = base.param("b"), base.param("k")
+    if base.kind == ROOT:
+        return mpmath.mpc(mpmath.root(b, k))
+    if (b, k) == (4, 4):  # the catalog's -1+i, a root of X**4 + 4
+        return mpmath.mpc(-1, 1)
+    return mpmath.root(b, k) * mpmath.expjpi(mpmath.mpf(1) / k)
+
+
 class TestMinimalPolynomial:
     """Zero tests divide by beta's minimal polynomial, not by X^k -+ b."""
 
@@ -183,8 +213,12 @@ class TestMinimalPolynomial:
         "2i", "isqrt2", "2", "10", "root:4,4,+", "root:3,3,-"])
     def test_minimal_poly_vanishes_at_beta(self, text):
         base = parse_base(text)
-        enc = eval_approx(DigitString(base.minimal_poly, 0), base)
-        assert enc.contains(0j, slack=1e-20), enc
+        with mpmath.workprec(200):
+            beta = _beta_mpc(base)
+            value = mpmath.mpc(0)
+            for c in base.minimal_poly:
+                value = value * beta + c
+            assert abs(value) < mpmath.mpf(2) ** -150, value
 
     def test_long_strings(self):
         # 10**4 digits, so many pairwise merges with a ragged last block:
@@ -223,24 +257,23 @@ class TestMinimalPolynomial:
 
 class TestEnclosures:
     def test_enclosure_contains_true_value(self):
-        # base 10: "2 5 ." must enclose 25 tightly.
-        enc = eval_approx(parse_digit_string("2 5 ."), integer_base(10))
-        assert enc.re_lo <= 25 <= enc.re_hi
-        assert enc.im_lo <= 0 <= enc.im_hi
-
-    def test_complex_base_enclosure(self):
-        # beta = -1+i: "1 0 ." is the point -1+i.
-        enc = eval_approx(parse_digit_string("1 0 ."),
-                          negative_root_base(4, 4))
-        assert enc.contains(complex(-1, 1))
+        # base 10: "2 5 ." is exactly the float 25
+        assert value_bounds(parse_digit_string("2 5 ."),
+                            integer_base(10)) == (25.0, 25.0)
 
     def test_zero_value_encloses_zero(self):
+        # strings of value 0 get exactly (0, 0), and "1 1 0 ." of value
+        # 4 - 2 + 0 in base -2 exactly (2, 2)
+        for digits, base in [("1 2 .", negative_integer_base(2)),
+                             ("2 -3 .", rational_base(3, 2)),
+                             ("1 -3 1 .", pisot_minus_base(3)),
+                             ("1 0 -2 .", root_base(2, 2))]:
+            assert value_bounds(parse_digit_string(digits),
+                                base) == (0.0, 0.0)
         b = negative_integer_base(2)
-        total = parse_digit_string("1 1 0 .")  # value -2: 4 - 2... check
-        diff_ok = values_equal(total, parse_digit_string("2 .",), b)
-        enc = eval_approx(total, b)
-        if diff_ok:
-            assert enc.contains(complex(2, 0))
+        total = parse_digit_string("1 1 0 .")
+        assert values_equal(total, parse_digit_string("2 ."), b)
+        assert value_bounds(total, b) == (2.0, 2.0)
 
 
 def test_poly_helpers():

@@ -4,10 +4,12 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -85,6 +87,36 @@ class TestExpand:
             assert json.loads(err)["error"] == "limit-exceeded"
         else:
             assert json.loads(out)["text"] == ". 1"
+
+    def test_check_encloses_one_tenth(self, capsys):
+        code, out, _ = run(capsys, "expand", "--base", "10", "--greedy",
+                           "1/10", "--check", "--json")
+        box = json.loads(out)["check_enclosure"]
+        assert code == 0 and box["im"] == [0.0, 0.0]
+        lo, hi = box["re"]
+        assert Fraction(lo) <= Fraction(1, 10) <= Fraction(hi)
+
+    def test_check_past_the_float_range(self, capsys):
+        # the near end is the largest float, the far end infinite
+        code, out, _ = run(capsys, "expand", "--base", "10", "--greedy",
+                           str(10 ** 400), "--check", "--json")
+        assert code == 0
+        assert json.loads(out)["check_enclosure"]["re"] == [
+            1.7976931348623157e308, math.inf]
+
+    def test_check_runs_without_mpmath(self):
+        code = """
+import sys
+sys.modules["mpmath"] = None
+import paradd
+from paradd.cli import main
+assert main(["expand", "--base", "pisot-:3", "--greedy", "5",
+             "--max-digits", "40", "--check", "--json"]) == 0
+"""
+        src = str(Path(paradd.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       capture_output=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_huge_square_root_base(self, capsys):
         code, out, _ = run(capsys, "expand", "--base",

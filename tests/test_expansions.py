@@ -1,27 +1,31 @@
 """Digit expansions: Euclidean, greedy, windowed, symmetric."""
 
 import math
+import sys
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from paradd.algebra import eval_approx, values_equal
+from paradd.algebra import values_equal
 from paradd.core import (
     DigitString,
     format_digit_string,
     integer_base,
     negative_integer_base,
     negative_rational_base,
+    negative_root_base,
     parse_digit_string,
     pisot_minus_base,
     pisot_plus_base,
     rational_base,
     root_base,
 )
-from paradd.errors import NegativeInputError, NotInWindowError
+from paradd.errors import (
+    NegativeInputError, NotInWindowError, UnsupportedBaseError,
+)
 from paradd.expansions import (
     _FieldElement,
     _descale,
@@ -29,6 +33,7 @@ from paradd.expansions import (
     greedy_expansion,
     symmetric_expansion,
     tm_expansion,
+    value_bounds,
 )
 
 # CPU seconds allowed for one expansion that used to take seconds or more.
@@ -99,8 +104,7 @@ class TestRealExpansions:
         b = pisot_minus_base(3)
         exp = greedy_expansion(2, b, max_digits=40)
         assert all(0 <= d < b.ceil_beta() for d in exp.string.digits)
-        enc = eval_approx(exp.string, b)
-        assert enc.re_lo <= 2 <= enc.re_hi or abs(enc.re_hi - 2) < 1e-9
+        assert exp.exact and value_bounds(exp.string, b) == (2.0, 2.0)
 
     def test_greedy_integer_base_matches_decimal(self):
         exp = greedy_expansion(25, integer_base(10))
@@ -129,10 +133,7 @@ class TestRealExpansions:
     def test_expansion_value_certified(self):
         b = pisot_minus_base(3)
         exp = greedy_expansion(5, b, max_digits=60)
-        enc = eval_approx(exp.string, b)
-        # 60 digits of a base > 2.5 leave an error far below 1e-6
-        assert enc.re_hi - enc.re_lo < 1e-6
-        assert abs((enc.re_lo + enc.re_hi) / 2 - 5) < 1e-6
+        assert exp.exact and value_bounds(exp.string, b) == (5.0, 5.0)
 
 
 X700 = Fraction(10 ** 700 + 1, 7)
@@ -285,8 +286,62 @@ class TestSmallExpansions:
                 exp = tm_expansion(x, m, base, max_digits)
             assert all(m <= d < m + width for d in exp.string.digits)
         ds = exp.string
-        enc = eval_approx(ds, base)
+        lo, hi = value_bounds(ds, base)
+        if exp.exact:
+            assert lo <= x <= hi
+            return
         tol = 1e-9 * max(1.0, abs(float(x)))
-        radius = 0.0 if exp.exact else (
-            max(abs(lower), abs(lower + 1)) * beta ** ds.lsd_exponent)
-        assert enc.re_lo - radius - tol <= x <= enc.re_hi + radius + tol
+        radius = max(abs(lower), abs(lower + 1)) * beta ** ds.lsd_exponent
+        assert lo - radius - tol <= x <= hi + radius + tol
+
+
+BOUND_BASES = [pisot_minus_base(3), pisot_plus_base(2), pisot_plus_base(5),
+               root_base(2, 2), rational_base(3, 2), rational_base(7, 4),
+               integer_base(10)]
+
+
+class TestValueBounds:
+    @given(st.sampled_from(BOUND_BASES),
+           st.sampled_from(["greedy", "window", "symmetric"]),
+           st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6),
+           st.integers(-330, 330), st.integers(0, 9), st.integers(1, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_enclose_the_value(self, base, kind, p, q, e, m_pick,
+                                      max_digits):
+        # the reference value: Fraction Horner for a rational base, else
+        # mpmath at 400 bits, whose own rounding the slack covers
+        x = Fraction(p, q) * Fraction(10) ** e
+        if kind == "greedy":
+            exp = greedy_expansion(abs(x), base, max_digits)
+        elif kind == "symmetric":
+            exp = symmetric_expansion(x, base, max_digits)
+        else:
+            try:
+                exp = tm_expansion(x, -(m_pick % base.ceil_beta()), base,
+                                   max_digits)
+            except NotInWindowError:
+                assume(False)
+        ds = exp.string
+        lo, hi = value_bounds(ds, base)
+        frac = base.beta_fraction
+        with mpmath.workprec(400):
+            if frac is not None:
+                value, slack = Fraction(0), 0
+                for d in ds.digits:
+                    value = value * frac + d
+                value *= frac ** ds.lsd_exponent
+            else:
+                beta, value = _beta_mp(base), mpmath.mpf(0)
+                for d in ds.digits:
+                    value = value * beta + d
+                value *= beta ** ds.lsd_exponent
+                slack = abs(value) * mpmath.mpf(2) ** -300
+            assert lo - slack <= value <= hi + slack
+        if sys.float_info.min <= abs(value) <= sys.float_info.max:
+            assert hi <= math.nextafter(math.nextafter(lo, math.inf),
+                                        math.inf)
+
+    def test_complex_base_is_refused(self):
+        # Q(beta) arithmetic here covers rational and real quadratic bases
+        with pytest.raises(UnsupportedBaseError):
+            value_bounds(DigitString((1,)), negative_root_base(4, 4))

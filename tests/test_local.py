@@ -269,7 +269,8 @@ class TestApplication:
     def test_carry_trace_positions(self):
         g = gde_negative_integer(2)
         a = g.input_alphabet
-        qs = PassFacts(g, a.m, a.M).carries([3], 0)
+        step = PassFacts(g, a.m, a.M)
+        qs = step.carries(step.run([3])[1], 0)
         assert qs and all(q in (-1, 1) for q in qs.values())
         assert qs == _carries(g, parse_digit_string("3 ."))
 
@@ -290,8 +291,8 @@ def test_pass_carries_match_their_definition(data):
     ds = DigitString(tuple(data.draw(st.lists(st.integers(a.m, a.M),
                                               max_size=12))),
                      data.draw(st.integers(-3, 3)))
-    assert PassFacts(rule, a.m, a.M).carries(list(ds.digits),
-                                             ds.msd_exponent) == \
+    step = PassFacts(rule, a.m, a.M)
+    assert step.carries(step.run(list(ds.digits))[1], ds.msd_exponent) == \
         _carries(rule, ds)
 
 
