@@ -22,14 +22,12 @@ from .core import (
     rational_base, root_base,
 )
 from .errors import (
-    AlphabetLacksNegativesError, AlphabetTooSmallError,
-    DigitOutOfAlphabetError, DigitStringSyntaxError, NegativeInputError,
-    NotApplicableError, NotInWindowError, NumberSyntaxError, NumerationError,
-    RuleFileError, UnsupportedAlphabetError, UnsupportedBaseError, within,
+    NotApplicableError, NumberSyntaxError, NumerationError, RuleFileError,
+    UnsupportedAlphabetError, UnsupportedBaseError, within,
 )
 from .expansions import (
-    euclid_expansion, greedy_expansion, symmetric_expansion, tm_expansion,
-    value_bounds,
+    Expansion, euclid_expansion, greedy_expansion, symmetric_expansion,
+    tm_expansion, value_bounds,
 )
 from .local import apply_rule, negate_rule, rule_from_json
 from .rules import canonical_gde, rules_for_alphabet
@@ -37,8 +35,6 @@ from .rules import canonical_gde, rules_for_alphabet
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
-EXIT_UNSUPPORTED = 3
-EXIT_ALPHABET = 4
 # Digits `expand` may produce: 10 000 digits of rationals in the catalog
 # bases took 0.06-0.5 s on a 2-CPU host.
 MAX_DIGITS = 10_000
@@ -132,23 +128,19 @@ def cmd_expand(args) -> int:
               "--symmetric", file=sys.stderr)
         return EXIT_USAGE
     kind = chosen[0]
-    exact = True
     if kind == "euclid":
-        ds = euclid_expansion(int(args.euclid), base)
-    elif kind == "greedy":
-        res = greedy_expansion(parse_number(args.greedy), base,
-                               args.max_digits)
-        ds, exact = res.string, res.exact
+        res = Expansion(euclid_expansion(int(args.euclid), base), True)
     elif kind == "window":
         m, _, x = args.window.partition(",")
         res = tm_expansion(parse_number(x), int(m), base, args.max_digits)
-        ds, exact = res.string, res.exact
     else:
-        res = symmetric_expansion(parse_number(args.symmetric), base,
-                                  args.max_digits)
-        ds, exact = res.string, res.exact
+        expansion = (greedy_expansion if kind == "greedy"
+                     else symmetric_expansion)
+        res = expansion(parse_number(getattr(args, kind)), base,
+                        args.max_digits)
+    ds = res.string
     payload = {"base": base.to_json(), "digits": ds.to_json(),
-               "text": format_digit_string(ds), "exact": exact}
+               "text": format_digit_string(ds), "exact": res.exact}
     if args.check:
         payload["check_enclosure"] = {"re": list(value_bounds(ds, base)),
                                       "im": [0.0, 0.0]}
@@ -352,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", metavar="M,X",
                    help="alphabet shift m and the number, comma separated")
     p.add_argument("--symmetric", metavar="X")
-    p.add_argument("--max-digits", type=int, default=64)
+    p.add_argument("--max-digits", type=int, default=64, help=(
+        f"digits counted from the first nonzero one, 1 to {MAX_DIGITS}"))
     p.add_argument("--check", action="store_true")
     common(p)
     p.set_defaults(func=cmd_expand)
@@ -452,22 +445,15 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_preprocess(list(argv)))
+        if [] in vars(args).values():  # argparse turns a value "--" into []
+            parser.error("'--' is not a value")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (UnsupportedAlphabetError, AlphabetTooSmallError,
-            AlphabetLacksNegativesError) as exc:
+    except (NumerationError, ValueError) as exc:
         _fail(args, exc)
-        return EXIT_ALPHABET
-    except (UnsupportedBaseError, NotApplicableError, NegativeInputError,
-            NotInWindowError) as exc:
-        _fail(args, exc)
-        return EXIT_UNSUPPORTED
-    except (DigitStringSyntaxError, DigitOutOfAlphabetError,
-            NumerationError, ValueError) as exc:
-        _fail(args, exc)
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", EXIT_USAGE)
 
 
 def _fail(args, exc) -> None:

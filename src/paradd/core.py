@@ -42,11 +42,6 @@ PISOT_PLUS = "pisot-plus"
 RATIONAL_POS = "rational-pos"
 RATIONAL_NEG = "rational-neg"
 
-ALL_KINDS = (
-    INTEGER, NEGATIVE_INTEGER, ROOT, NEGATIVE_ROOT,
-    PISOT_MINUS, PISOT_PLUS, RATIONAL_POS, RATIONAL_NEG,
-)
-
 
 @dataclass(frozen=True)
 class BaseSpec:

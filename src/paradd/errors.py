@@ -1,7 +1,7 @@
 """Error hierarchy.
 
-Every error carries a stable machine-readable ``code`` so the CLI can map
-failures onto exit codes and ``--json`` payloads without string matching.
+Every error carries a stable machine-readable ``code`` for ``--json``
+payloads, and the CLI's ``exit_code``, so neither needs string matching.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ class NumerationError(Exception):
     """Base class for all package errors."""
 
     code = "error"
+    exit_code = 2
 
     def __init__(self, message: str, **details):
         super().__init__(message)
@@ -49,16 +50,19 @@ class NumberSyntaxError(NumerationError):
 
 class UnsupportedBaseError(NumerationError):
     code = "unsupported-base"
+    exit_code = 3
 
 
 # --- expansions -----------------------------------------------------------
 
 class NotInWindowError(NumerationError):
     code = "x-not-representable-in-window"
+    exit_code = 3
 
 
 class NegativeInputError(NumerationError):
     code = "negative-input-for-positive-base"
+    exit_code = 3
 
 
 # --- local rules ----------------------------------------------------------
@@ -91,20 +95,24 @@ class LetterNotFixedError(NumerationError):
 
 class UnsupportedAlphabetError(NumerationError):
     code = "alphabet-unsupported"
+    exit_code = 4
 
 
 class AlphabetTooSmallError(NumerationError):
     code = "alphabet-too-small"
+    exit_code = 4
 
 
 class AlphabetLacksNegativesError(NumerationError):
     code = "alphabet-lacks-negatives"
+    exit_code = 4
 
 
 # --- bounds / oracle ------------------------------------------------------
 
 class NotApplicableError(NumerationError):
     code = "not-applicable"
+    exit_code = 3
 
 
 class RuleFileError(NumerationError):

@@ -1,8 +1,12 @@
 """Digit expansions: Euclidean, greedy, windowed, symmetric.
 
-All four expansion procedures work with an exactly represented remainder,
-so digit choices are decided without any floating point.  Every real
-base here is rational or quadratic, beta = (A + sqrt(D))/2 with
+The greedy, windowed and symmetric expansions are one beta-transformation
+y -> beta*y - floor(beta*y - lower) on a unit window [lower, lower + 1),
+whose lower end is 0, m/(beta-1) or -1/2 (Renyi 1957, Parry 1960).  The
+input is scaled into the window by the power of beta that makes its first
+digit nonzero.  Every expansion works with an exactly represented
+remainder, so digit choices are decided without any floating point.
+Every real base here is rational or quadratic, beta = (A + sqrt(D))/2 with
 beta**2 = A*beta + B and D = A**2 + 4*B not a square, and a remainder is
 kept as (u + v*sqrt(D))/n with integers u, v, n.  Its sign and floor then
 follow in O(1) from integer squares and :func:`math.isqrt`.  The same
@@ -84,7 +88,8 @@ class _FieldElement:
 
     def __sub__(self, other):
         o = self.const(other)
-        return self + _FieldElement(-o.u, -o.v, o.n, self.D)
+        return _FieldElement(self.u * o.n - o.u * self.n,
+                             self.v * o.n - o.v * self.n, self.n * o.n, self.D)
 
     def __mul__(self, other):
         o = self.const(other)
@@ -146,15 +151,12 @@ class _FieldElement:
 
 
 def _descale(x: _FieldElement, beta: _FieldElement, lower, upper):
-    """(x * beta**-ell, ell) with the scaled x in [lower, upper).
+    """(x * beta**-ell, ell) for the least ell that puts x in [lower, upper).
 
-    ell is 0 when x already lies in the window.  Otherwise it is the
-    smallest ell that puts x there: positive to scale a large x down,
-    negative to scale up a small x for a window that excludes 0.  An x
-    whose sign the window cannot reach is refused at once.
+    ell is positive to scale a large x down and negative to scale a small
+    one up, so the first digit of the expansion is never 0.  An x whose
+    sign the window cannot reach is refused at once.
     """
-    if (x - lower).sign() >= 0 and (x - upper).sign() < 0:
-        return x, 0
     s = x.sign()
     edge = upper if s > 0 else lower
     if s * edge.sign() <= 0:
@@ -177,14 +179,13 @@ def _descale(x: _FieldElement, beta: _FieldElement, lower, upper):
     return y, ell
 
 
-def _expand(x, beta: _FieldElement, max_digits: int, lower,
-            digit_of) -> Expansion:
-    """Shared driver: scale into [lower, lower+1), then peel digits.
+def _expand(x, beta: _FieldElement, max_digits: int, lower) -> Expansion:
+    """The beta-transformation on the unit window [lower, lower + 1).
 
-    ``digit_of(z)`` picks the digit for the rescaled remainder z (already
-    multiplied by beta); the new remainder is z - digit.
+    x is scaled into the window, and each digit of the remainder y is
+    floor(beta*y - lower), leaving beta*y - digit in the window again.
     """
-    x = beta.const(x)
+    x, lower = beta.const(x), beta.const(lower)
     if x.is_zero:
         return Expansion(DigitString.zero(), True)
     y, ell = _descale(x, beta, lower, lower + 1)
@@ -192,7 +193,7 @@ def _expand(x, beta: _FieldElement, max_digits: int, lower,
     exact = False
     for _ in range(max_digits):
         z = y * beta
-        d = digit_of(z)
+        d = (z - lower).floor()
         digits.append(d)
         y = z - d
         if y.is_zero:
@@ -202,46 +203,39 @@ def _expand(x, beta: _FieldElement, max_digits: int, lower,
     return Expansion(ds, exact)
 
 
+def _require_real(base: BaseSpec, what: str) -> None:
+    if not base.is_real_gt1:
+        raise UnsupportedBaseError(
+            f"{what} expansion needs a real base > 1, got {base.describe()}")
+
+
 def greedy_expansion(x, base: BaseSpec, max_digits: int = 64) -> Expansion:
     """Most-significant-first expansion with digit floor(beta * remainder).
 
     Requires a real base > 1 and x >= 0.  Digits land in {0..ceil(beta)-1}.
     """
-    if not base.is_real_gt1:
-        raise UnsupportedBaseError(
-            f"greedy expansion needs a real base > 1, got {base.describe()}")
+    _require_real(base, "greedy")
     x = Fraction(x)
     if x < 0:
         raise NegativeInputError("greedy expansion requires x >= 0")
-    beta = _FieldElement.beta(base)
-    return _expand(x, beta, max_digits, beta.const(0), lambda z: z.floor())
+    return _expand(x, _FieldElement.beta(base), max_digits, 0)
 
 
 def tm_expansion(x, m: int, base: BaseSpec, max_digits: int = 64) -> Expansion:
     """Expansion over the shifted alphabet {m .. m + ceil(beta) - 1}.
 
-    The remainder window is [m/(beta-1), m/(beta-1) + 1); the input is
-    scaled by the power of beta that puts it there, and each digit is
-    floor(beta*z - m/(beta-1)).  With m = 0 this is exactly the greedy
-    expansion.
+    The remainder window is [m/(beta-1), m/(beta-1) + 1).  With m = 0
+    this is exactly the greedy expansion.
     """
-    if not base.is_real_gt1:
-        raise UnsupportedBaseError(
-            f"windowed expansion needs a real base > 1, got {base.describe()}")
+    _require_real(base, "windowed")
     width = base.ceil_beta()
     if not (m <= 0 <= m + width - 1):
         raise NotInWindowError(
             f"alphabet {{{m}..{m + width - 1}}} must contain 0", m=m)
     beta = _FieldElement.beta(base)
-    lower = (beta - 1).inverse() * m
-    alphabet = range(m, m + width)
-
-    def digit_of(z):
-        d = (z - lower).floor()
-        assert d in alphabet, (d, m, width)
-        return d
-
-    return _expand(x, beta, max_digits, lower, digit_of)
+    res = _expand(x, beta, max_digits, (beta - 1).inverse() * m)
+    assert all(m <= d < m + width for d in res.string.digits), (res, m)
+    return res
 
 
 def symmetric_expansion(x, base: BaseSpec, max_digits: int = 64) -> Expansion:
@@ -250,13 +244,8 @@ def symmetric_expansion(x, base: BaseSpec, max_digits: int = 64) -> Expansion:
     Digits are round-half-up of beta*remainder and lie in the symmetric
     set of integers below (beta+1)/2 in absolute value.
     """
-    if not base.is_real_gt1:
-        raise UnsupportedBaseError(
-            f"symmetric expansion needs a real base > 1, got {base.describe()}")
-    half = Fraction(1, 2)
-    beta = _FieldElement.beta(base)
-    return _expand(x, beta, max_digits, beta.const(-half),
-                   lambda z: (z + half).floor())
+    _require_real(base, "symmetric")
+    return _expand(x, _FieldElement.beta(base), max_digits, Fraction(-1, 2))
 
 
 def euclid_expansion(n: int, base: BaseSpec) -> DigitString:

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import paradd
 
+from paradd import cli, errors
 from paradd.cli import (
     _VERIFY_CATALOG, MAX_DIGITS, main, parse_alphabet, parse_base,
 )
@@ -117,6 +118,18 @@ assert main(["expand", "--base", "pisot-:3", "--greedy", "5",
         subprocess.run([sys.executable, "-c", code], check=True,
                        capture_output=True,
                        env={**os.environ, "PYTHONPATH": src})
+
+    @pytest.mark.parametrize("argv, digits, lsd", [
+        (["--greedy", "1e-70"], [1], -70),
+        (["--greedy", "1e-3", "--max-digits", "2"], [1], -3),
+        (["--greedy", "1e3", "--max-digits", "2"], [1], 3),
+        (["--symmetric", "-1e-400"], [-1], -400)])
+    def test_budget_counts_from_the_first_nonzero_digit(self, capsys, argv,
+                                                        digits, lsd):
+        code, out, _ = run(capsys, "expand", "--base", "10", *argv, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["exact"]
+        assert payload["digits"] == {"digits": digits, "lsd_exponent": lsd}
 
     def test_huge_square_root_base(self, capsys):
         code, out, _ = run(capsys, "expand", "--base",
@@ -435,13 +448,50 @@ class TestBench:
         assert json.loads(out)["passed"]
 
 
+def _error_classes(cls=errors.NumerationError):
+    return [cls] + [c for sub in cls.__subclasses__()
+                    for c in _error_classes(sub)]
+
+
+# every error not named here exits with 2, as a bare ValueError does
+_EXIT_CODES = {
+    errors.UnsupportedAlphabetError: 4, errors.AlphabetTooSmallError: 4,
+    errors.AlphabetLacksNegativesError: 4, errors.UnsupportedBaseError: 3,
+    errors.NotApplicableError: 3, errors.NegativeInputError: 3,
+    errors.NotInWindowError: 3,
+}
+
+
 class TestErrors:
     def test_unknown_base(self, capsys):
         code, _, _ = run(capsys, "bounds", "--base", "7i")
         assert code in (2, 3)
 
+    @pytest.mark.parametrize("cls", _error_classes() + [ValueError],
+                             ids=lambda cls: cls.__name__)
+    def test_exit_code_of_each_error(self, capsys, monkeypatch, cls):
+        extra = {"offset": 0} if cls is errors.DigitStringSyntaxError else {}
+
+        def fail(args):
+            raise cls("refused", **extra)
+
+        monkeypatch.setattr(cli, "cmd_bounds", fail)
+        code, out, err = run(capsys, "bounds", "--base", "2", "--json")
+        assert code == _EXIT_CODES.get(cls, 2) and out == ""
+        if cls is not ValueError:
+            assert json.loads(err)["error"] == cls.code
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["add", "--base", "--", "--alphabet", "0..2", "1 .", "1 ."],
+        ["bench", "--base=-2", "--length=--"],
+        ["expand", "--base", "10", "--greedy", "--"]])
+    def test_dash_dash_value_is_bad_input(self, capsys, argv):
+        # argparse hands a value "--" on as an empty list
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "'--' is not a value" in err
 
 
 # catalog bases, their neighbours and texts that are not bases at all
@@ -486,6 +536,75 @@ def test_add_fuzz_exits_cleanly(system, x, y, flags):
     assert code in (0, 2, 3, 4), (code, err.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert err.getvalue() and not out.getvalue()
+
+
+_NUMBERS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-10 ** 6, 10 ** 6),
+              st.integers(-2, 999)),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-400, 400)),
+    st.sampled_from(["0", "-0", "0.5", "1/0", "inf", "nan", "x", "", "--1"]))
+_REAL_BASES = ["2", "10", "3/2", "7/4", "11/10", "pisot-:3", "pisot-:4",
+               "pisot+:2", "pisot+:5", "root:2,2,+", "root:5,2,+"]
+_EXPAND_BASES = _FUZZ_BASES + _REAL_BASES + ["root:2,3,+"]
+_EXPAND_KIND = st.one_of(
+    st.tuples(st.just("--greedy"), _NUMBERS),
+    st.tuples(st.just("--symmetric"), _NUMBERS),
+    st.tuples(st.just("--window"),
+              st.builds("{},{}".format, st.integers(-12, 2), _NUMBERS)),
+    st.tuples(st.just("--euclid"), st.one_of(
+        st.integers(-10 ** 30, 10 ** 30).map(str), _NUMBERS)))
+_EXPAND = st.builds(
+    lambda base, kinds, digits, flags: [
+        "expand", "--base", base, *(a for k in kinds for a in k),
+        "--max-digits", str(digits), *flags],
+    st.one_of(st.sampled_from(_REAL_BASES), st.sampled_from(_EXPAND_BASES)),
+    st.one_of(_EXPAND_KIND.map(lambda kind: [kind]),
+              st.lists(_EXPAND_KIND, max_size=2)),
+    st.integers(-1, 300),
+    st.sets(st.sampled_from(["--check", "--json"])))
+_SYSTEM_ARGS = _SYSTEMS.flatmap(lambda sa: st.sampled_from([
+    ["--base", sa[0]], ["--base", sa[0], "--alphabet", sa[1]]]))
+_CONVERT = st.builds(
+    lambda system, flags, x: ["convert", *system, *sorted(flags), x],
+    _SYSTEM_ARGS, st.sets(st.sampled_from(
+        ["--gde", "--sde", "--trace", "--json"])), _DIGIT_TEXTS)
+_BOUNDS = st.builds(
+    lambda base, flags: ["bounds", "--base", base, *flags],
+    st.one_of(st.sampled_from(_EXPAND_BASES), st.text(max_size=8)),
+    st.sampled_from([[], ["--json"]]))
+# the whole catalog is swept when --base is left out, so that is rarer
+_VERIFY = st.builds(
+    lambda system, max_len, pairs, budget, rule, flags: [
+        "verify", *system, "--max-len", str(max_len), "--pairs", str(pairs),
+        *budget, *rule, *flags],
+    st.one_of(_SYSTEM_ARGS, _SYSTEM_ARGS, _SYSTEM_ARGS, st.just([])),
+    st.integers(-1, 3), st.integers(-1, 5),
+    st.sampled_from([[], ["--budget", "0"], ["--budget", "50"],
+                     ["--budget", str(10 ** 12)]]),
+    st.sampled_from([[], [], ["--rule-file", "no-such-rule.json"]]),
+    st.sampled_from([[], ["--json"]]))
+_BENCH = st.builds(
+    lambda system, length, workers, flags: [
+        "bench", *system, "--length", str(length), "--workers", str(workers),
+        *flags],
+    _SYSTEM_ARGS, st.sampled_from([-1, 0, 999, 1000, 1000, 1000]),
+    st.integers(-1, 2), st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.one_of(_EXPAND, _CONVERT, _BOUNDS, _VERIFY, _BENCH))
+def test_other_subcommands_fuzz_exit_cleanly(argv):
+    # small sizes only: no request starts a worker pool or runs long
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4) or (
+        code == 1 and argv[0] in ("verify", "bench")), (code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code in (0, 1):
         assert out.getvalue() and not err.getvalue()
     else:
         assert err.getvalue() and not out.getvalue()

@@ -13,6 +13,7 @@ from paradd.algebra import values_equal
 from paradd.core import (
     DigitString,
     format_digit_string,
+    normalize,
     integer_base,
     negative_integer_base,
     negative_rational_base,
@@ -29,6 +30,7 @@ from paradd.errors import (
 from paradd.expansions import (
     _FieldElement,
     _descale,
+    _expand,
     euclid_expansion,
     greedy_expansion,
     symmetric_expansion,
@@ -251,7 +253,7 @@ class TestExactOrder:
         y, ell = _descale(x, beta, lower, upper)
         assert (y * beta ** ell - x).is_zero
         assert in_window(y)
-        assert ell == 0 or not in_window(y * beta)
+        assert not in_window(y * beta)
 
 
 SMALL_BASES = [pisot_minus_base(3), pisot_plus_base(2), root_base(2, 2),
@@ -345,3 +347,36 @@ class TestValueBounds:
         # Q(beta) arithmetic here covers rational and real quadratic bases
         with pytest.raises(UnsupportedBaseError):
             value_bounds(DigitString((1,)), negative_root_base(4, 4))
+
+
+class TestShiftInvariance:
+    """Expanding x * beta**e gives the expansion of x shifted by e.
+
+    Each expansion is defined by the value alone, so this holds at every
+    budget: the same digits, the same exactness, or the same refusal.  On
+    a quadratic base x * beta**e is irrational, which the public functions
+    do not take, so the test runs their driver with each one's window.
+    """
+
+    @given(st.sampled_from(BOUND_BASES),
+           st.sampled_from(["greedy", "window", "symmetric"]),
+           st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6),
+           st.integers(-400, 400), st.integers(0, 9), st.integers(1, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_scaling_by_beta_shifts_the_digits(self, base, kind, p, q, e,
+                                               m_pick, max_digits):
+        beta = _FieldElement.beta(base)
+        m = -(m_pick % base.ceil_beta()) if kind == "window" else 0
+        lower = (Fraction(-1, 2) if kind == "symmetric"
+                 else (beta - 1).inverse() * m)
+        x = beta.const(Fraction(abs(p) if kind == "greedy" else p, q))
+        try:
+            want = _expand(x, beta, max_digits, lower)
+        except NotInWindowError:
+            with pytest.raises(NotInWindowError):
+                _expand(x * beta ** e, beta, max_digits, lower)
+            return
+        got = _expand(x * beta ** e, beta, max_digits, lower)
+        assert got.exact == want.exact
+        assert got.string == normalize(DigitString(
+            want.string.digits, want.string.lsd_exponent + e))
