@@ -7,18 +7,22 @@ For each seed and workload it runs, in each source checkout given,
 
     python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
 
+for the end-to-end metrics, then the same with ``--trace 1`` for the
+per-layer ones, which roughly doubles the time a record takes.
 A checkout whose ``src/paradd`` holds a ``__pycache__`` is refused
 before any run, with the directory named: one-shot processes would read
 that bytecode, stale or not, where the other checkout compiles afresh.
 
-With two or more checkouts the runs of one seed and workload follow each
-other, and the checkout that runs first alternates from seed to seed, so
-that a drift of the host's speed falls on both sides alike.  Each
-checkout gets ``BENCH_<short-sha>.json`` at its root (``-dirty`` is
-appended when ``src`` or ``perfbench`` has uncommitted changes).  It
+With two or more checkouts the runs of one seed, workload and trace
+setting follow each other, and the checkout that runs first alternates
+from seed to seed, so that a drift of the host's speed falls on both
+sides alike.  Each checkout gets ``BENCH_<short-sha>.json`` at its root
+(``-dirty`` is appended when ``src`` or ``perfbench`` has uncommitted
+changes).  It
 holds, per workload and end-to-end metric, the median, quartiles, min,
 max and every run's value in seed order; the correct and failed counts;
-and the provenance block of the first run, less its seed, plus
+the same summary of each per-layer metric under ``per_layer``, by
+workload; and the provenance block of the first run, less its seed, plus
 ``src_lines``, the total lines of the checkout's ``src/paradd/*.py``;
 ``plan_passes``, the passes of each ``paradd verify`` catalog system's
 plan, as the checkout builds it; and ``dont_write_bytecode``, this
@@ -36,6 +40,7 @@ direction, and a mark where the median is worse than the metric's
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import statistics
@@ -90,11 +95,12 @@ def refuse_bytecode(root: Path) -> None:
                          f"record; its runs would read it")
 
 
-def run_once(root: Path, workload: str, seed: int) -> dict:
-    """One untraced run: its last line (the result) and its provenance."""
+def run_once(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One run: its last line (the result, whose metrics are end-to-end
+    untraced and per-layer traced) and its provenance."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", "20", "--trace", "0"],
+         "--seed", str(seed), "--seconds", "20", "--trace", str(trace)],
         cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{root}: {workload} seed {seed} exited "
@@ -113,8 +119,16 @@ def summary(values: list) -> dict:
             "max": max(values), "runs": values}
 
 
-def record(root: Path, runs: dict, seeds: list) -> dict:
-    """The BENCH document of one checkout from its runs[workload]."""
+def summaries(results: list) -> dict:
+    """Each metric of the first result, summarized over the results."""
+    return {name: {"unit": m["unit"], **summary(
+        [r["metrics"][name]["value"] for r in results])}
+        for name, m in results[0]["metrics"].items()}
+
+
+def record(root: Path, runs: dict, seeds: list, traced: dict) -> dict:
+    """The BENCH document of one checkout from its untraced and traced
+    runs[workload]."""
     first = next(iter(runs.values()))[0]
     provenance = {k: v for k, v in first["provenance"].items()
                   if k != "seed"}
@@ -123,20 +137,18 @@ def record(root: Path, runs: dict, seeds: list) -> dict:
     provenance["dont_write_bytecode"] = bool(sys.flags.dont_write_bytecode)
     workloads = {}
     for workload, results in runs.items():
-        metrics = {}
-        for name, m in results[0]["metrics"].items():
-            metrics[name] = {"unit": m["unit"], **summary(
-                [r["metrics"][name]["value"] for r in results])}
         workloads[workload] = {
             "correct": sum(r["correct"] for r in results),
             "runs": len(results),
             "attempted": sum(r["attempted"] for r in results),
             "failed": sum(r["failed"] for r in results),
-            "metrics": metrics}
+            "metrics": summaries(results)}
     return {"command": "python3 perfbench/run.py --workload W --seed S "
-                       "--seconds 20 --trace 0",
+                       "--seconds 20 --trace T",
             "seeds": seeds, "provenance": provenance,
-            "workloads": workloads}
+            "workloads": workloads,
+            "per_layer": {w: summaries(results)
+                          for w, results in traced.items()}}
 
 
 def load_spec(path: Path) -> dict:
@@ -194,20 +206,22 @@ def main(argv=None) -> int:
              [Path(__file__).resolve().parent.parent]]
     for root in roots:
         refuse_bytecode(root)
-    runs = {root: {w: [] for w in args.workloads} for root in roots}
+    runs = [{root: {w: [] for w in args.workloads} for root in roots}
+            for trace in (0, 1)]
     for k, seed in enumerate(args.seeds):
         order = roots if k % 2 == 0 else roots[::-1]
-        for workload in args.workloads:
+        for workload, trace in itertools.product(args.workloads, (0, 1)):
             for root in order:
-                result = run_once(root, workload, seed)
-                runs[root][workload].append(result)
-                value = result["metrics"].get("verify_instances_per_s", {})
-                print(f"seed {seed} {workload:8s} {root.name}: correct "
-                      f"{result['correct']} failed {result['failed']} "
-                      f"verify {value.get('value', 0):.4g}/s", flush=True)
+                result = run_once(root, workload, seed, trace)
+                runs[trace][root][workload].append(result)
+                value = result["metrics"].get("verify_instances_per_s")
+                print(f"seed {seed} {workload:8s} trace {trace} {root.name}: "
+                      f"correct {result['correct']} failed {result['failed']}"
+                      + (f" verify {value['value']:.4g}/s" if value else ""),
+                      flush=True)
     docs = {}
     for root in roots:
-        docs[root] = record(root, runs[root], args.seeds)
+        docs[root] = record(root, runs[0][root], args.seeds, runs[1][root])
         path = root / f"BENCH_{tag(root)}.json"
         path.write_text(json.dumps(docs[root], indent=1) + "\n")
         print(f"wrote {path}")

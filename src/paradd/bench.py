@@ -77,8 +77,8 @@ def run_pipeline_flat(pipeline: AdderPipeline, digits, workers: int = 1):
 
     Returns the output digits, msd first, least significant digit at
     exponent -(total anticipation): an array of the plan's dtype, or for
-    a list a list of ints, read from bytes where the plan's proven output
-    range ``pipeline.ranges[-1]`` lies in 0..255 (``kernel.to_ints``).  A
+    a list a list of ints, read from (signed) bytes where the plan's proven
+    output range ``pipeline.ranges[-1]`` fits one (``kernel.to_ints``).  A
     sequence converts as ``kernel._digits`` does.  The ``worker_count``
     threads pull slices of the output in turn (``kernel.run_plan``).
     """
@@ -86,7 +86,7 @@ def run_pipeline_flat(pipeline: AdderPipeline, digits, workers: int = 1):
     out = run_plan(pipeline, digits, worker_count(workers, len(digits)))
     if isinstance(digits, list):
         out = to_ints(out, *pipeline.ranges[-1])
-    return list(out) if isinstance(out, bytes) else out
+    return list(out) if isinstance(out, (bytes, tuple)) else out
 
 
 # --- classical sequential ripple adder -------------------------------------

@@ -9,13 +9,15 @@ Arrays hold digits msd first along the first axis: a 1-D string, or a
 2-D batch of shape (positions, strings) whose every digit row is one
 contiguous block.  A plan's digits and classes are int8, or a wider
 signed dtype where its static bound needs; codes of more classes are
-int16, or int32 above 2**15 table entries.  Digits in 0..255 cross in
-and out of Python as bytes.  Importing this module loads numpy.
+int16, or int32 above 2**15 table entries.  Digits cross in and out of
+Python in C: as bytes in 0..255, as ``struct`` format ``b`` (signed
+bytes) in -128..127.  Importing this module loads numpy.
 """
 
 from __future__ import annotations
 
 import os
+import struct
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -94,14 +96,19 @@ def _check(Z: np.ndarray, lo: int, hi: int, where: str) -> None:
 
 def _digits(Z, lo: int, hi: int, dtype, where: str) -> np.ndarray:
     """Z in ``dtype``, once ``_check`` finds no digit outside [lo, hi],
-    one beyond ``dtype`` included.  A sequence converts straight into it,
-    or, where [lo, hi] lies in 0..255, into bytes, in C, and widens."""
+    one beyond ``dtype`` included.  A sequence converts in C, and widens
+    after the check: where [lo, hi] lies in 0..255 into bytes, in
+    -128..127 into signed bytes (one ``struct`` call), else into dtype."""
     if not isinstance(Z, np.ndarray):
         try:
-            Z = (np.frombuffer(bytearray(Z), np.uint8) if 0 <= lo and hi <= 255
-                 else np.array(Z, dtype=dtype))
-        except (ValueError, TypeError, OverflowError):  # a digit that fits
-            Z = np.array(Z, dtype=object)  # no byte or dtype: _check names it
+            if 0 <= lo and hi <= 255:
+                Z = np.frombuffer(bytearray(Z), np.uint8)
+            elif -128 <= lo and hi <= 127:
+                Z = np.frombuffer(struct.Struct(f"{len(Z)}b").pack(*Z), np.int8)
+            else:
+                Z = np.array(Z, dtype=dtype)
+        except (ValueError, TypeError, OverflowError, struct.error):
+            Z = np.array(Z, dtype=object)  # _check names the bad digit
     _check(Z, lo, hi, where)
     return Z.astype(dtype, copy=False)  # uint8 widens before any arithmetic
 
@@ -168,9 +175,12 @@ def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
 
 
 def to_ints(out: np.ndarray, lo: int, hi: int):
-    """``out``'s digits, in [lo, hi], as bytes where they fit, else a list."""
-    return (bytes(out.astype(np.uint8)) if 0 <= lo and hi <= 255
-            else out.tolist())
+    """``out``'s digits, in [lo, hi]: bytes where [lo, hi] lies in 0..255,
+    a tuple from one ``struct`` call in -128..127, else a list."""
+    if 0 <= lo and hi <= 255:
+        return bytes(out.astype(np.uint8))
+    return (struct.Struct(f"{out.size}b").unpack(out.astype(np.int8))
+            if -128 <= lo and hi <= 127 else out.tolist())
 
 
 def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
@@ -178,14 +188,13 @@ def add_strings(x: DigitString, y: DigitString, pipeline: AdderPipeline,
     """x + y, or x - y with ``negate``, through the plan; normalized.
 
     The array form of ``adder.add``/``subtract`` without a trace: the
-    same digits and the same ``DigitOutOfAlphabetError``s.  Both operands
-    convert in one call and one check, x's digits first (``_digits``);
-    the sum's digits return through ``bytes`` where A lies in 0..255.
+    same digits and the same ``DigitOutOfAlphabetError``s.  Each operand
+    converts and is checked on its own, x first (``_digits``), and is
+    added into its place in Z; the sum's digits return as ``to_ints``.
     """
     plan, alphabet = pipeline.kernel_plan, pipeline.system.alphabet
-    XY = _digits(x.digits + y.digits, alphabet.m, alphabet.M, plan.dtype,
-                 f"alphabet {alphabet}")
-    X, Y = XY[:len(x.digits)], XY[len(x.digits):]
+    X, Y = (_digits(s.digits, alphabet.m, alphabet.M, plan.dtype,
+                    f"alphabet {alphabet}") for s in (x, y))
     msd = max(x.msd_exponent, y.msd_exponent)
     lsd = min(x.lsd_exponent, y.lsd_exponent)
     Z = np.zeros(msd - lsd + 1, plan.dtype)

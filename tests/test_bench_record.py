@@ -55,7 +55,7 @@ def test_record_writes_each_catalog_plan_pass_count():
     run = {"provenance": {"seed": 1, "host": "h"}, "correct": 1,
            "attempted": 1, "failed": 0,
            "metrics": {"rate": {"unit": "1/s", "value": 2.0}}}
-    doc = bench_record.record(_ROOT, {"w": [run]}, [1])
+    doc = bench_record.record(_ROOT, {"w": [run]}, [1], {})
     provenance = doc["provenance"]
     assert provenance["src_lines"] == bench_record.src_lines(_ROOT)
     assert provenance["plan_passes"] == {
@@ -94,3 +94,41 @@ def test_a_checkout_with_bytecode_is_refused_before_any_run(tmp_path,
     cache.joinpath("bench.cpython-311.pyc").unlink()
     cache.rmdir()
     bench_record.refuse_bytecode(tmp_path)
+
+
+def test_main_records_per_layer_medians(tmp_path, monkeypatch):
+    # two checkouts, two seeds: each seed's untraced and traced run per
+    # checkout, alternated, and the traced metrics' medians per workload
+    calls = []
+
+    def run_once(root, workload, seed, trace=0):
+        calls.append((root.name, workload, seed, trace))
+        name = "layer.rate" if trace else "add_digits_per_s"
+        value = 10 * seed + trace + (root.name == "b")
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "provenance": {"seed": seed},
+                "metrics": {name: {"unit": "1/s", "value": value}}}
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    monkeypatch.setattr(bench_record, "tag", lambda root: root.name)
+    monkeypatch.setattr(bench_record, "plan_passes", lambda root: {})
+    monkeypatch.setattr(bench_record, "load_spec", lambda path: {})
+    roots = [tmp_path / "a", tmp_path / "b"]
+    for root in roots:
+        root.mkdir()
+    argv = ["--root", str(roots[0]), "--root", str(roots[1]),
+            "--seeds", "1", "2", "--workloads", "bulk"]
+    assert bench_record.main(argv) == 0
+    assert calls == [("a", "bulk", 1, 0), ("b", "bulk", 1, 0),
+                     ("a", "bulk", 1, 1), ("b", "bulk", 1, 1),
+                     ("b", "bulk", 2, 0), ("a", "bulk", 2, 0),
+                     ("b", "bulk", 2, 1), ("a", "bulk", 2, 1)]
+    for root, extra in zip(roots, (0, 1)):
+        doc = json.loads((root / f"BENCH_{root.name}.json").read_text())
+        assert doc["command"].endswith("--trace T")
+        assert list(doc["workloads"]["bulk"]["metrics"]) == \
+            ["add_digits_per_s"]
+        layer = doc["per_layer"]["bulk"]["layer.rate"]
+        assert layer["unit"] == "1/s" and layer["runs"] == \
+            [11 + extra, 21 + extra]
+        assert layer["median"] == 16 + extra

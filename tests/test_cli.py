@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,12 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 import paradd
 
-from paradd import cli, errors
+from paradd import bench, cli, errors, kernel
+from paradd.adder import MIN_ARRAY_DIGITS, build_pipeline, reduce_to_alphabet
 from paradd.cli import (
     _VERIFY_CATALOG, MAX_DIGITS, main, parse_alphabet, parse_base,
 )
 from paradd.core import (
-    Alphabet, format_digit_string, negative_root_base, parse_digit_string,
+    Alphabet, DigitString, digitwise_negate, digitwise_sum,
+    format_digit_string, make_system, negative_root_base, parse_digit_string,
     rational_base,
 )
 from paradd.local import apply_rule, negate_rule
@@ -207,6 +210,44 @@ class TestAdd:
                            "--alphabet", "0..2", "--trace", "2 2 .", "1 1 .")
         assert code == 0
         assert "pass" in out.lower() or "top" in out.lower()
+
+    # signed bytes; an alphabet that no byte holds; bytes into an int16 plan
+    @pytest.mark.parametrize("base, alphabet, flags", [
+        ("-2", "-1..1", ["--subtract"]), ("-1000", "0..1000", []),
+        ("pisot-:100", "0..99", [])])
+    def test_long_operands_take_the_kernel(self, capsys, monkeypatch, base,
+                                          alphabet, flags):
+        system = make_system(parse_base(base), parse_alphabet(alphabet))
+        al, pipe = system.alphabet, build_pipeline(system)
+        rng = random.Random(base)
+        x, y = ([rng.randint(al.m, al.M) for _ in range(MIN_ARRAY_DIGITS + k)]
+                for k in (0, 7))
+        calls, add_strings = [], kernel.add_strings
+
+        def spy(*args):
+            calls.append(args)
+            return add_strings(*args)
+
+        def text(digits):
+            return " ".join(map(str, digits)) + " ."
+
+        monkeypatch.setattr(kernel, "add_strings", spy)
+        argv = ["add", "--base", base, "--alphabet", alphabet, "--json",
+                *flags]
+        code, out, _ = run(capsys, *argv, text(x), text(y))
+        assert (code, len(calls)) == (0, 1)
+        X, Y = DigitString(tuple(x)), DigitString(tuple(y))
+        want = reduce_to_alphabet(
+            digitwise_sum(X, digitwise_negate(Y) if flags else Y), pipe)
+        assert json.loads(out)["result"] == want.to_json()
+        # a bad digit at the last place: the same refusal on both runners
+        bad = text(x[:-1] + [al.M + 1])
+        refusals = [run(capsys, *argv, *trace, bad, text(y))
+                    for trace in ([], ["--trace"])]
+        assert refusals[0] == refusals[1]
+        assert refusals[0][0] == errors.DigitOutOfAlphabetError.exit_code
+        assert json.loads(refusals[0][2])["digit"] == al.M + 1
+        assert len(calls) == 2
 
 
 class TestBounds:
@@ -439,6 +480,24 @@ class TestBench:
                            length, "--json")
         assert code == 2
         assert json.loads(err)["error"] == "limit-exceeded"
+
+    def test_one_digit_pass_above_the_cap_refused(self, capsys,
+                                                  monkeypatch):
+        # at the cap -2's 2 passes of 1 000 digits run; one digit-pass
+        # above it nothing is drawn, let alone run
+        import numpy
+        argv = ["bench", "--base", "-2", "--alphabet", "0..2", "--length",
+                "1000", "--json"]
+        monkeypatch.setattr(bench, "MAX_DIGIT_PASSES", 2 * 1000)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(bench, "MAX_DIGIT_PASSES", 2 * 1000 - 1)
+        monkeypatch.setattr(numpy.random, "default_rng", None)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "limit-exceeded", "digit_passes": 2000, "limit": 1999,
+            "message": "benchmark of 1000 digits through 2 passes needs 2000 "
+                       "digit-passes per call, above 1999"}
 
     def test_wide_alphabet_runs(self, capsys):
         # pisot-:100 reads classes of 101 digits: 27 + 1 024 table entries

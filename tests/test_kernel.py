@@ -648,9 +648,10 @@ def _outcome(fn, *args):
 
 
 # M <= 127; an alphabet within a byte, its plan range (0, 400) in int16
-# beyond it; M > 255; mixed signs
+# beyond it; M > 255; mixed signs in int8, and in signed bytes whose plan
+# runs in int16
 _BYTE_SYSTEMS = ["-2 0..2", "3/2 0..4", "-200 0..200", "-1000 0..1000",
-                 "-2 -1..1"]
+                 "-2 -1..1", "-64 -32..32"]
 
 
 def _digit_list(data, lo, hi, bads):
@@ -670,9 +671,11 @@ def _digit_list(data, lo, hi, bads):
 def test_bytes_conversion_matches_the_array_path(name, data):
     pipe = _pipeline(name)
     al = pipe.system.alphabet
-    # 255 wraps to -1 in int8, were it cast before the check
+    # 255 wraps to -1 in int8, were it cast before the check; -129 and
+    # 128 fit no signed byte, np.int8(-128) does
     bads = [al.M + 1, 255, 256, -1, True, np.int64(al.M),
-            np.int64(al.M + 1), 10 ** 30]
+            np.int64(al.M + 1), 10 ** 30, -129, 128, np.int8(-128),
+            np.int64(-129)]
     kind = data.draw(st.sampled_from([list, tuple, np.array]))
     negate = al.m < 0 and data.draw(st.booleans())
     x, y = (DigitString((list if kind is list else tuple)(
@@ -688,6 +691,32 @@ def test_bytes_conversion_matches_the_array_path(name, data):
         patch.setattr(kernel, "_digits", _array_digits)
         want = [_outcome(*call) for call in calls]
     assert got == want
+
+
+def test_signed_bytes_never_convert_element_by_element(monkeypatch):
+    # -2 {-1..1}: operands, sums and outputs all fit a signed byte
+    pipe = _pipeline("-2 -1..1")
+    pipe.kernel_plan  # its tables convert once, before the spy
+    rng = np.random.default_rng(5)
+    x, y = (DigitString(tuple(rng.integers(-1, 2, MIN_ARRAY_DIGITS).tolist()))
+            for _ in range(2))
+    z = rng.integers(-2, 3, 2 * bench.MIN_SHARD_DIGITS).tolist()
+    calls, array = [], np.array
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return array(*args, **kwargs)
+
+    monkeypatch.setattr(kernel.np, "array", spy)
+    diff = kernel.add_strings(x, y, pipe, True)
+    flat = [bench.run_pipeline_flat(pipe, z, workers) for workers in (1, 2)]
+    run = kernel.run_plan(pipe, tuple(z))
+    assert calls == []
+    monkeypatch.undo()
+    assert diff == _defined(x, y, pipe, True)
+    assert flat[0] == flat[1] == run.tolist() == \
+        bench.run_pipeline_flat(pipe, array(z, np.int8)).tolist()
+    assert {type(d) for d in flat[0] + list(diff.digits)} == {int}
 
 
 # whether the outputs come back through bytes: proven in 0..255, -200's
