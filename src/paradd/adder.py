@@ -13,10 +13,11 @@ through a two-stage direct plan), and keeps each range.
 
 Both runners of a plan read one numpy-free record per pass,
 ``AdderPipeline.passes``: the array kernel (``paradd.kernel``) adds
-operands of at least ``MIN_ARRAY_DIGITS`` digits, and the list runner
-here (``reduce_to_alphabet``) shorter ones and traces, numpy loaded or
-not, each step a ``map`` over ``operator`` functions.  Both are tested
-against ``local.apply_rule``.  Pass kinds only label passes.
+operands of at least ``MIN_ARRAY_DIGITS`` digits, from ``kernel.BLOCK_DIGITS``
+on through window tables built from those records, and the list runner here
+(``reduce_to_alphabet``) shorter ones and traces, numpy loaded or not, each
+step a ``map`` over ``operator`` functions.  Both are tested against
+``local.apply_rule``.  Pass kinds only label passes.
 """
 
 from __future__ import annotations

@@ -5,6 +5,9 @@ a few comparisons and shifted slices give the class codes, then one
 ``take`` and one shifted add per placement.  A :class:`Plan` holds a
 pipeline's passes, built once (``AdderPipeline.kernel_plan``), which
 :func:`run_plan` runs in slices of ``BLOCK_DIGITS`` outputs at most.
+Passes in a row compose into one sliding block code, so a run of
+``BLOCK_DIGITS`` digits or more, which repays the build, reads each group of
+passes whose table fits ``TABLE_ENTRIES`` by one ``take`` (``Plan.fused``).
 Arrays hold digits msd first along the first axis: a 1-D string, or a
 2-D batch of shape (positions, strings) whose every digit row is one
 contiguous block.  A plan's digits and classes are int8, or a wider
@@ -16,9 +19,11 @@ bytes) in -128..127.  Importing this module loads numpy.
 
 from __future__ import annotations
 
+import copy
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -32,6 +37,11 @@ _POOL = ThreadPoolExecutor(max_workers=os.cpu_count())
 # Outputs per run_plan slice: on a 2-CPU host (2 MiB L2 each), 2**16 to
 # 2**18 beat no slices 1.0-1.5x at 10**6 digits, and 2**13 lost 1.2-1.7x.
 BLOCK_DIGITS = 1 << 17
+
+# Entries per window table at most: on a 2-CPU host, 3/2 {0..4} builds a
+# 9**3 and a 7**3 table in 0.1 ms; 2**16 would fuse it into one 9**5 table
+# built in 4 ms, four times a 3 * 10**5-digit run.
+TABLE_ENTRIES = 1 << 12
 
 
 def _run_pass(f: PassFacts, table: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -60,17 +70,44 @@ def _run_pass(f: PassFacts, table: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _read_table(lo: int, table: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The passes of a window ``table`` on Z: each output at the code of
+    its w = table.ndim digits less ``lo``, msd first, in base |I| = S."""
+    n, halo, S = len(Z), table.ndim - 1, table.shape[0]
+    P = np.empty((n + 2 * halo,) + Z.shape[1:], np.int16)
+    P[:halo] = P[halo + n:] = -lo  # digit 0 past the ends
+    np.subtract(Z, lo, out=P[halo:halo + n], dtype=np.int16)  # I holds 0
+    code = P[:n + halo].copy()
+    for j in range(1, halo + 1):  # Horner's rule: codes < S ** w fit
+        code *= S
+        code += P[j:j + n + halo]
+    return table.take(code)
+
+
+def _window_table(group, dtype) -> partial:
+    """``group``'s passes as one :func:`_read_table`, their table built by
+    running them on every window of w digits of their input range I."""
+    (f, _), w = group[0], 1 + sum(p.t + p.r for p, _ in group)
+    shape = (f.hi - f.lo + 1,) * w
+    D = (np.indices(shape).reshape(w, -1) + f.lo).astype(dtype)
+    for p, table in group:
+        D = _run_pass(p, table, D)
+    return partial(_read_table, f.lo,  # a copy, so that the batch D is freed
+                   D[w - 1].reshape(shape).copy())
+
+
 class Plan:
     """The ``passes``, each with its table as an array, run in turn on
     digits in the first one's range [lo, hi]; the output is (T, R) =
     ``window`` digits wider, each of its digits read from ``halo`` + 1 =
     T + R + 1 inputs.  ``dtype`` is the narrowest signed one holding every
     digit and class: each pass adds at most its reach to the digits, and
-    reads their classes 0 .. len(cuts)."""
+    reads their classes 0 .. len(cuts).  ``run`` takes the ``steps``."""
 
     def __init__(self, passes):
         self.passes = [(p, np.array(p.table, np.min_scalar_type(-p.reach - 1)))
                        for p in passes]
+        self.steps = [partial(_run_pass, *pt) for pt in self.passes]
         self.lo, self.hi = lo, hi = passes[0].lo, passes[0].hi
         self.where = f"reducible range [{lo}, {hi}]"
         self.window = (sum(p.t for p in passes), sum(p.r for p in passes))
@@ -82,9 +119,25 @@ class Plan:
     def run(self, Z: np.ndarray) -> np.ndarray:
         """Every pass on the unchecked digits of Z, in Z's dtype, lsd at
         exponent 0; the output covers exponents msd + R .. -T."""
-        for p, table in self.passes:
-            Z = _run_pass(p, table, Z)
+        for step in self.steps:
+            Z = step(Z)
         return Z
+
+    @cached_property
+    def fused(self) -> Plan:
+        """This plan, each greedy group of passes in a row read as one window
+        table where |I| ** (t + r + 1) <= ``TABLE_ENTRIES``, I the group's
+        proven input range and (t, r) its summed window."""
+        groups, fits = [], lambda g: (g[0][0].hi - g[0][0].lo + 1) ** (
+            1 + sum(p.t + p.r for p, _ in g)) <= TABLE_ENTRIES
+        for pt in self.passes:
+            if not (groups and fits(groups[-1] + [pt])):
+                groups.append([])
+            groups[-1].append(pt)
+        fused = copy.copy(self)
+        fused.steps = [_window_table(g, self.dtype) if fits(g)
+                       else partial(_run_pass, *g[0]) for g in groups]
+        return fused
 
 
 def _check(Z: np.ndarray, lo: int, hi: int, where: str) -> None:
@@ -129,6 +182,7 @@ def plan_slice(pipeline: AdderPipeline, Z: np.ndarray, cut) -> np.ndarray:
     outputs equal those of the run over all digits.
     """
     plan, (a, b) = pipeline.kernel_plan, cut
+    plan = plan.fused if len(Z) >= BLOCK_DIGITS else plan
     lo = max(0, a - plan.halo)
     Z = _digits(Z[lo:b], plan.lo, plan.hi, plan.dtype, plan.where)
     return plan.run(Z)[a - lo:b - lo]
@@ -156,6 +210,8 @@ def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
     plan = pipeline.kernel_plan
     if not isinstance(Z, np.ndarray):  # an array is checked slice by slice
         Z = _digits(Z, plan.lo, plan.hi, plan.dtype, plan.where)
+    if len(Z) >= BLOCK_DIGITS:
+        plan.fused  # build the tables here, before any worker starts
     width = len(Z) + plan.halo
     each = -(-width // (workers * BLOCK_DIGITS))  # slices per worker
     cuts = iter(shard_cuts(width, workers * each))  # next() holds the GIL

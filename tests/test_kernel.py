@@ -839,3 +839,142 @@ def test_threads_share_the_slices_under_fast_switching():
         sys.setswitchinterval(interval)
     assert cuts == kernel.shard_cuts(len(Z) + plan.halo, len(cuts))
     assert (got == plan.run(Z)).all()
+
+
+# --- window tables: groups of passes read as one table ---------------------
+
+def _step_shapes(plan):
+    # each step of a plan: a table's shape, or "pass" for a class pass
+    return [s.args[1].shape if s.func is kernel._read_table else "pass"
+            for s in plan.steps]
+
+
+@pytest.mark.parametrize("name", _SYSTEMS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_tables_match_class_passes(name, data):
+    # the fused plan's steps and the class passes, directly and through
+    # run_plan with small blocks (the gate then opens): 1-D strings across
+    # slice edges and 2-D batches, lengths 0-3, all zeros, all maxima
+    pipe = _pipeline(name)
+    plan, (lo, hi) = pipe.kernel_plan, pipe.input_range
+    n = data.draw(st.one_of(st.integers(0, 3),
+                            st.integers(0, 5 * plan.halo + 20)))
+    shape = (n,) + data.draw(st.sampled_from([(), (1,), (4,)]))
+    fill = data.draw(st.sampled_from(["random", 0, hi]))
+    if fill == "random":
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        Z = np.random.default_rng(seed).integers(lo, hi + 1, shape)
+    else:
+        Z = np.full(shape, fill)
+    Z = Z.astype(plan.dtype)
+    want = plan.run(Z)
+    got = plan.fused.run(Z)
+    assert got.dtype == want.dtype and (got == want).all()
+    block = data.draw(st.integers(1, max(1, n)))
+    got, _ = _counted_run(pipe, Z, data.draw(st.sampled_from([1, 2])), block)
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize("name", _SYSTEMS)
+@pytest.mark.parametrize("above", [False, True])
+def test_tables_refuse_a_bad_digit_as_class_passes(name, above):
+    pipe = _pipeline(name)
+    plan, (lo, hi) = pipe.kernel_plan, pipe.input_range
+    Z = np.random.default_rng(9).integers(lo, hi + 1, 40)
+    for bad in (lo - 1, hi + 1):
+        Z[17] = bad
+        with pytest.raises(DigitOutOfAlphabetError) as got:
+            _counted_run(pipe, Z, 1, 8 if above else len(Z) + 1)
+        assert str(got.value) == \
+            f"digit {bad} outside reducible range [{lo}, {hi}]"
+        assert got.value.details == {"digit": bad}
+
+
+# (table shape, or "pass") of each fused step; a change of
+# kernel.TABLE_ENTRIES shows here
+_STEP_SHAPES = {
+    "-2 0..2": [(5,) * 5],
+    "3/2 0..4": [(9,) * 3, (7,) * 3],
+    "-1+i 0..4": ["pass", "pass"],
+    "-1000 0..1000": ["pass", "pass"],
+}
+
+
+@pytest.mark.parametrize("name", list(_STEP_SHAPES))
+def test_fused_step_shapes(name):
+    assert _step_shapes(_pipeline(name).kernel_plan.fused) == \
+        _STEP_SHAPES[name]
+
+
+@pytest.mark.parametrize("name", _SYSTEMS + ["pisot-:100 0..99"])
+def test_tables_lie_in_the_proven_ranges(name):
+    # each table holds digits of the range proven out of its group's last
+    # pass, and a table that ends the plan digits of A alone: the closure
+    # chain, cross-checked by tabulation
+    pipe = _pipeline(name)
+    passes, al, i = pipe.passes, pipe.system.alphabet, 0
+    for step in pipe.kernel_plan.fused.steps:
+        if step.func is not kernel._read_table:
+            i += 1
+            continue
+        lo, table = step.args
+        assert (lo, table.shape[0]) == (passes[i].lo,
+                                        passes[i].hi - passes[i].lo + 1)
+        assert table.size <= kernel.TABLE_ENTRIES
+        window = 0
+        while window < table.ndim - 1:
+            window += passes[i].t + passes[i].r
+            i += 1
+        assert window == table.ndim - 1
+        lo, hi = pipe.ranges[i]
+        assert lo <= table.min() and table.max() <= hi
+        if i == len(passes):
+            assert al.m <= table.min() and table.max() <= al.M
+    assert i == len(passes)
+
+
+def _fresh(name):
+    base, alphabet = name.split()
+    return build_pipeline(make_system(parse_base(base),
+                                      parse_alphabet(alphabet)))
+
+
+def test_tables_build_only_for_long_runs(monkeypatch):
+    # the table builder never runs below BLOCK_DIGITS digits, for the
+    # oracle or for build_pipeline; a long run builds each table once, on
+    # the calling thread, and reads it
+    import threading
+    from paradd.oracle import verify_addition
+    builds, reads = [], []
+    window_table, read_table = kernel._window_table, kernel._read_table
+
+    def build(group, dtype):
+        builds.append(threading.current_thread())
+        return window_table(group, dtype)
+
+    def read(*args):
+        reads.append(1)
+        return read_table(*args)
+
+    monkeypatch.setattr(kernel, "_window_table", build)
+    monkeypatch.setattr(kernel, "_read_table", read)
+    pipe = _fresh("3/2 0..4")
+    Z = np.random.default_rng(3).integers(0, 9, kernel.BLOCK_DIGITS - 1)
+    kernel.run_plan(pipe, Z)
+    x = DigitString(tuple(np.random.default_rng(4).integers(0, 5, 20_000)
+                          .tolist()))
+    assert add(x, x, pipe) == reduce_to_alphabet(digitwise_sum(x, x), pipe)
+    assert verify_addition(pipe, n_pairs=500).passed
+    assert verify_conversion(pipe.plan[0][1], pipe.system.base,
+                             max_len=4).passed
+    for name in _SYSTEMS:
+        _fresh(name)
+    assert builds == [] and reads == []
+    Z = np.append(Z, 0)
+    want = pipe.kernel_plan.run(Z.astype(pipe.kernel_plan.dtype))
+    for workers in (2, 1):
+        assert (kernel.run_plan(pipe, Z, workers) == want).all()
+    assert builds == [threading.main_thread()] * 2
+    # two slices in each run, two tables read in each slice
+    assert len(reads) == 2 * 2 * 2
