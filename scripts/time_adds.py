@@ -9,9 +9,10 @@ digits from ``random.Random(5)``, makes one untimed call, then prints the
 median and range of 7 timed calls, and the best of 3 calls of
 ``bench.ripple_digit_sum`` on the same digitwise sum.  On the two add
 systems it also times, alike at one worker, the layers below: the flat
-path ``bench.run_pipeline_flat`` on the digitwise sum as a list, and
-``kernel.run_plan`` alone on the same digits as an int8 array.  Run two
-checkouts in turn, a few times each, to compare them.
+path ``bench.run_pipeline_flat`` on the digitwise sum as a list, that
+call with its output copied into a list (what a caller who needs a list
+still pays), and ``kernel.run_plan`` alone on the same digits as an int8
+array.  Run two checkouts in turn, a few times each, to compare them.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ def main(argv=None) -> int:
             Z = np.array(z, np.int8)
             print("  " + report("run_pipeline_flat, list, 1 worker",
                                 lambda: run_pipeline_flat(pipe, z, 1)))
+            print("  " + report("list(run_pipeline_flat), list, 1 worker",
+                                lambda: list(run_pipeline_flat(pipe, z, 1))))
             print("  " + report("run_plan, int8 array",
                                 lambda: kernel.run_plan(pipe, Z)), flush=True)
     return 0

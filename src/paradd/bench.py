@@ -76,17 +76,16 @@ def run_pipeline_flat(pipeline: AdderPipeline, digits, workers: int = 1):
     """Run the pass plan on an lsd-exponent-0 digit sequence, msd first.
 
     Returns the output digits, msd first, least significant digit at
-    exponent -(total anticipation): an array of the plan's dtype, or for
-    a list a list of ints, read from (signed) bytes where the plan's proven
-    output range ``pipeline.ranges[-1]`` fits one (``kernel.to_ints``).  A
+    exponent -(total anticipation): for an array an array of the plan's
+    dtype, else ``kernel.to_ints`` on the proven output range
+    ``pipeline.ranges[-1]`` (bytes, a tuple or a list of ints).  A
     sequence converts as ``kernel._digits`` does.  The ``worker_count``
     threads pull slices of the output in turn (``kernel.run_plan``).
     """
-    from .kernel import run_plan, to_ints
+    from .kernel import np, run_plan, to_ints
     out = run_plan(pipeline, digits, worker_count(workers, len(digits)))
-    if isinstance(digits, list):
-        out = to_ints(out, *pipeline.ranges[-1])
-    return list(out) if isinstance(out, (bytes, tuple)) else out
+    return out if isinstance(digits, np.ndarray) else \
+        to_ints(out, *pipeline.ranges[-1])
 
 
 # --- classical sequential ripple adder -------------------------------------

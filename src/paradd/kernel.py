@@ -13,8 +13,8 @@ Arrays hold digits msd first along the first axis: a 1-D string, or a
 contiguous block.  A plan's digits and classes are int8, or a wider
 signed dtype where its static bound needs; codes of more classes are
 int16, or int32 above 2**15 table entries.  Digits cross in and out of
-Python in C: as bytes in 0..255, as ``struct`` format ``b`` (signed
-bytes) in -128..127.  Importing this module loads numpy.
+Python in one C copy each way (int8 plans): bytes in 0..255, ``struct``
+format ``b`` (signed bytes) in -128..127.  Importing this loads numpy.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ def _check(Z: np.ndarray, lo: int, hi: int, where: str) -> None:
 
 def _digits(Z, lo: int, hi: int, dtype, where: str) -> np.ndarray:
     """Z in ``dtype``, once ``_check`` finds no digit outside [lo, hi],
-    one beyond ``dtype`` included.  A sequence converts in C, and widens
-    after the check: where [lo, hi] lies in 0..255 into bytes, in
-    -128..127 into signed bytes (one ``struct`` call), else into dtype."""
+    one beyond ``dtype`` included.  A sequence converts in C: where [lo,
+    hi] lies in 0..255 into bytes, read as int8 in place or else widened
+    after the check, in -128..127 into signed bytes, else into dtype."""
     if not isinstance(Z, np.ndarray):
         try:
             if 0 <= lo and hi <= 255:
@@ -162,8 +162,9 @@ def _digits(Z, lo: int, hi: int, dtype, where: str) -> np.ndarray:
                 Z = np.array(Z, dtype=dtype)
         except (ValueError, TypeError, OverflowError, struct.error):
             Z = np.array(Z, dtype=object)  # _check names the bad digit
-    _check(Z, lo, hi, where)
-    return Z.astype(dtype, copy=False)  # uint8 widens before any arithmetic
+    _check(Z, lo, hi, where)  # uint8 widens before any arithmetic
+    view = hi <= 127 and Z.dtype == np.uint8 and dtype == np.int8
+    return Z.view(dtype) if view else Z.astype(dtype, copy=False)
 
 
 def shard_cuts(width: int, shards: int) -> list:
@@ -233,9 +234,9 @@ def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
 def to_ints(out: np.ndarray, lo: int, hi: int):
     """``out``'s digits, in [lo, hi]: bytes where [lo, hi] lies in 0..255,
     a tuple from one ``struct`` call in -128..127, else a list."""
-    if 0 <= lo and hi <= 255:
-        return bytes(out.astype(np.uint8))
-    return (struct.Struct(f"{out.size}b").unpack(out.astype(np.int8))
+    if 0 <= lo and hi <= 255:  # int8 digits in 0..127 are their own bytes
+        return (out if out.itemsize == 1 else out.astype(np.uint8)).tobytes()
+    return (struct.Struct(f"{out.size}b").unpack(out.astype("b", copy=False))
             if -128 <= lo and hi <= 127 else out.tolist())
 
 

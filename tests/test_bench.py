@@ -52,7 +52,7 @@ def test_slices_equal_sequential_run(pipeline):
             cuts = kernel.shard_cuts(length + halo, shards)
             got = [d for cut in cuts
                    for d in kernel.plan_slice(pipeline, Z, cut).tolist()]
-            assert got == expected, (length, shards)
+            assert got == list(expected), (length, shards)
 
 
 def test_forked_run_equals_sequential_run(pipeline):

@@ -4,6 +4,7 @@ against its definition, digit for digit."""
 import itertools
 import os
 import random
+import struct
 from bisect import bisect_right
 import sys
 import time
@@ -642,7 +643,7 @@ def _outcome(fn, *args):
         return str(err), err.details
     if isinstance(out, DigitString):
         return out, {type(d) for d in out.digits}
-    if isinstance(out, list):
+    if isinstance(out, (bytes, tuple, list)):
         return out, {type(d) for d in out}
     return out.tolist(), out.dtype
 
@@ -714,9 +715,10 @@ def test_signed_bytes_never_convert_element_by_element(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert diff == _defined(x, y, pipe, True)
-    assert flat[0] == flat[1] == run.tolist() == \
-        bench.run_pipeline_flat(pipe, array(z, np.int8)).tolist()
-    assert {type(d) for d in flat[0] + list(diff.digits)} == {int}
+    assert type(flat[0]) is tuple
+    assert flat[0] == flat[1] == tuple(run.tolist()) == tuple(
+        bench.run_pipeline_flat(pipe, array(z, np.int8)).tolist())
+    assert {type(d) for d in flat[0] + diff.digits} == {int}
 
 
 # whether the outputs come back through bytes: proven in 0..255, -200's
@@ -731,12 +733,52 @@ def test_flat_list_matches_flat_array(name, workers):
     pipe = _pipeline(name)
     lo, hi = pipe.ranges[-1]
     assert (0 <= lo and hi <= 255) == _THROUGH_BYTES[name]
+    kind = bytes if _THROUGH_BYTES[name] else \
+        tuple if -128 <= lo and hi <= 127 else list
     lo, hi = pipe.input_range
     z = np.random.default_rng(4).integers(lo, hi + 1,
                                           2 * bench.MIN_SHARD_DIGITS)
     got = bench.run_pipeline_flat(pipe, z.tolist(), workers)
-    assert type(got) is list and {type(d) for d in got} == {int}
-    assert got == bench.run_pipeline_flat(pipe, z, workers).tolist()
+    assert type(got) is kind and {type(d) for d in got} == {int}
+    assert list(got) == bench.run_pipeline_flat(pipe, z, workers).tolist()
+
+
+@pytest.mark.parametrize("name", list(_THROUGH_BYTES))
+def test_every_sequence_gets_the_same_flat_answer(name):
+    # a list, a tuple and a range of the same digits; an array gets an array
+    pipe = _pipeline(name)
+    lo, hi = pipe.input_range
+    digits = range(lo, hi + 1)
+    got = [bench.run_pipeline_flat(pipe, z)
+           for z in (list(digits), tuple(digits), digits)]
+    array = bench.run_pipeline_flat(pipe, np.array(digits))
+    assert type(array) is np.ndarray
+    assert got[0] == got[1] == got[2] and type(got[0]) is type(got[2])
+    assert list(got[0]) == array.tolist()
+
+
+def test_digits_cross_the_kernel_in_one_copy_each_way():
+    pipe = _pipeline("-2 0..2")
+    plan = pipe.kernel_plan
+    assert plan.dtype == np.int8 and plan.hi <= 127
+    z = np.random.default_rng(6).integers(plan.lo, plan.hi + 1, 1000).tolist()
+    Z = kernel._digits(z, plan.lo, plan.hi, plan.dtype, plan.where)
+    assert Z.dtype == np.int8 and Z.tolist() == z
+    base = Z.base  # a view of the bytes that bytearray made, not a copy
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(getattr(base, "obj", base), bytearray)
+    out = kernel.run_plan(pipe, Z)[3:]  # an offset, as add_strings reads
+    assert out.dtype == np.int8
+    assert kernel.to_ints(out, *pipe.ranges[-1]) == bytes(
+        out.astype(np.uint8))
+    signed = _pipeline("-2 -1..1")
+    lo, hi = signed.input_range
+    out = kernel.run_plan(signed, np.random.default_rng(6).integers(
+        lo, hi + 1, 1000).astype(np.int8))[3:]
+    assert out.dtype == np.int8
+    assert kernel.to_ints(out, *signed.ranges[-1]) == struct.unpack(
+        f"{out.size}b", out.tobytes())
 
 
 class _NoPool:
