@@ -26,7 +26,8 @@ from typing import Optional
 from .adder import AdderPipeline
 from .algebra import values_equal
 from .core import BaseSpec, DigitString, NumerationSystem
-from .errors import LimitExceededError, UnsupportedBaseError, WorkerCountError
+from .errors import (MAX_LENGTH, MIN_LENGTH, LimitExceededError,
+                     UnsupportedBaseError, WorkerCountError)
 from .expansions import euclid_expansion
 
 
@@ -44,11 +45,6 @@ MIN_SHARD_DIGITS = 400_000
 # 3/2, 10**6 digits), 8 workers over 1 read up to 1.10 as the fastest of
 # the first 3 calls, and up to 0.78 as the fastest of 11 after that round.
 TIMED_CALLS = 11
-
-# Operand lengths run_benchmark accepts.  At 10**7 digits a `paradd bench`
-# process peaked at 872-880 MiB (ru_maxrss; -2 {0..2}, 3/2 {0..4}) and
-# took 6-12 s, most of it the exact ripple check, on the 2-CPU host above.
-MIN_LENGTH, MAX_LENGTH = 10 ** 3, 10 ** 7
 
 # Digit-passes (length times passes) per call that run_benchmark accepts:
 # 10 passes at MAX_LENGTH.  One such call took 0.8-1.0 s on a 2-CPU host,

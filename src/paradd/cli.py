@@ -12,9 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bounds as bounds_mod
-from .adder import PassFacts, add, build_pipeline, subtract
-from .bench import MAX_LENGTH, MIN_LENGTH, run_benchmark
+# parsing and error reporting only: each cmd_* imports the modules it runs
 from .core import (
     Alphabet, BaseSpec, DigitString, format_digit_string, integer_base,
     make_system, negative_integer_base, negative_rational_base,
@@ -22,15 +20,10 @@ from .core import (
     rational_base, root_base,
 )
 from .errors import (
-    NotApplicableError, NumberSyntaxError, NumerationError, RuleFileError,
-    UnsupportedAlphabetError, UnsupportedBaseError, within,
+    MAX_LENGTH, MIN_LENGTH, NotApplicableError, NumberSyntaxError,
+    NumerationError, RuleFileError, UnsupportedAlphabetError,
+    UnsupportedBaseError, within,
 )
-from .expansions import (
-    Expansion, euclid_expansion, greedy_expansion, symmetric_expansion,
-    tm_expansion, value_bounds,
-)
-from .local import apply_rule, negate_rule, rule_from_json
-from .rules import canonical_gde, rules_for_alphabet
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -119,6 +112,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_expand(args) -> int:
+    from .expansions import (Expansion, euclid_expansion, greedy_expansion,
+                             symmetric_expansion, tm_expansion, value_bounds)
     within("max_digits", args.max_digits, 1, MAX_DIGITS)
     base = parse_base(args.base)
     chosen = [name for name in ("euclid", "greedy", "window", "symmetric")
@@ -149,6 +144,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_add(args) -> int:
+    from .adder import add, build_pipeline, subtract
     base = parse_base(args.base)
     alphabet = parse_alphabet(args.alphabet)
     system = make_system(base, alphabet)
@@ -177,6 +173,8 @@ def cmd_add(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from .local import apply_rule, negate_rule
+    from .rules import canonical_gde, rules_for_alphabet
     base = parse_base(args.base)
     if args.alphabet:
         pair = rules_for_alphabet(base, parse_alphabet(args.alphabet))
@@ -195,6 +193,7 @@ def cmd_convert(args) -> int:
                "input": ds.to_json(), "result": out.to_json(),
                "text": format_digit_string(out)}
     if args.trace:
+        from .adder import PassFacts
         a = rule.input_alphabet
         step = PassFacts(rule, a.m, a.M)
         qs = step.carries(step.run(ds.digits)[1], ds.msd_exponent)
@@ -204,8 +203,9 @@ def cmd_convert(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import minimal_alphabet_report
     base = parse_base(args.base)
-    report = bounds_mod.minimal_alphabet_report(base)
+    report = minimal_alphabet_report(base)
     text = [f"base             {base.describe()}"]
     if report.ceiling_bound is not None:
         text.append(f"ceiling bound    {report.ceiling_bound}")
@@ -230,6 +230,7 @@ _VERIFY_CATALOG = [
 def _load_rule(path: str):
     """The rule in a JSON file; a file that cannot be read as one is a
     RuleFileError, naming the missing key when one is missing."""
+    from .local import rule_from_json
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -250,11 +251,13 @@ def _load_rule(path: str):
 
 
 def cmd_verify(args) -> int:
+    from .adder import build_pipeline
     # the oracle needs numpy, which only verify, bench and long adds load
     from .oracle import (
         MAX_BATCH_DIGITS, verify_addition, verify_boundary,
         verify_congruence, verify_conversion,
     )
+    from .rules import canonical_gde
 
     if args.rule_file and not args.base:
         print("verify: --rule-file needs --base", file=sys.stderr)
@@ -296,6 +299,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .adder import build_pipeline
+    from .bench import run_benchmark
+    from .rules import canonical_gde
     base = parse_base(args.base)
     if args.alphabet:
         alphabet = parse_alphabet(args.alphabet)

@@ -121,6 +121,11 @@ class RuleFileError(NumerationError):
 
 # --- bench ----------------------------------------------------------------
 
+# Operand lengths `bench.run_benchmark` accepts, here so that `bench --help`
+# loads no benchmark; a 10**7-digit `paradd bench` took 880 MiB and 6-12 s.
+MIN_LENGTH, MAX_LENGTH = 10 ** 3, 10 ** 7
+
+
 class WorkerCountError(NumerationError):
     code = "invalid-worker-count"
 

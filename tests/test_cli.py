@@ -453,7 +453,121 @@ assert 'numpy' in sys.modules
                    capture_output=True, env={**os.environ, "PYTHONPATH": src})
 
 
+def _loaded_after(code: str) -> list:
+    """The paradd and numpy modules a fresh interpreter holds after
+    ``code``, which prints nothing."""
+    code += """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("paradd", "numpy"))))
+"""
+    src = str(Path(paradd.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    return json.loads(proc.stdout)
+
+
+# one digit short of adder.MIN_ARRAY_DIGITS
+_SHORT = " ".join(["1", "0", "-1"] * 333) + " ."
+_ADDS = "adder algebra bounds local rules"
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["expand", "--base", "3/2", "--greedy", "5/7"], "expansions"),
+    (["expand", "--base", "-2", "--euclid", "-7"], "expansions"),
+    (["bounds", "--base", "pisot-:3", "--json"], "bounds"),
+    (["add", "--base", "-2", "--alphabet", "-1..1", _SHORT, _SHORT], _ADDS),
+    (["add", "--base", "-2", "--alphabet", "-1..1", "--subtract", _SHORT,
+      _SHORT], _ADDS),
+    (["convert", "--base", "3/2", "4 4 ."], "algebra local rules"),
+    (["convert", "--base", "3/2", "--trace", "4 4 ."],
+     "adder algebra local rules"),
+], ids=["greedy", "euclid", "bounds", "add", "subtract", "convert",
+        "convert-trace"])
+def test_subcommand_loads_only_its_modules(argv, modules):
+    # a one-shot process compiles every module it loads, as no bytecode is
+    # cached when PYTHONDONTWRITEBYTECODE is set
+    loaded = _loaded_after(f"""
+import contextlib, io
+from paradd.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+""")
+    assert loaded == sorted(
+        ["paradd", "paradd.cli", "paradd.core", "paradd.errors"]
+        + [f"paradd.{m}" for m in modules.split()])
+
+
+# every name `paradd` exported while it imported its modules eagerly
+_PUBLIC = {
+    "core": "Alphabet BaseSpec DigitString NumerationSystem digitwise_sum "
+            "format_digit_string integer_base make_base make_system "
+            "minimal_form negative_integer_base negative_rational_base "
+            "negative_root_base normalize parse_digit_string "
+            "pisot_minus_base pisot_plus_base rational_base root_base",
+    "algebra": "reduce_mod_base values_equal",
+    "expansions": "euclid_expansion greedy_expansion symmetric_expansion "
+                  "tm_expansion value_bounds",
+    "local": "CarryRule LocalRule apply_rule compose_rules derive_local_rule "
+             "fixed_letters negate_rule rule_from_json shift_alphabet",
+    "rules": "canonical_gde rules_for_alphabet",
+    "adder": "AdderPipeline add build_pipeline reduce_to_alphabet subtract",
+    "bounds": "minimal_alphabet_report",
+    "oracle": "verify_addition verify_boundary verify_congruence "
+              "verify_conversion",
+}
+
+
+class TestPublicNames:
+    def test_each_name_is_its_home_modules_object(self):
+        import importlib
+        names = set()
+        for module, text in _PUBLIC.items():
+            home = importlib.import_module(f"paradd.{module}")
+            for name in text.split():
+                assert getattr(paradd, name) is getattr(home, name), name
+                names.add(name)
+        assert sorted(names) == paradd.__all__
+        assert set(paradd.__all__) <= set(dir(paradd))
+        assert paradd.__version__ == "0.1.0"
+
+    def test_star_import_yields_all(self):
+        namespace = {}
+        exec("from paradd import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == paradd.__all__
+
+    def test_unknown_name_is_named(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            paradd.no_such_name
+        with pytest.raises(ImportError, match="'no_such_name'"):
+            exec("from paradd import no_such_name", {})
+
+    def test_names_load_their_modules_on_first_use(self):
+        # import paradd loads no submodule, and only the oracle's names numpy
+        oracle = _PUBLIC["oracle"].split()
+        others = [n for n in paradd.__all__ if n not in oracle]
+        assert _loaded_after("import paradd") == ["paradd"]
+        loaded = _loaded_after(f"""
+import paradd
+for name in {others!r}:
+    getattr(paradd, name)
+import sys
+assert "numpy" not in sys.modules
+from paradd import verify_conversion
+""")
+        assert "numpy" in loaded and "paradd.oracle" in loaded
+        assert "paradd.bench" not in loaded and "paradd.cli" not in loaded
+
+
 class TestBench:
+    def test_help_names_the_length_limits(self, capsys):
+        code, out, _ = run(capsys, "bench", "--help")
+        assert code == 0
+        assert "operand digits, 1000 to 10000000" in " ".join(out.split())
+        assert (bench.MIN_LENGTH, bench.MAX_LENGTH) == (1000, 10 ** 7)
+
     def test_reports_workers_used(self, capsys):
         code, out, _ = run(capsys, "bench", "--base", "-2", "--length",
                            "1000", "--workers", "8")
