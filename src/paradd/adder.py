@@ -13,10 +13,10 @@ through a two-stage direct plan), and keeps each range.
 
 Both runners of a plan read one numpy-free record per pass,
 ``AdderPipeline.passes``: the array kernel (``paradd.kernel``) adds
-operands of at least ``MIN_ARRAY_DIGITS`` digits, from ``kernel.BLOCK_DIGITS``
-on through window tables built from those records, and the list runner here
-(``reduce_to_alphabet``) shorter ones and traces, numpy loaded or not, each
-step a ``map`` over ``operator`` functions.  Both are tested against
+operands of at least ``MIN_ARRAY_DIGITS`` digits, reading each group of
+passes whose window table fits as that table, built from those records,
+and the list runner here (``reduce_to_alphabet``) shorter ones and traces,
+numpy loaded or not, each step a ``map`` over ``operator`` functions.  Both are tested against
 ``local.apply_rule``.  Pass kinds only label passes.
 """
 
@@ -188,11 +188,12 @@ def reduce_to_alphabet(z: DigitString, pipeline: AdderPipeline,
 
 
 # Shortest operand, in digits, that add/subtract hand to the kernel.  On
-# a 2-CPU host, medians over the seven bulk benchmark systems of an add
-# after 2 ms of other Python work and a gc.collect(): the list runner took
-# 0.22-0.24 ms at 64 digits, 0.43-0.51 at 256, 0.72-0.76 at 512, 1.3-1.4
-# at 1 000 and 2.3-2.7 at 2 000; the kernel 0.33-0.53 ms throughout.  A
-# one-shot `paradd add` below 1 000 digits never pays numpy's import, 70 ms.
+# a 2-CPU host, medians of 21 adds on each of the seven bulk benchmark
+# systems, each add after 2 ms of other Python work and a gc.collect(): the
+# list runner took 0.15-0.22 ms at 64 digits, 0.30-0.47 at 256, 0.44-0.74
+# at 512 and 0.77-1.4 at 1 000; the kernel 0.27-0.36 ms at 256 and
+# 0.31-0.45 at 1 000 (0.06-0.11 back to back).  A one-shot `paradd add`
+# below 1 000 digits never pays numpy's import, 70 ms.
 MIN_ARRAY_DIGITS = 1_000
 
 

@@ -46,7 +46,7 @@ def parse_base(text: str) -> BaseSpec:
         return negative_root_base(b, k)
     if t.startswith("root:"):
         parts = t[5:].split(",")
-        if len(parts) != 3 or parts[2] not in "+-":
+        if len(parts) != 3 or parts[2] not in ("+", "-"):
             raise UnsupportedBaseError(
                 f"root base must look like root:b,k,+ or root:b,k,-: {text!r}")
         b, k = int(parts[0]), int(parts[1])

@@ -2,28 +2,27 @@
 
 A pass reads the record the list runner reads too, ``adder.PassFacts``:
 a few comparisons and shifted slices give the class codes, then one
-``take`` and one shifted add per placement.  A :class:`Plan` holds a
-pipeline's passes, built once (``AdderPipeline.kernel_plan``), which
-:func:`run_plan` runs in slices of ``BLOCK_DIGITS`` outputs at most.
-Passes in a row compose into one sliding block code, so a run of
-``BLOCK_DIGITS`` digits or more, which repays the build, reads each group of
-passes whose table fits ``TABLE_ENTRIES`` by one ``take`` (``Plan.fused``).
-Arrays hold digits msd first along the first axis: a 1-D string, or a
-2-D batch of shape (positions, strings) whose every digit row is one
-contiguous block.  A plan's digits and classes are int8, or a wider
-signed dtype where its static bound needs; codes of more classes are
-int16, or int32 above 2**15 table entries.  Digits cross in and out of
-Python in one C copy each way (int8 plans): bytes in 0..255, ``struct``
-format ``b`` (signed bytes) in -128..127.  Importing this loads numpy.
+``take`` and one shifted add per placement.  Passes in a row compose into
+one sliding block code, so a :class:`Plan`, built once per pipeline
+(``AdderPipeline.kernel_plan``), reads each group of passes whose window
+table fits ``TABLE_ENTRIES`` by one ``take`` and runs every other pass on
+its classes; :func:`run_plan` runs it in slices of ``BLOCK_DIGITS``
+outputs at most.  Arrays hold digits msd first along the first axis: a
+1-D string, or a 2-D batch of shape (positions, strings) whose every
+digit row is one contiguous block.  A plan's digits and classes are int8,
+or a wider signed dtype where its static bound needs; codes of more
+classes are int16, or int32 above 2**15 table entries.  Digits cross in
+and out of Python in one C copy each way (int8 plans): bytes in 0..255,
+``struct`` format ``b`` (signed bytes) in -128..127.  Importing this
+loads numpy.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -38,9 +37,10 @@ _POOL = ThreadPoolExecutor(max_workers=os.cpu_count())
 # 2**18 beat no slices 1.0-1.5x at 10**6 digits, and 2**13 lost 1.2-1.7x.
 BLOCK_DIGITS = 1 << 17
 
-# Entries per window table at most: on a 2-CPU host, 3/2 {0..4} builds a
-# 9**3 and a 7**3 table in 0.1 ms; 2**16 would fuse it into one 9**5 table
-# built in 4 ms, four times a 3 * 10**5-digit run.
+# Entries per window table at most, since every Plan builds its tables: on
+# a 2-CPU host, 3/2 {0..4} builds a 9**3 and a 7**3 table in 0.1 ms; 2**16
+# would fuse it into one 9**5 table built in 4 ms, four times a 3 * 10**5-
+# digit run.
 TABLE_ENTRIES = 1 << 12
 
 
@@ -102,12 +102,15 @@ class Plan:
     ``window`` digits wider, each of its digits read from ``halo`` + 1 =
     T + R + 1 inputs.  ``dtype`` is the narrowest signed one holding every
     digit and class: each pass adds at most its reach to the digits, and
-    reads their classes 0 .. len(cuts).  ``run`` takes the ``steps``."""
+    reads their classes 0 .. len(cuts).  ``run`` takes the ``steps``: each
+    greedy group of passes in a row whose window table fits, |I| ** (t +
+    r + 1) <= ``TABLE_ENTRIES`` for I its proven input range and (t, r)
+    its summed window, is one table, built here; any other pass runs on
+    its classes."""
 
     def __init__(self, passes):
         self.passes = [(p, np.array(p.table, np.min_scalar_type(-p.reach - 1)))
                        for p in passes]
-        self.steps = [partial(_run_pass, *pt) for pt in self.passes]
         self.lo, self.hi = lo, hi = passes[0].lo, passes[0].hi
         self.where = f"reducible range [{lo}, {hi}]"
         self.window = (sum(p.t for p in passes), sum(p.r for p in passes))
@@ -115,29 +118,21 @@ class Plan:
         bound = max([max(-lo, hi) + sum(p.reach for p in passes)]
                     + [len(p.cuts) for p in passes])
         self.dtype = np.min_scalar_type(-bound - 1)
-
-    def run(self, Z: np.ndarray) -> np.ndarray:
-        """Every pass on the unchecked digits of Z, in Z's dtype, lsd at
-        exponent 0; the output covers exponents msd + R .. -T."""
-        for step in self.steps:
-            Z = step(Z)
-        return Z
-
-    @cached_property
-    def fused(self) -> Plan:
-        """This plan, each greedy group of passes in a row read as one window
-        table where |I| ** (t + r + 1) <= ``TABLE_ENTRIES``, I the group's
-        proven input range and (t, r) its summed window."""
         groups, fits = [], lambda g: (g[0][0].hi - g[0][0].lo + 1) ** (
             1 + sum(p.t + p.r for p, _ in g)) <= TABLE_ENTRIES
         for pt in self.passes:
             if not (groups and fits(groups[-1] + [pt])):
                 groups.append([])
             groups[-1].append(pt)
-        fused = copy.copy(self)
-        fused.steps = [_window_table(g, self.dtype) if fits(g)
-                       else partial(_run_pass, *g[0]) for g in groups]
-        return fused
+        self.steps = [_window_table(g, self.dtype) if fits(g)
+                      else partial(_run_pass, *g[0]) for g in groups]
+
+    def run(self, Z: np.ndarray) -> np.ndarray:
+        """Every step on the unchecked digits of Z, in ``dtype``, lsd at
+        exponent 0; the output covers exponents msd + R .. -T."""
+        for step in self.steps:
+            Z = step(Z)
+        return Z
 
 
 def _check(Z: np.ndarray, lo: int, hi: int, where: str) -> None:
@@ -183,7 +178,6 @@ def plan_slice(pipeline: AdderPipeline, Z: np.ndarray, cut) -> np.ndarray:
     outputs equal those of the run over all digits.
     """
     plan, (a, b) = pipeline.kernel_plan, cut
-    plan = plan.fused if len(Z) >= BLOCK_DIGITS else plan
     lo = max(0, a - plan.halo)
     Z = _digits(Z[lo:b], plan.lo, plan.hi, plan.dtype, plan.where)
     return plan.run(Z)[a - lo:b - lo]
@@ -208,11 +202,9 @@ def run_plan(pipeline: AdderPipeline, Z, workers: int = 1) -> np.ndarray:
     ``workers`` > 1 threads, runs slices (``plan_slice``) of ``BLOCK_DIGITS``
     outputs at most as it pulls them; numpy releases the interpreter lock.
     """
-    plan = pipeline.kernel_plan
+    plan = pipeline.kernel_plan  # its tables build here, before any worker
     if not isinstance(Z, np.ndarray):  # an array is checked slice by slice
         Z = _digits(Z, plan.lo, plan.hi, plan.dtype, plan.where)
-    if len(Z) >= BLOCK_DIGITS:
-        plan.fused  # build the tables here, before any worker starts
     width = len(Z) + plan.halo
     each = -(-width // (workers * BLOCK_DIGITS))  # slices per worker
     cuts = iter(shard_cuts(width, workers * each))  # next() holds the GIL

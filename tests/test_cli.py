@@ -48,6 +48,15 @@ class TestParsing:
         assert parse_base("root:2,2,+").kind == "root"
         assert parse_base("pisot-:3").param("a") == 3
 
+    @pytest.mark.parametrize("text", ["root:2,2,", "root:2,2,+-"])
+    def test_malformed_root_base_is_refused(self, capsys, text):
+        # an empty or two-character sign is no sign: exit 3, as "root:2,2"
+        with pytest.raises(errors.UnsupportedBaseError,
+                           match="root:b,k,[+]"):
+            parse_base(text)
+        code, _, err = run(capsys, "bounds", "--base", text)
+        assert code == 3 and "root base must look like" in err
+
     def test_alphabet_syntax(self):
         assert parse_alphabet("-1..3") == Alphabet(-1, 3)
         assert parse_alphabet("0..2") == Alphabet(0, 2)
@@ -671,6 +680,7 @@ class TestErrors:
 _FUZZ_BASES = ["-2", "3/2", "-3/2", "pisot-:3", "pisot+:2", "root:2,2,+",
                "-1+i", "2i", "isqrt2", "2", "10", "-10", "1", "0", "1/0",
                "2/4", "-1/2", "root:2,0,+", "root:0,2,-", "root:2,2",
+               "root:2,2,", "root:2,2,+-",
                "pisot-:2", "pisot+:0", "pisot-:x", "i", ""]
 _ALPHABETS = ["0..2", "0..3", "0..4", "-1..1", "-2..2", "0..10", "1..3",
               "0..1", "2..0", "0..", "a..b", "0..2..4", ""]

@@ -30,7 +30,7 @@ from paradd.local import (
 )
 from paradd.oracle import verify_conversion
 from paradd.rules import (
-    gde_negative_integer, gde_pisot_minus, gde_rational_neg,
+    canonical_gde, gde_negative_integer, gde_pisot_minus, gde_rational_neg,
 )
 
 # every system `paradd verify` checks, plus two mixed-sign alphabets whose
@@ -309,7 +309,7 @@ def _static_bound(rules, lo, hi):
 
 
 @pytest.mark.parametrize("name", _SYSTEMS)
-def test_dtype_holds_static_bound(name):
+def test_dtype_holds_static_bound(monkeypatch, name):
     pipe = _pipeline(name)
     rules = [rule for _, rule in pipe.plan]
     lo, hi = pipe.input_range
@@ -320,7 +320,9 @@ def test_dtype_holds_static_bound(name):
     assert dtype == np.int8 or np.iinfo(np.int8).max < bound
     if name == "10 0..10":
         assert (bound, dtype) == (42, np.int8)
-    # sound: no pass over extreme strings, run in int64, goes past it
+    # sound: no pass over extreme strings, run in int64 as class passes
+    # (a table's digits are in the plan's dtype), goes past it
+    monkeypatch.setattr(kernel, "TABLE_ENTRIES", 0)
     for Z in ([hi] * 40, [lo] * 40, [lo, hi] * 20, [hi, hi, lo] * 13):
         Z = np.array(Z, dtype=np.int64)
         for rule in rules:
@@ -353,10 +355,15 @@ def test_codes_set_the_dtype_at_int8_edge(m, dtype):
         "input_alphabet": {"m": m, "M": 64},
         "output_alphabet": {"m": m, "M": 64},
         "table": {str(d): d - (d == 64) for d in range(m, 65)}})
-    plan = kernel.Plan([PassFacts(rule, m, 64)])
-    assert plan.dtype == dtype
-    out = plan.run(np.arange(m, 65, dtype=plan.dtype))
-    assert out.tolist() == list(range(m, 64)) + [63]
+    for entries in (kernel.TABLE_ENTRIES, 0):  # a table, then classes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "TABLE_ENTRIES", entries)
+            plan = kernel.Plan([PassFacts(rule, m, 64)])
+        assert plan.dtype == dtype
+        assert plan.steps[0].func is (kernel._read_table if entries
+                                      else kernel._run_pass)
+        out = plan.run(np.arange(m, 65, dtype=plan.dtype))
+        assert out.tolist() == list(range(m, 64)) + [63]
 
 
 def _kernel_adds(monkeypatch, name, length):
@@ -891,12 +898,19 @@ def _step_shapes(plan):
             for s in plan.steps]
 
 
+def _class_passes(passes):
+    # the passes as a plan of class passes alone: no table fits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "TABLE_ENTRIES", 0)
+        return kernel.Plan(passes)
+
+
 @pytest.mark.parametrize("name", _SYSTEMS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_tables_match_class_passes(name, data):
-    # the fused plan's steps and the class passes, directly and through
-    # run_plan with small blocks (the gate then opens): 1-D strings across
+    # the plan's steps against its class passes alone and the list runner,
+    # directly and through run_plan with small blocks: 1-D strings across
     # slice edges and 2-D batches, lengths 0-3, all zeros, all maxima
     pipe = _pipeline(name)
     plan, (lo, hi) = pipe.kernel_plan, pipe.input_range
@@ -910,9 +924,13 @@ def test_tables_match_class_passes(name, data):
     else:
         Z = np.full(shape, fill)
     Z = Z.astype(plan.dtype)
-    want = plan.run(Z)
-    got = plan.fused.run(Z)
+    want = _class_passes(pipe.passes).run(Z)
+    got = plan.run(Z)
     assert got.dtype == want.dtype and (got == want).all()
+    columns = (lambda A: A if A.ndim == 2 else A[:, None])
+    for z, out in zip(columns(Z).T, columns(want).T):
+        assert reduce_to_alphabet(DigitString(tuple(z.tolist())), pipe) == \
+            normalize(DigitString(tuple(out.tolist()), -plan.window[0]))
     block = data.draw(st.integers(1, max(1, n)))
     got, _ = _counted_run(pipe, Z, data.draw(st.sampled_from([1, 2])), block)
     assert (got == want).all()
@@ -933,8 +951,8 @@ def test_tables_refuse_a_bad_digit_as_class_passes(name, above):
         assert got.value.details == {"digit": bad}
 
 
-# (table shape, or "pass") of each fused step; a change of
-# kernel.TABLE_ENTRIES shows here
+# (table shape, or "pass") of each step; a change of kernel.TABLE_ENTRIES
+# shows here
 _STEP_SHAPES = {
     "-2 0..2": [(5,) * 5],
     "3/2 0..4": [(9,) * 3, (7,) * 3],
@@ -945,8 +963,7 @@ _STEP_SHAPES = {
 
 @pytest.mark.parametrize("name", list(_STEP_SHAPES))
 def test_fused_step_shapes(name):
-    assert _step_shapes(_pipeline(name).kernel_plan.fused) == \
-        _STEP_SHAPES[name]
+    assert _step_shapes(_pipeline(name).kernel_plan) == _STEP_SHAPES[name]
 
 
 @pytest.mark.parametrize("name", _SYSTEMS + ["pisot-:100 0..99"])
@@ -956,7 +973,7 @@ def test_tables_lie_in_the_proven_ranges(name):
     # chain, cross-checked by tabulation
     pipe = _pipeline(name)
     passes, al, i = pipe.passes, pipe.system.alphabet, 0
-    for step in pipe.kernel_plan.fused.steps:
+    for step in pipe.kernel_plan.steps:
         if step.func is not kernel._read_table:
             i += 1
             continue
@@ -982,12 +999,11 @@ def _fresh(name):
                                       parse_alphabet(alphabet)))
 
 
-def test_tables_build_only_for_long_runs(monkeypatch):
-    # the table builder never runs below BLOCK_DIGITS digits, for the
-    # oracle or for build_pipeline; a long run builds each table once, on
-    # the calling thread, and reads it
+def test_tables_build_once_on_the_thread_that_reads_the_plan(monkeypatch):
+    # build_pipeline builds no table; each table builds once, on the
+    # thread that first reads kernel_plan, the caller of a 2-worker
+    # run_plan or any other, and never on a thread of the pool
     import threading
-    from paradd.oracle import verify_addition
     builds, reads = [], []
     window_table, read_table = kernel._window_table, kernel._read_table
 
@@ -996,27 +1012,58 @@ def test_tables_build_only_for_long_runs(monkeypatch):
         return window_table(group, dtype)
 
     def read(*args):
-        reads.append(1)
+        reads.append(threading.current_thread())
         return read_table(*args)
 
     monkeypatch.setattr(kernel, "_window_table", build)
     monkeypatch.setattr(kernel, "_read_table", read)
-    pipe = _fresh("3/2 0..4")
-    Z = np.random.default_rng(3).integers(0, 9, kernel.BLOCK_DIGITS - 1)
-    kernel.run_plan(pipe, Z)
-    x = DigitString(tuple(np.random.default_rng(4).integers(0, 5, 20_000)
-                          .tolist()))
-    assert add(x, x, pipe) == reduce_to_alphabet(digitwise_sum(x, x), pipe)
-    assert verify_addition(pipe, n_pairs=500).passed
-    assert verify_conversion(pipe.plan[0][1], pipe.system.base,
-                             max_len=4).passed
     for name in _SYSTEMS:
         _fresh(name)
-    assert builds == [] and reads == []
-    Z = np.append(Z, 0)
-    want = pipe.kernel_plan.run(Z.astype(pipe.kernel_plan.dtype))
-    for workers in (2, 1):
+    assert builds == []
+    pipe, caller = _fresh("3/2 0..4"), threading.current_thread()
+    Z = np.random.default_rng(3).integers(0, 9, 1000)
+    want = _class_passes(pipe.passes).run(Z.astype(np.int8))
+    for workers in (2, 1, 2):
         assert (kernel.run_plan(pipe, Z, workers) == want).all()
-    assert builds == [threading.main_thread()] * 2
-    # two slices in each run, two tables read in each slice
-    assert len(reads) == 2 * 2 * 2
+    assert builds == [caller] * 2
+    # two slices on pool threads, one on the caller, two tables each
+    assert len(reads) == 2 * (2 + 1 + 2)
+    assert reads.count(caller) == 2
+    other = _fresh("-2 0..2")
+    reader = threading.Thread(target=lambda: other.kernel_plan)
+    reader.start()
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    Z = np.random.default_rng(4).integers(0, 5, 1000)
+    for workers in (2, 1):
+        assert (kernel.run_plan(other, Z, workers) ==
+                _class_passes(other.passes).run(Z.astype(np.int8))).all()
+    assert builds == [caller] * 2 + [reader]
+
+
+# catalog bases whose canonical rule is one table as a one-pass plan
+_TABLED_RULES = ["-2", "3/2", "-3/2", "pisot+:2", "root:2,2,+", "isqrt2", "2"]
+
+
+@pytest.mark.parametrize("base", _TABLED_RULES)
+def test_a_corrupted_rule_gets_one_report_with_or_without_tables(
+        monkeypatch, base):
+    # one selector entry of the canonical rule flipped in sign: the sweep
+    # reads its table, or its classes alone, and reports the same
+    # failures, witnesses included
+    base = parse_base(base)
+    data = canonical_gde(base).to_json()
+    table = data["carry"]["selector_table"]
+    key = next(k for k, v in table.items() if v != 0)
+    table[key] = -table[key]
+    bad = rule_from_json(data)
+    a = bad.input_alphabet
+    assert _step_shapes(kernel.Plan([PassFacts(bad, a.m, a.M)])) == \
+        [(a.size,) * bad.window_length]
+    reports = []
+    for entries in (kernel.TABLE_ENTRIES, 0):
+        monkeypatch.setattr(kernel, "TABLE_ENTRIES", entries)
+        rep = verify_conversion(bad, base, max_len=bad.window_length + 1)
+        reports.append((rep.failures, rep.checks, rep.instances_checked,
+                        rep.exhaustive_lengths, rep.sampled))
+    assert reports[0][0] and reports[0] == reports[1]
