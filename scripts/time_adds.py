@@ -33,8 +33,8 @@ def report(label: str, fn) -> str:
     one untimed call."""
     fn()
     ms = [t * 1e3 for t in timings(fn, 7)]
-    return (f"{label}: median {statistics.median(ms):.1f} ms "
-            f"(range {min(ms):.1f}-{max(ms):.1f})")
+    return (f"{label}: median {statistics.median(ms):.3g} ms "
+            f"(range {min(ms):.3g}-{max(ms):.3g})")
 
 
 def timings(fn, calls: int) -> list:
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
         sign = -1 if name == "subtract" else 1
         z = [a + sign * b for a, b in zip(x.digits, y.digits)]
         ripple = min(timings(lambda: ripple_digit_sum(z, system.base), 3))
-        print(f"{line}, ripple_digit_sum best {ripple * 1e3:.1f} ms",
+        print(f"{line}, ripple_digit_sum best {ripple * 1e3:.3g} ms",
               flush=True)
         if name == "add":
             Z = np.array(z, np.int8)

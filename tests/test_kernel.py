@@ -309,7 +309,7 @@ def _static_bound(rules, lo, hi):
 
 
 @pytest.mark.parametrize("name", _SYSTEMS)
-def test_dtype_holds_static_bound(monkeypatch, name):
+def test_dtype_holds_static_bound(name):
     pipe = _pipeline(name)
     rules = [rule for _, rule in pipe.plan]
     lo, hi = pipe.input_range
@@ -322,11 +322,10 @@ def test_dtype_holds_static_bound(monkeypatch, name):
         assert (bound, dtype) == (42, np.int8)
     # sound: no pass over extreme strings, run in int64 as class passes
     # (a table's digits are in the plan's dtype), goes past it
-    monkeypatch.setattr(kernel, "TABLE_ENTRIES", 0)
     for Z in ([hi] * 40, [lo] * 40, [lo, hi] * 20, [hi, hi, lo] * 13):
         Z = np.array(Z, dtype=np.int64)
         for rule in rules:
-            Z = kernel.Plan([PassFacts(rule, lo, hi)]).run(Z)
+            Z = _class_passes([PassFacts(rule, lo, hi)]).run(Z)
             assert np.abs(Z).max() <= bound
     # exact: digits up to 127 - reach take int8, one more takes int16
     edge = 127 - sum(map(_reach, rules))
@@ -355,13 +354,10 @@ def test_codes_set_the_dtype_at_int8_edge(m, dtype):
         "input_alphabet": {"m": m, "M": 64},
         "output_alphabet": {"m": m, "M": 64},
         "table": {str(d): d - (d == 64) for d in range(m, 65)}})
-    for entries in (kernel.TABLE_ENTRIES, 0):  # a table, then classes
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernel, "TABLE_ENTRIES", entries)
-            plan = kernel.Plan([PassFacts(rule, m, 64)])
-        assert plan.dtype == dtype
-        assert plan.steps[0].func is (kernel._read_table if entries
-                                      else kernel._run_pass)
+    facts = [PassFacts(rule, m, 64)]
+    for plan, step in ((kernel.Plan(facts), kernel._read_table),
+                       (_class_passes(facts), kernel._run_pass)):
+        assert plan.dtype == dtype and plan.steps[0].func is step
         out = plan.run(np.arange(m, 65, dtype=plan.dtype))
         assert out.tolist() == list(range(m, 64)) + [63]
 
