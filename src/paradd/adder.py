@@ -11,81 +11,32 @@ the rule's alphabet takes the class of that end, and keeps its excess.
 range lies in A (for beta**2 = a*beta - 1 and the canonical alphabet,
 through a two-stage direct plan), and keeps each range.
 
-Both runners of a plan read one numpy-free record per pass,
-``AdderPipeline.passes``: the array kernel (``paradd.kernel``) adds
-operands of at least ``MIN_ARRAY_DIGITS`` digits, reading each group of
-passes whose window table fits as that table, built from those records,
-and the list runner here (``reduce_to_alphabet``) shorter ones and traces,
-numpy loaded or not, each step a ``map`` over ``operator`` functions.  Both are tested against
-``local.apply_rule``.  Pass kinds only label passes.
+Both runners of a plan read one numpy-free ``local.PassFacts`` per pass,
+``AdderPipeline.passes``, over the range proven into it: the array
+kernel (``paradd.kernel``) adds operands of at least ``MIN_ARRAY_DIGITS``
+digits, reading each group of passes whose window table fits as that
+table, and the list runner here (``reduce_to_alphabet``) shorter ones
+and traces with ``PassFacts.run``, numpy loaded or not.  Both are tested
+against ``local.apply_rule``.  Pass kinds only label passes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import add as plus, mul
 
 from .core import (
     DigitString, NumerationSystem, PISOT_MINUS, digitwise_negate,
     digitwise_sum, normalize,
 )
 from .errors import AlphabetLacksNegativesError
-from .local import LocalRule, check_digits, closure_range
+from .local import PassFacts, check_digits, closure_range
 from .rules import doubling_reducer, gde_pisot_minus, rules_for_alphabet
 
 # pass kinds, as labels
 MAP = "map"          # a pass of the two-stage direct plan
 TOP_PASS = "top"     # rule on {m..M+1}: eliminates the top digit
 BOTTOM_PASS = "bottom"  # rule on {m-1..M}: eliminates the bottom digit
-
-
-class PassFacts:
-    """One pass as both runners read it.  A digit's class is the count of
-    the rule's ``cuts`` at or below it: ``classes`` by digit over the
-    proven input range [lo, hi], ``zero`` for digit 0.  The carry is read
-    from ``table`` at the code of ``width`` classes, every ``stride``-th;
-    the placements (window index of the sub-window, gamma) add it, none
-    when the table is all zeros.  Also the window (t, r) and ``reach``."""
-
-    def __init__(self, rule: LocalRule, lo: int, hi: int):
-        cr, self.rule, self.lo, self.hi = rule.carry, rule, lo, hi
-        self.cuts = cr.cuts or (float("inf"),)  # one class: no digit cuts
-        self.classes = [bisect_right(self.cuts, d)  # d < 0 wraps to the end
-                        for d in chain(range(hi + 1), range(lo, 0))]
-        self.zero, self.table = bisect_right(self.cuts, 0), rule.selector_table
-        self.t, self.r = rule.anticipation, rule.memory
-        self.width, self.stride = cr.selector_window, cr.stride
-        reads = cr.reads(self.t)
-        self.reach = sum(abs(g) for _, g in reads) * max(map(abs, self.table))
-        self.placements = reads if self.reach else []
-
-    def run(self, Z) -> tuple:
-        """``kernel``'s pass on a sequence of digits, msd first: the output
-        list, t + r digits wider, index r in line with Z[0]; the carries."""
-        n, r, pad = len(Z), self.r, self.t + self.r
-        out = [*[0] * r, *Z, *[0] * self.t]
-        if not self.placements:
-            return out, []
-        k, edge = self.stride, [self.zero] * pad
-        C = edge + list(map(self.classes.__getitem__, Z)) + edge
-        span = n + 2 * pad - (self.width - 1) * k
-        code, base = C[:span], repeat(len(self.cuts) + 1)
-        for j in range(k, self.width * k, k):
-            code = map(plus, map(mul, code, base), C[j:j + span])
-        q = list(map(self.table.__getitem__, code))
-        for i0, gamma in self.placements:
-            out = map(plus, out, map(mul, q[i0:i0 + n + pad], repeat(gamma)))
-        return list(out), q
-
-    def carries(self, q, msd: int) -> dict:
-        """The nonzero carries ``q`` that :meth:`run` returned, by place,
-        for an input with its msd at msd."""
-        top = msd + self.t + self.r - self.stride * \
-            self.rule.carry.selector_anticipation  # the place of q[0]
-        return {top - i: c for i, c in enumerate(q) if c}
 
 
 @dataclass(frozen=True)

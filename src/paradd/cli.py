@@ -16,8 +16,8 @@ from fractions import Fraction
 from .core import (
     Alphabet, BaseSpec, DigitString, format_digit_string, integer_base,
     make_system, negative_integer_base, negative_rational_base,
-    negative_root_base, parse_digit_string, pisot_minus_base, pisot_plus_base,
-    rational_base, root_base,
+    negative_root_base, normalize, parse_digit_string, pisot_minus_base,
+    pisot_plus_base, rational_base, root_base,
 )
 from .errors import (
     MAX_LENGTH, MIN_LENGTH, NotApplicableError, NumberSyntaxError,
@@ -173,7 +173,7 @@ def cmd_add(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    from .local import apply_rule, negate_rule
+    from .local import check_digits, negate_rule
     from .rules import canonical_gde, rules_for_alphabet
     base = parse_base(args.base)
     if args.alphabet:
@@ -186,17 +186,17 @@ def cmd_convert(args) -> int:
         rule = canonical_gde(base)
         if args.sde:
             rule = negate_rule(rule)
-    ds = _read_digit_string(args.input)
-    out = apply_rule(rule, ds)
+    ds, a = _read_digit_string(args.input), rule.input_alphabet
+    check_digits(ds.digits, a.m, a.M, f"input alphabet {a}")
+    digits, q = rule.facts.run(ds.digits)
+    out = normalize(DigitString(tuple(digits),
+                                ds.lsd_exponent - rule.anticipation))
     payload = {"base": base.to_json(), "rule": rule.name,
                "anticipation": rule.anticipation, "memory": rule.memory,
                "input": ds.to_json(), "result": out.to_json(),
                "text": format_digit_string(out)}
     if args.trace:
-        from .adder import PassFacts
-        a = rule.input_alphabet
-        step = PassFacts(rule, a.m, a.M)
-        qs = step.carries(step.run(ds.digits)[1], ds.msd_exponent)
+        qs = rule.facts.carries(q, ds.msd_exponent)
         payload["carries"] = {str(k): v for k, v in sorted(qs.items())}
     _emit(args, payload, format_digit_string(out))
     return EXIT_OK

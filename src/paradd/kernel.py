@@ -1,6 +1,6 @@
 """Whole-array pass-plan kernel: one compiled plan per pipeline, one runner.
 
-A pass reads the record the list runner reads too, ``adder.PassFacts``:
+A pass reads the record the list runner reads too, ``local.PassFacts``:
 a few comparisons and shifted slices give the class codes, then one
 ``take`` and one shifted add per placement.  Passes in a row compose into
 one sliding block code, so a :class:`Plan`, built once per pipeline
@@ -26,9 +26,10 @@ from functools import partial
 
 import numpy as np
 
-from .adder import AdderPipeline, PassFacts
+from .adder import AdderPipeline
 from .core import DigitString
 from .errors import DigitOutOfAlphabetError
+from .local import PassFacts
 
 # threads for run_plan's slices; they start on first use, not on import
 _POOL = ThreadPoolExecutor(max_workers=os.cpu_count())

@@ -20,16 +20,19 @@ offset/coefficient pattern is a multiple of the base's minimal
 polynomial; :func:`derive_local_rule` checks that, tabulates the
 selector on the least digit of each class, and proves the closure of the
 output alphabet from that table by one exact sweep
-(:func:`closure_range`).  Nothing is sampled.  A composition of rules
-(:func:`compose_rules`) evaluates its two rules and is not proved.
+(:func:`closure_range`).  Nothing is sampled.  A rule's one compiled
+form is its :class:`PassFacts`, read by Phi, its file form and both pass
+runners; a composition of rules (:func:`compose_rules`) is not proved.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from operator import add
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import chain, repeat
+from operator import add, mul
 from typing import Callable, Optional
 
 from .core import Alphabet, BaseSpec, DigitString, normalize
@@ -55,19 +58,19 @@ class CarryRule:
     With stride k, ``selector(sub)`` reads the digits (z_{j+k*ta},
     z_{j+k*(ta-1)}, ..., z_{j-k*tm}) most significant first and returns
     the carry q_j.  It compares each digit only with the ``cuts``, the
-    digits where a class of the alphabet begins (``None``: every digit is
-    a class), so it is one value on each window of classes.  Each
-    placement ``(delta, gamma)`` adds ``gamma * q_{j-k*delta}`` to output
-    position j.  ta, tm and delta count strides.  A carry rule read from
-    a file, shifted or negated has no selector: its table is its form.
+    digits where a class of the alphabet begins, so it is one value on
+    each window of classes.  Each placement ``(delta, gamma)`` adds
+    ``gamma * q_{j-k*delta}`` to output position j.  ta, tm and delta
+    count strides.  A carry rule read from a file, shifted or negated has
+    no selector: its table is its form.
     """
 
     selector: Optional[Callable]
     selector_anticipation: int  # ta: how many strides ahead it looks
     selector_memory: int        # tm: how many behind
     placements: tuple           # ((delta, gamma), ...)
+    cuts: tuple
     name: str = ""
-    cuts: Optional[tuple] = None
     stride: int = 1
 
     @property
@@ -115,21 +118,17 @@ class LocalRule:
     file, is the carry rule q = Phi - centre over the whole window,
     placed at (0, 1).  ``selector_table`` holds q for every window of
     classes, indexed by its code: the classes (0 for the least digits)
-    read in base ``len(cuts) + 1``, msd first.  ``window_fn`` is Phi, a
-    closure built per rule by ``_carry_rule``, so two rules are equal only
-    when they are one rule.  A composition has no carry and no table.
+    read in base ``len(cuts) + 1``, msd first.  Phi and the rule's file
+    form read ``facts``, its :class:`PassFacts` over the input alphabet.
     """
 
     input_alphabet: Alphabet
     output_alphabet: Alphabet
     anticipation: int  # t
     memory: int        # r
-    window_fn: Callable
-    carry: Optional[CarryRule] = field(default=None, repr=False,
-                                       compare=False)
-    name: str = ""
-    selector_table: Optional[tuple] = field(default=None, repr=False,
-                                            compare=False)
+    carry: CarryRule = field(repr=False)
+    selector_table: tuple = field(repr=False)
+    name: str
 
     @property
     def window_length(self) -> int:
@@ -141,22 +140,18 @@ class LocalRule:
         the digits it spans, as a rule file holds it."""
         return self.input_alphabet.size ** self.carry.selector_span
 
-    def phi(self, window) -> int:
-        """Output digit for one window (msd-first tuple of length p)."""
-        return self.window_fn(tuple(window))
+    @cached_property
+    def facts(self) -> PassFacts:
+        """The rule's pass on its input alphabet, built on first use."""
+        return PassFacts(self, self.input_alphabet.m, self.input_alphabet.M)
 
-    def digit_table(self) -> list:
-        """q by digits, as a rule file holds it: on each sub-window of
-        ``selector_span`` digits over the input alphabet, in code order."""
-        cr = self.carry
-        n, classes = len(cr.cuts) + 1, [bisect_right(cr.cuts, d)
-                                        for d in self.input_alphabet]
-        codes = [0]
-        for i in range(cr.selector_span):
-            codes = ([c * n + x for c in codes for x in classes]
-                     if i % cr.stride == 0 else
-                     [c for c in codes for _ in classes])
-        return [self.selector_table[c] for c in codes]
+    def phi(self, window) -> int:
+        """Output digit for one window (msd-first sequence of length p):
+        the centre digit plus each placed carry."""
+        f, out = self.facts, window[self.anticipation]
+        for i0, gamma in f.placements:
+            out += gamma * f.carry_of(window[i0:i0 + f.span:f.stride])
+        return out
 
     def to_json(self) -> dict:
         """The rule in carry form at stride 1, whichever form it was read
@@ -167,8 +162,8 @@ class LocalRule:
             raise LimitExceededError(f"rule {self.name!r} needs a selector "
                                      f"table of {size} entries, above "
                                      f"{DEFAULT_TABLE_BUDGET}", entries=size)
-        subs = itertools.product(list(self.input_alphabet),
-                                 repeat=cr.selector_span)
+        f, subs = self.facts, itertools.product(list(self.input_alphabet),
+                                                repeat=cr.selector_span)
         return {
             "name": self.name,
             "anticipation": self.anticipation,
@@ -180,11 +175,66 @@ class LocalRule:
                 "selector_memory": cr.selector_memory * k,
                 "placements": [[delta * k, gamma]
                                for delta, gamma in cr.placements],
-                "selector_table": {" ".join(map(str, sub)): q
-                                   for sub, q in zip(subs,
-                                                     self.digit_table())},
+                "selector_table": {" ".join(map(str, sub)):
+                                   f.carry_of(sub[::k]) for sub in subs},
             },
         }
+
+
+class PassFacts:
+    """A rule's pass as Phi, both runners and a rule file read it.  A
+    digit's class is the count of the rule's ``cuts`` at or below it:
+    ``classes`` by digit over the proven input range [lo, hi], ``zero``
+    for digit 0.  The carry is read from ``table`` at the code, in base
+    ``n``, of the classes of every ``stride``-th of a sub-window's ``span``
+    digits; each placement (its window index, gamma) adds it, none when
+    the table is all zeros.  Also the window (t, r) and ``reach``."""
+
+    def __init__(self, rule: LocalRule, lo: int, hi: int):
+        cr, self.lo, self.hi = rule.carry, lo, hi
+        self.cuts = cr.cuts or (float("inf"),)  # one class: no digit cuts
+        self.n = len(self.cuts) + 1  # the base of class codes
+        self.classes = [bisect_right(self.cuts, d)  # d < 0 wraps to the end
+                        for d in chain(range(hi + 1), range(lo, 0))]
+        self.zero, self.table = bisect_right(self.cuts, 0), rule.selector_table
+        self.t, self.r = rule.anticipation, rule.memory
+        self.width, self.stride = cr.selector_window, cr.stride
+        self.span, self.ta = cr.selector_span, cr.selector_anticipation
+        reads = cr.reads(self.t)
+        self.reach = sum(abs(g) for _, g in reads) * max(map(abs, self.table))
+        self.placements = reads if self.reach else []
+
+    def carry_of(self, sub) -> int:
+        """q on the ``width`` digits in [lo, hi] that one sub-window's
+        selector reads, msd first: the table at their class code."""
+        code = 0
+        for d in sub:
+            code = code * self.n + self.classes[d]
+        return self.table[code]
+
+    def run(self, Z) -> tuple:
+        """``kernel``'s pass on a sequence of digits, msd first: the output
+        list, t + r digits wider, index r in line with Z[0]; the carries."""
+        n, r, pad = len(Z), self.r, self.t + self.r
+        out = [*[0] * r, *Z, *[0] * self.t]
+        if not self.placements:
+            return out, []
+        k, edge = self.stride, [self.zero] * pad
+        C = edge + list(map(self.classes.__getitem__, Z)) + edge
+        span = n + 2 * pad - (self.width - 1) * k
+        code, base = C[:span], repeat(self.n)
+        for j in range(k, self.width * k, k):
+            code = map(add, map(mul, code, base), C[j:j + span])
+        q = list(map(self.table.__getitem__, code))
+        for i0, gamma in self.placements:
+            out = map(add, out, map(mul, q[i0:i0 + n + pad], repeat(gamma)))
+        return list(out), q
+
+    def carries(self, q, msd: int) -> dict:
+        """The nonzero carries ``q`` that :meth:`run` returned, by place,
+        for an input with its msd at msd."""
+        top = msd + self.t + self.r - self.stride * self.ta  # q[0]'s place
+        return {top - i: c for i, c in enumerate(q) if c}
 
 
 def _complete(table: dict, alphabet: Alphabet, width: int) -> dict:
@@ -226,14 +276,14 @@ def rule_from_json(data: dict) -> LocalRule:
                           in_alpha, sa + sm + 1)
     if "carry" not in data:
         sel_table = {w: v - w[t] for w, v in sel_table.items()}
-    carry = CarryRule(None, sa, sm, placements, name=data.get("name", ""),
-                      cuts=tuple(range(in_alpha.m + 1, in_alpha.M + 1)))
+    carry = CarryRule(None, sa, sm, placements, tuple(range(
+        in_alpha.m + 1, in_alpha.M + 1)), name=data.get("name", ""))
     if any(not 0 <= i0 <= t + r + 1 - carry.selector_window
            for i0, _ in carry.reads(t)):
         raise RuleFileError("a carry placement reads outside the window")
     q = tuple(sel_table[w] for w in itertools.product(
         in_alpha, repeat=carry.selector_window))
-    return _carry_rule(carry, in_alpha, out_alpha, t, r, q)
+    return LocalRule(in_alpha, out_alpha, t, r, carry, q, carry.name)
 
 
 def derive_local_rule(carry: CarryRule, base: BaseSpec,
@@ -255,50 +305,23 @@ def derive_local_rule(carry: CarryRule, base: BaseSpec,
             f"base {base.describe()}")
     m, M = input_alphabet.m, input_alphabet.M
     carry = replace(carry, cuts=tuple(sorted(
-        {c for c in (input_alphabet if carry.cuts is None else carry.cuts)
-         if m < c <= M})))
+        {c for c in carry.cuts if m < c <= M})))
     q = tuple(map(carry.selector, itertools.product(
         (m,) + carry.cuts, repeat=carry.selector_window)))
     t, r = carry.window()
-    rule = _carry_rule(carry, input_alphabet, output_alphabet, t, r, q)
+    rule = LocalRule(input_alphabet, output_alphabet, t, r, carry, q,
+                     carry.name)
     if any(x not in output_alphabet for x in closure_range(rule)):
         for w in itertools.product(input_alphabet, repeat=t + r + 1):
-            out = rule.window_fn(w)
+            out = rule.phi(w)
             if out not in output_alphabet:
                 raise OutputEscapesAlphabetError(
                     f"window {w} maps to {out}, outside {output_alphabet}",
                     window=list(w), output=out)
-    zero = rule.window_fn((0,) * (t + r + 1))
+    zero = rule.phi((0,) * (t + r + 1))
     if zero != 0:
         raise ZeroNotFixedError(f"all-zero window maps to {zero}, expected 0")
     return rule
-
-
-def _carry_rule(carry: CarryRule, in_alpha: Alphabet, out_alpha: Alphabet,
-                t: int, r: int, selector_table: tuple,
-                name: Optional[str] = None) -> LocalRule:
-    """The LocalRule of a carry rule with sorted cuts inside the input
-    alphabet, and the one place its Phi is built: z_j plus the placed
-    carries, each read from the selector table at the class code of its
-    sub-window's every stride-th digit."""
-    n, span, k = len(carry.cuts) + 1, carry.selector_span, carry.stride
-    classes = [0] * in_alpha.size
-    for d in in_alpha:  # indexed by the digit, as m <= 0: d < 0 wraps
-        classes[d] = bisect_right(carry.cuts, d)
-
-    def window_fn(window, _q=selector_table, _cls=classes,
-                  _reads=[(i0, i0 + span, g) for i0, g in carry.reads(t)]):
-        out = window[t]
-        for i0, i1, gamma in _reads:
-            code = 0
-            for d in window[i0:i1:k]:
-                code = code * n + _cls[d]
-            out += gamma * _q[code]
-        return out
-
-    return LocalRule(in_alpha, out_alpha, t, r, window_fn, carry=carry,
-                     selector_table=selector_table,
-                     name=carry.name if name is None else name)
 
 
 def closure_range(rule: LocalRule, lo: int = None, hi: int = None) -> tuple:
@@ -382,7 +405,7 @@ def apply_rule(rule: LocalRule, ds: DigitString,
     if ds.is_zero and background == 0:
         return DigitString.zero()
     t, r = rule.anticipation, rule.memory
-    p, phi = rule.window_length, rule.window_fn  # slices are tuples
+    p, phi = rule.window_length, rule.phi
     out_lsd = ds.lsd_exponent - t
     # output j reads exponents j+t .. j-r: the slice of the background-
     # padded digits that starts r + msd - j places in
@@ -416,9 +439,8 @@ def shift_alphabet(rule: LocalRule, h: int) -> LocalRule:
     # the cuts move with the digits; the class table is unchanged
     carry = replace(rule.carry, selector=None,
                     cuts=tuple(c - h for c in rule.carry.cuts))
-    return _carry_rule(carry, in_alpha, out_alpha, rule.anticipation,
-                       rule.memory, rule.selector_table,
-                       f"{rule.name} on {in_alpha}")
+    return LocalRule(in_alpha, out_alpha, rule.anticipation, rule.memory,
+                     carry, rule.selector_table, f"{rule.name} on {in_alpha}")
 
 
 def negate_rule(rule: LocalRule) -> LocalRule:
@@ -429,34 +451,44 @@ def negate_rule(rule: LocalRule) -> LocalRule:
     # the classes come in reverse order, which turns code x into N - 1 - x
     carry = replace(rule.carry, selector=None,
                     cuts=tuple(sorted(1 - c for c in rule.carry.cuts)))
-    return _carry_rule(carry, in_alpha, out_alpha, rule.anticipation,
-                       rule.memory,
-                       tuple(-x for x in reversed(rule.selector_table)),
-                       f"{rule.name} negated")
+    return LocalRule(in_alpha, out_alpha, rule.anticipation, rule.memory,
+                     carry, tuple(-x for x in reversed(rule.selector_table)),
+                     f"{rule.name} negated")
 
 
-def compose_rules(outer: LocalRule, inner: LocalRule) -> LocalRule:
-    """Rule equal to applying ``inner`` first, then ``outer``.
+@dataclass(frozen=True)
+class Composition:
+    """``inner`` then ``outer``, evaluated on each call.  It has no carry
+    form: only ``apply_rule`` and ``fixed_letters`` read it, and its outputs
+    lie in outer's output alphabet as far as its two rules are proved."""
 
-    Window parameters add: t = t_o + t_i, r = r_o + r_i.  The inner
-    output alphabet must embed in the outer input alphabet.  Phi is
-    outer's Phi of inner's outputs, evaluated on each call: a composition
-    has no carry form and no table, so neither the closure sweep nor the
-    kernel reads it, and it is not proved itself; its outputs lie in
-    outer's output alphabet as far as the two rules are proved.
-    """
+    input_alphabet: Alphabet
+    output_alphabet: Alphabet
+    anticipation: int
+    memory: int
+    name: str
+    outer: object = field(repr=False)
+    inner: object = field(repr=False)
+
+    window_length = LocalRule.window_length
+
+    def phi(self, window) -> int:
+        """outer's Phi of inner's outputs, one per digit of its window."""
+        p = self.inner.window_length
+        return self.outer.phi(tuple(self.inner.phi(window[i:i + p])
+                                    for i in range(self.outer.window_length)))
+
+
+def compose_rules(outer, inner) -> Composition:
+    """Applying ``inner`` first, then ``outer``, either a rule or a
+    Composition.  Window parameters add: t = t_o + t_i, r = r_o + r_i.
+    The inner output alphabet must embed in the outer input alphabet."""
     if not (outer.input_alphabet.m <= inner.output_alphabet.m
             and inner.output_alphabet.M <= outer.input_alphabet.M):
         raise AlphabetMismatchError(
             f"inner output {inner.output_alphabet} not contained in outer "
             f"input {outer.input_alphabet}")
-    # outer's window of inner outputs starts at each of its p_o positions
-    po, pi = outer.window_length, inner.window_length
-
-    def window_fn(window, _outer=outer.window_fn, _inner=inner.window_fn):
-        return _outer(tuple(_inner(window[i:i + pi]) for i in range(po)))
-
-    return LocalRule(inner.input_alphabet, outer.output_alphabet,
-                     outer.anticipation + inner.anticipation,
-                     outer.memory + inner.memory, window_fn,
-                     name=f"{inner.name} then {outer.name}")
+    return Composition(inner.input_alphabet, outer.output_alphabet,
+                       outer.anticipation + inner.anticipation,
+                       outer.memory + inner.memory,
+                       f"{inner.name} then {outer.name}", outer, inner)

@@ -2,7 +2,7 @@
 
 The engine computes digits -- the array kernel (``paradd.kernel``) on
 (positions, strings) batches for the sweeps, a conversion's rule as a
-one-pass plan (``kernel.Plan``), the rule's Phi on the
+one-pass plan (``kernel.Plan``) of its ``facts``, the rule's Phi on the
 all-zero window for the zero check -- and this module checks them
 against the definition: a conversion must preserve represented values
 exactly, keep outputs inside the declared alphabet, and map zero to
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adder import AdderPipeline, PassFacts
+from .adder import AdderPipeline
 from .algebra import represents_zero
 from .core import BaseSpec, DigitString
 from .errors import NotApplicableError, within
@@ -227,7 +227,7 @@ def verify_conversion(rule: LocalRule, base: BaseSpec, max_len: int = 6,
         report.fail("zero-to-zero")
     report.note("zero-to-zero")
 
-    plan = kernel.Plan([PassFacts(rule, m, m + S - 1)])
+    plan = kernel.Plan([rule.facts])
     dtype, spent, groups = plan.dtype, 0, []
     for L in range(1, max_len + 1):
         spent += S ** L

@@ -228,12 +228,11 @@ def gde_rational_neg(a: int, b: int) -> LocalRule:
 def canonical_gde(base: BaseSpec) -> LocalRule:
     """The top-digit eliminator on {0..K} for the base, K+1 = minimal size."""
     kind = base.kind
-    if kind == INTEGER:
-        return gde_root(base.param("b"), 1, False)
+    if kind in (INTEGER, ROOT):  # X**k - b, b least: the rule of b**(1/k)
+        (k, _), (_, c) = base.minimal_terms
+        return gde_root(-c, k, False)
     if kind == NEGATIVE_INTEGER:
         return gde_negative_integer(base.param("b"))
-    if kind == ROOT:
-        return gde_root(base.param("b"), base.param("k"), False)
     if kind == NEGATIVE_ROOT:
         if base.param("k") == 1:
             return gde_negative_integer(base.param("b"))

@@ -5,9 +5,7 @@ import random
 import pytest
 
 from paradd.algebra import values_equal
-from paradd.adder import (
-    PassFacts, add, build_pipeline, reduce_to_alphabet, subtract,
-)
+from paradd.adder import add, build_pipeline, reduce_to_alphabet, subtract
 from paradd.cli import parse_alphabet, parse_base
 from paradd.core import (
     Alphabet,
@@ -20,7 +18,7 @@ from paradd.core import (
     rational_base,
 )
 from paradd.errors import AlphabetLacksNegativesError, DigitOutOfAlphabetError
-from paradd.local import closure_range
+from paradd.local import PassFacts, closure_range
 
 
 def _system(base, m, M):

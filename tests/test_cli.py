@@ -1,6 +1,7 @@
 """Command-line front end: worked examples and exit codes."""
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -30,12 +31,46 @@ from paradd.core import (
 )
 from paradd.local import apply_rule, negate_rule
 from paradd.rules import canonical_gde, rules_for_alphabet
+from test_kernel import _carries
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _main(*argv):
+    """``run`` for tests that draw with hypothesis, which holds no
+    function-scoped fixture such as capsys across examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# the bases of the benchmark's one-shot convert requests
+_CONVERT_BASES = ["-2", "3/2", "-3/2", "pisot-:3", "pisot+:2", "-1+i", "2i"]
+
+
+@functools.lru_cache(maxsize=None)
+def _convert_rules(base_text):
+    """(flags, rule) of each convert request on the base: the canonical
+    rule, its negation (--sde), and either eliminator of every shift of
+    the minimal alphabet that has it."""
+    base = parse_base(base_text)
+    rule = canonical_gde(base)
+    out = [((), rule), (("--sde",), negate_rule(rule))]
+    K = rule.output_alphabet.size
+    for d in range(K):
+        try:
+            pair = rules_for_alphabet(base, Alphabet(-d, K - 1 - d))
+        except errors.UnsupportedAlphabetError:
+            continue
+        out += [((f"--alphabet={-d}..{K - 1 - d}", flag), r)
+                for flag, r in (("--gde", pair.gde), ("--sde", pair.sde))
+                if r is not None]
+    return out
 
 
 class TestParsing:
@@ -191,6 +226,40 @@ class TestConvert:
         assert out.strip() == "-1 -1 -1 ."
         rule = negate_rule(canonical_gde(parse_base("-2")))
         assert out.strip() == self._applied(rule, "-3 .")
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_result_and_carries_are_the_reference(self, data):
+        # the result is apply_rule's, the --trace carries are the selector
+        # table read at each place, and a digit outside the rule's input
+        # alphabet gets apply_rule's refusal, in text and in JSON
+        base = data.draw(st.sampled_from(_CONVERT_BASES))
+        flags, rule = data.draw(st.sampled_from(_convert_rules(base)))
+        a = rule.input_alphabet
+        digits = data.draw(st.lists(st.integers(a.m, a.M), max_size=12))
+        if digits and data.draw(st.booleans()):
+            digits[data.draw(st.integers(0, len(digits) - 1))] = \
+                data.draw(st.sampled_from([a.m - 2, a.m - 1, a.M + 1]))
+        text = format_digit_string(DigitString(
+            tuple(digits), data.draw(st.integers(-3, 3))))
+        ds = parse_digit_string(text)
+        argv = ["convert", "--base", base, *flags, "--trace"]
+        try:
+            want = apply_rule(rule, ds)
+        except errors.DigitOutOfAlphabetError as exc:
+            assert _main(*argv, text) == (exc.exit_code, "",
+                                          f"error: {exc}\n")
+            code, out, err = _main(*argv, "--json", text)
+            assert (code, out, json.loads(err)) == (exc.exit_code, "",
+                                                    exc.to_json())
+            return
+        code, out, _ = _main(*argv, "--json", text)
+        payload = json.loads(out)
+        assert (code, payload["rule"]) == (0, rule.name)
+        assert payload["result"] == want.to_json()
+        assert payload["text"] == format_digit_string(want)
+        assert payload["carries"] == {
+            str(k): v for k, v in sorted(_carries(rule, ds).items())}
 
     def test_trace_json_reports_carries(self, capsys):
         code, out, _ = run(capsys, "convert", "--base", "-2", "--gde",
@@ -490,8 +559,7 @@ _ADDS = "adder algebra bounds local rules"
     (["add", "--base", "-2", "--alphabet", "-1..1", "--subtract", _SHORT,
       _SHORT], _ADDS),
     (["convert", "--base", "3/2", "4 4 ."], "algebra local rules"),
-    (["convert", "--base", "3/2", "--trace", "4 4 ."],
-     "adder algebra local rules"),
+    (["convert", "--base", "3/2", "--trace", "4 4 ."], "algebra local rules"),
 ], ids=["greedy", "euclid", "bounds", "add", "subtract", "convert",
         "convert-trace"])
 def test_subcommand_loads_only_its_modules(argv, modules):

@@ -16,8 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from paradd import bench, kernel
 from paradd.adder import (
-    MIN_ARRAY_DIGITS, PassFacts, add, build_pipeline, reduce_to_alphabet,
-    subtract,
+    MIN_ARRAY_DIGITS, add, build_pipeline, reduce_to_alphabet, subtract,
 )
 from paradd.algebra import values_equal
 from paradd.cli import _VERIFY_CATALOG, parse_alphabet, parse_base
@@ -26,7 +25,7 @@ from paradd.core import (
 )
 from paradd.errors import DigitOutOfAlphabetError
 from paradd.local import (
-    apply_rule, check_digits, closure_range, rule_from_json,
+    PassFacts, apply_rule, check_digits, closure_range, rule_from_json,
 )
 from paradd.oracle import verify_conversion
 from paradd.rules import (

@@ -1,6 +1,8 @@
 """Windowed conversion engine: derivation, application, conjugation."""
 
 import itertools
+import math
+import random
 import time
 from functools import lru_cache
 
@@ -21,15 +23,18 @@ from paradd.core import (
     pisot_minus_base,
 )
 from paradd.errors import (
+    AlphabetMismatchError,
     DigitOutOfAlphabetError,
     LetterNotFixedError,
     LimitExceededError,
     OutputEscapesAlphabetError,
     PatternNotMultipleError,
 )
-from paradd.adder import PassFacts
 from paradd.local import (
     CarryRule,
+    Composition,
+    LocalRule,
+    PassFacts,
     apply_rule,
     closure_range,
     compose_rules,
@@ -59,7 +64,7 @@ class TestDerivation:
         # reinjecting q at weight 1 only (pattern = X^0) changes the value
         bad = CarryRule(selector=lambda sub: 1 if sub[0] > 1 else 0,
                         selector_anticipation=0, selector_memory=0,
-                        placements=((0, 1),), name="bad")
+                        placements=((0, 1),), cuts=(2,), name="bad")
         with pytest.raises(PatternNotMultipleError):
             derive_local_rule(bad, negative_integer_base(2),
                               Alphabet(0, 3), Alphabet(0, 2))
@@ -134,19 +139,22 @@ def _brute_range(rule):
     return min(outs), max(outs)
 
 
-def _catalog_rules():
+def _catalog_rules(max_windows=10 ** 6):
     """The acceptance sweep's rules and the verify catalog's rules, with
-    their shifted and negated forms on the catalog alphabets."""
+    their shifted and negated forms on the catalog alphabets, each with at
+    most ``max_windows`` windows."""
     out = [rule for rule, _, _ in _SWEEP]
     for base_text, alpha_text in _VERIFY_CATALOG:
         base = parse_base(base_text)
         pair = rules_for_alphabet(base, parse_alphabet(alpha_text))
         out += [canonical_gde(base), pair.gde, pair.sde]
-    for alpha_text in ("-1..1", "-2..0"):
-        pair = rules_for_alphabet(parse_base("-2"), parse_alphabet(alpha_text))
+    for base_text, alpha_text in (("-2", "-1..1"), ("-2", "-2..0"),
+                                  ("3/2", "-2..2")):
+        pair = rules_for_alphabet(parse_base(base_text),
+                                  parse_alphabet(alpha_text))
         out += [pair.gde, pair.sde]
     return [rule for rule in out if rule is not None and
-            rule.input_alphabet.size ** rule.window_length <= 10 ** 6]
+            rule.input_alphabet.size ** rule.window_length <= max_windows]
 
 
 def _class_code(cuts, digits):
@@ -177,9 +185,9 @@ class TestClosureRange:
         placements = tuple(data.draw(st.lists(
             st.tuples(st.integers(-reach, reach), st.integers(-3, 3)),
             min_size=1, max_size=3)))
-        carry = CarryRule(None, ta, tm, placements, cuts=cuts, stride=k)
+        carry = CarryRule(None, ta, tm, placements, cuts, stride=k)
         t, r = carry.window()
-        rule = local._carry_rule(carry, alphabet, alphabet, t, r, q)
+        rule = LocalRule(alphabet, alphabet, t, r, carry, q, "drawn")
         span = carry.selector_span
         # input digits in [lo, hi], up to 2 past each end of the alphabet
         # while the windows number at most 4**7
@@ -367,6 +375,8 @@ class TestComposition:
         a, g = doubling_reducer(3), gde_pisot_minus(3)
         comp = compose_rules(g, a)
         assert (comp.anticipation, comp.memory) == (5, 5)
+        assert isinstance(comp, Composition)
+        assert not isinstance(comp, LocalRule)
 
     def test_composed_equals_sequential(self):
         a, g = doubling_reducer(3), gde_pisot_minus(3)
@@ -375,8 +385,63 @@ class TestComposition:
             ds = DigitString(tup, 0)
             assert apply_rule(comp, ds) == apply_rule(g, apply_rule(a, ds))
 
+    def test_three_deep(self):
+        # pisot-:3's direct plan, then its eliminator once more, nested on
+        # either side: the same Phi, the windows summed, the same strings
+        a, g = doubling_reducer(3), gde_pisot_minus(3)
+        left = compose_rules(g, compose_rules(g, a))
+        right = compose_rules(compose_rules(g, g), a)
+        for comp in (left, right):
+            assert (comp.anticipation, comp.memory) == (8, 8)
+            assert (comp.input_alphabet, comp.output_alphabet) == \
+                (a.input_alphabet, g.output_alphabet)
+            assert comp.name == "doubling reducer (a=3) then gde(pisot- a=3)" \
+                " then gde(pisot- a=3)"
+        assert fixed_letters(left) == fixed_letters(right)
+        for tup in itertools.product(range(5), repeat=3):
+            ds = DigitString(tup, 0)
+            want = apply_rule(g, apply_rule(g, apply_rule(a, ds)))
+            assert apply_rule(left, ds) == apply_rule(right, ds) == want
+        windows = random.Random(3).choices(range(5), k=17 * 40)
+        for i in range(0, len(windows), 17):
+            w = tuple(windows[i:i + 17])
+            assert left.phi(w) == right.phi(w)
+
+    def test_mismatched_alphabets_are_refused(self):
+        # 3/2's eliminator outputs {0..4}; -2's reads {0..3}
+        p = gde_rational_pos(3, 2)
+        with pytest.raises(AlphabetMismatchError, match="0..4"):
+            compose_rules(gde_negative_integer(2), compose_rules(p, p))
+
 
 class TestSerialization:
+    def test_every_catalog_rule_round_trips(self):
+        # every catalog rule, shifted, negated and at stride 4 (-1+i)
+        # included, exports at stride 1 and reads back with the same Phi:
+        # the same reads, and the same carry on every sub-window of the
+        # digits they span, so the same output on every window, which is
+        # also checked one by one up to 2 * 10**4 windows.  Two reads of one
+        # file compare equal.
+        rules = _catalog_rules(max_windows=math.inf)
+        assert any(rule.carry.stride == 4 for rule in rules)
+        for rule in rules:
+            data = rule.to_json()
+            again = rule_from_json(data)
+            assert again == rule_from_json(data) != rule, rule.name
+            assert hash(again) == hash(rule_from_json(data))
+            f, g = rule.facts, again.facts
+            span = rule.carry.selector_span
+            assert (g.t, g.r, g.placements, again.carry.selector_span) == \
+                (f.t, f.r, f.placements, span), rule.name
+            alphabet = rule.input_alphabet
+            for sub in itertools.product(alphabet, repeat=span):
+                assert g.carry_of(sub[::g.stride]) == \
+                    f.carry_of(sub[::f.stride]), (rule.name, sub)
+            if alphabet.size ** rule.window_length <= 2 * 10 ** 4:
+                for w in itertools.product(alphabet,
+                                           repeat=rule.window_length):
+                    assert again.phi(w) == rule.phi(w), (rule.name, w)
+
     def test_round_trip_preserves_behavior(self):
         g = gde_negative_integer(2)
         g2 = rule_from_json(g.to_json())

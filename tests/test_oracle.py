@@ -21,8 +21,7 @@ from paradd.core import (
     rational_base,
 )
 from paradd.errors import LimitExceededError
-from paradd.local import apply_rule, rule_from_json
-from paradd.adder import PassFacts
+from paradd.local import PassFacts, apply_rule, rule_from_json
 from paradd.kernel import Plan, run_plan
 from paradd.oracle import (
     MAX_BATCH_DIGITS,

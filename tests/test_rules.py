@@ -1,7 +1,11 @@
 """Rule catalog: locality parameters and alphabet adaptation."""
 
+from math import gcd
+
 import pytest
 
+from paradd.bounds import minimal_alphabet_size
+from paradd.cli import parse_base
 from paradd.core import (
     Alphabet,
     negative_integer_base,
@@ -12,7 +16,9 @@ from paradd.core import (
     rational_base,
     root_base,
 )
-from paradd.errors import AlphabetTooSmallError, UnsupportedAlphabetError
+from paradd.errors import (
+    AlphabetTooSmallError, UnsupportedAlphabetError, UnsupportedBaseError,
+)
 from paradd.rules import (
     canonical_gde,
     doubling_reducer,
@@ -61,6 +67,32 @@ class TestCanonical:
         assert canonical_gde(rational_base(3, 2)).output_alphabet.M == 4
         assert canonical_gde(pisot_plus_base(2)).output_alphabet.M == 3
         assert canonical_gde(negative_root_base(4, 4)).output_alphabet.M == 4
+
+    def test_output_alphabet_is_minimal_on_a_grid(self):
+        # integers, root bases b**(1/k) of either sign (perfect powers such
+        # as 4**(1/4) = sqrt 2 included), quadratic Pisot units and
+        # rationals: the canonical rule's output alphabet has the minimal
+        # size `paradd bounds` gives
+        texts = ([f"{s}{n}" for n in range(2, 13) for s in ("", "-")]
+                 + [f"root:{b},{k},{s}" for b in range(2, 17)
+                    for k in range(1, 5) for s in "+-"]
+                 + [f"pisot-:{a}" for a in range(3, 9)]
+                 + [f"pisot+:{a}" for a in range(2, 9)]
+                 + [f"{s}{a}/{b}" for a in range(2, 9) for b in range(1, a)
+                    if gcd(a, b) == 1 for s in ("", "-")])
+        checked = {}
+        for text in texts:
+            try:
+                base = parse_base(text)
+            except UnsupportedBaseError:  # a reducible X**k + b
+                continue
+            checked[text] = (canonical_gde(base).output_alphabet.size,
+                             minimal_alphabet_size(base))
+        assert len(checked) == 196
+        assert {t for t, (size, least) in checked.items() if size != least} \
+            == set()
+        assert checked["root:4,4,+"] == checked["root:2,2,+"] == (3, 3)
+        assert checked["root:16,4,+"] == checked["2"] == (3, 3)
 
 
 class TestAlphabetAdaptation:
